@@ -19,3 +19,7 @@ class DegenerateSpectrumError(SensynError, ArithmeticError):
 
 class UnsupportedModelError(SensynError, ValueError):
     """The requested closed-form result is not available for this model."""
+
+
+class EigenNotConvergedError(SensynError, ArithmeticError):
+    """An iterative eigensolver used up its sweep budget above its tolerance."""

@@ -25,6 +25,12 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# JSON string escapes: quote, backslash and every control character U+0000-U+001F
+_JSON_ESCAPES = str.maketrans(
+    {chr(i): f"\\u{i:04x}" for i in range(0x20)}
+    | {"\n": "\\n", "\r": "\\r", "\t": "\\t", '"': '\\"', "\\": "\\\\"})
+
+
 def dumps_json(obj, indent: int = 0) -> str:
     """Serialize nested dict/list/scalar data with fixed float formatting."""
     pad = " " * indent
@@ -35,8 +41,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return f'"{obj.translate(_JSON_ESCAPES)}"'
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .errors import InputDomainError
 
@@ -81,20 +81,6 @@ class RngStream:
 # Standard normal CDF / inverse CDF
 # ---------------------------------------------------------------------------
 
-# Rational approximation of the standard normal inverse CDF (Acklam's
-# coefficients, |relative error| < 1.15e-9), refined below by one Newton step
-# against the erfc-based CDF.  Absolute error is < 1e-12 on (1e-10, 1-1e-10).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def normal_cdf(x):
     """Standard normal CDF, accurate in both tails (erfc based)."""
     x = np.asarray(x, dtype=np.float64)
@@ -107,37 +93,12 @@ def normal_pdf(x):
 
 
 def normal_inv_cdf(u):
-    """Standard normal inverse CDF for ``u`` in the open interval (0, 1).
-
-    Only the lower half is evaluated directly (the erfc-based CDF is
-    relatively accurate there, so the Newton correction does not cancel);
-    the upper half is obtained by symmetry.  ``1 - u`` is exact for
-    ``u >= 0.5``, so no accuracy is lost in the reflection.
-    """
+    """Standard normal inverse CDF for ``u`` in the open interval (0, 1)."""
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise InputDomainError("inverse CDF argument must lie strictly in (0, 1)")
-    p_full = np.atleast_1d(u_arr)
-    upper = p_full > 0.5
-    p = np.where(upper, 1.0 - p_full, p_full)
-    x = np.empty_like(p)
-
-    low = p < _P_LOW
-    mid = ~low
-    if low.any():
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        x[low] = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                  / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        x[mid] = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-                  / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-    # one Newton step against the high-accuracy CDF (x <= 0 here)
-    x -= (0.5 * erfc(-x / _SQRT2) - p) / (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
-    x = np.where(upper, -x, x)
-    return x if u_arr.ndim else float(x[0])
+    x = ndtri(u_arr)
+    return x if u_arr.ndim else float(x)
 
 
 # ---------------------------------------------------------------------------

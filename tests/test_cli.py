@@ -209,3 +209,23 @@ class TestReproducibility:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_eigensolver_thread_count_invariance(self):
+        # inputs are built elementwise, so only sym_eig could bring in BLAS
+        script = (
+            "import sys, numpy as np; from sensyn import sym_eig\n"
+            "for d in (101, 150):\n"
+            "    raw = np.random.default_rng(d).normal(size=(d, d))\n"
+            "    spec = sym_eig((raw + raw.T) / 2.0)\n"
+            "    sys.stdout.write(spec.eigenvalues.tobytes().hex())\n"
+            "    sys.stdout.write(spec.eigenvectors.tobytes().hex())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

@@ -3,14 +3,33 @@
 import numpy as np
 import pytest
 
-from sensyn import (DegenerateSpectrumError, InputDomainError,
-                    SpectralDecomposition, normalized_cumsum, select_m,
-                    sym_eig)
+from sensyn import (DegenerateSpectrumError, EigenNotConvergedError,
+                    InputDomainError, SensynError, SpectralDecomposition,
+                    normalized_cumsum, select_m, sym_eig)
+from sensyn.linalg import _round_robin
 
 
 def random_symmetric(rng, d):
     raw = rng.uniform(-1.0, 1.0, size=(d, d))
     return (raw + raw.T) / 2.0
+
+
+def random_psd(rng, d):
+    raw = rng.normal(size=(d, d // 2 + 1))
+    a = raw @ raw.T
+    return (a + a.T) / 2.0
+
+
+def assert_decomposes(a, spec):
+    """Scaled reconstruction, orthogonality, order and sign convention."""
+    d = len(a)
+    vec, lam = spec.eigenvectors, spec.eigenvalues
+    scale = max(np.max(np.abs(lam)), 1.0)
+    assert np.max(np.abs((vec * lam) @ vec.T - a)) <= 1e-10 * scale
+    assert np.max(np.abs(vec.T @ vec - np.eye(d))) <= 1e-10
+    assert np.all(np.diff(lam) <= 0.0)
+    lead = np.argmax(np.abs(vec), axis=0)
+    assert np.all(vec[lead, np.arange(d)] > 0.0)
 
 
 class TestSymEig:
@@ -73,6 +92,61 @@ class TestSymEig:
         # (lowest index among maxima) must be positive
         assert spec.eigenvectors[0, 0] > 0
         assert spec.eigenvectors[0, 1] > 0
+
+    @pytest.mark.parametrize("d", [2, 3, 50, 100, 101])
+    @pytest.mark.parametrize("make", [random_symmetric, random_psd])
+    def test_round_robin_even_and_odd(self, make, d):
+        a = make(np.random.default_rng(d), d)
+        assert_decomposes(a, sym_eig(a))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 10, 11])
+    def test_schedule_meets_every_pair_once(self, d):
+        met = []
+        for rnd in _round_robin(d):
+            partner = rnd.partner
+            np.testing.assert_array_equal(partner[partner], np.arange(d))  # disjoint
+            assert np.sum(partner != np.arange(d)) == 2 * (d // 2)
+            met += [(i, int(j)) for i, j in enumerate(partner) if i < j]
+        assert sorted(met) == [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+    def test_block_diagonal_skips_zero_pairs(self):
+        rng = np.random.default_rng(4)
+        a = np.zeros((9, 9))
+        a[:4, :4] = random_symmetric(rng, 4)
+        a[4:, 4:] = random_symmetric(rng, 5)
+        # the first round pairs 1-8, 2-7 and 3-6 across the blocks: with
+        # equal diagonals there, a[p, q] = 0 is the only thing that keeps
+        # those pairs from a 45-degree rotation
+        for p, q in ((1, 8), (2, 7), (3, 6)):
+            a[q, q] = a[p, p]
+        spec = sym_eig(a)
+        assert_decomposes(a, spec)
+        # no rotation couples the blocks, so every eigenvector lives in one
+        vec = spec.eigenvectors
+        assert np.all((vec[:4] == 0.0).all(axis=0) | (vec[4:] == 0.0).all(axis=0))
+
+    def test_repeated_eigenvalues(self):
+        c = np.random.default_rng(6).normal(size=12)
+        a = np.eye(12) + np.outer(c, c)
+        spec = sym_eig(a)
+        assert_decomposes(a, spec)
+        assert spec.eigenvalues[0] == pytest.approx(1.0 + c @ c, rel=1e-12)
+        np.testing.assert_allclose(spec.eigenvalues[1:], 1.0, atol=1e-12)
+
+    def test_diagonal_input_needs_no_sweep(self):
+        a = np.diag([0.5, -2.0, 3.0, 0.5, 1.0])
+        spec = sym_eig(a, max_sweeps=0)
+        np.testing.assert_array_equal(spec.eigenvalues, [3.0, 1.0, 0.5, 0.5, -2.0])
+        np.testing.assert_array_equal(spec.eigenvectors, np.eye(5)[:, [2, 4, 0, 3, 1]])
+
+    def test_sweep_budget_exhausted_raises(self):
+        a = random_symmetric(np.random.default_rng(10), 10)
+        with pytest.raises(EigenNotConvergedError) as info:
+            sym_eig(a, max_sweeps=1)
+        assert isinstance(info.value, SensynError)
+        message = str(info.value)
+        assert "d=10" in message and "after 1 sweeps" in message
+        assert "off-diagonal norm" in message and "threshold" in message
 
     def test_input_validation(self):
         with pytest.raises(InputDomainError):

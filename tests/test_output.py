@@ -29,6 +29,12 @@ class TestJson:
         with pytest.raises(InputDomainError):
             dumps_json(float("nan"))
 
+    def test_control_characters_escaped(self):
+        label = "a\nb\t\x01"
+        assert dumps_json(label) == '"a\\nb\\t\\u0001"'
+        assert json.loads(dumps_json({label: [label]})) == {label: [label]}
+        assert dumps_json('say "hi" \\ bye') == '"say \\"hi\\" \\\\ bye"'
+
     def test_deterministic_bytes(self, example4_report):
         a = dumps_json(report_to_dict(example4_report))
         b = dumps_json(report_to_dict(example4_report))
