@@ -10,8 +10,8 @@ from .bounds import (BoundCheck, check_dgsm_bounds, check_gas_bound_general,
                      check_gas_bound_uniform, check_quadratic_identity)
 from .dgsm import dgsm, dgsm_from_gradients, fd_gradient, gradient_matrix
 from .errors import (DegenerateSpectrumError, EigenNotConvergedError,
-                     InputDomainError, SensynError, UnsupportedModelError,
-                     ZeroVarianceError)
+                     InputDomainError, ModelOutputError, SensynError,
+                     UnsupportedModelError, ZeroVarianceError)
 from .linalg import (SpectralDecomposition, normalized_cumsum, select_m,
                      sym_eig)
 from .models import (AnalyticAnova, Model, analytic_anova, builtin_names,

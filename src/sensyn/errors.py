@@ -23,3 +23,7 @@ class UnsupportedModelError(SensynError, ValueError):
 
 class EigenNotConvergedError(SensynError, ArithmeticError):
     """An iterative eigensolver used up its sweep budget above its tolerance."""
+
+
+class ModelOutputError(SensynError, ValueError):
+    """A model's evaluation map returned mis-shaped or non-finite output."""

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputDomainError, UnsupportedModelError
+from .errors import InputDomainError, ModelOutputError, UnsupportedModelError
 from .randkit import InputDistribution, Normal, RngStream, Uniform
 
 # fixed ridge direction for the discontinuous built-in (unit-normalized below)
@@ -52,6 +52,8 @@ class Model:
     def evaluate(self, z, rng: RngStream | None = None, noise: np.ndarray | None = None):
         """Evaluate the model at one point (1-d input) or a batch (2-d input).
 
+        The raw output of ``eval_fn`` must have one finite value per row;
+        anything else raises :class:`ModelOutputError` before noise is added.
         For stochastic models exactly one of ``rng`` (fresh independent
         draws) or ``noise`` (caller-fixed standard normal variates, one per
         row) must be supplied.
@@ -63,6 +65,16 @@ class Model:
             raise InputDomainError(
                 f"expected points of dimension {self.d}, got shape {z.shape}")
         y = np.asarray(self.eval_fn(batch), dtype=np.float64)
+        if y.shape != (len(batch),):
+            raise ModelOutputError(
+                f"model {self.label!r} returned output of shape {y.shape}; "
+                f"expected ({len(batch)},)")
+        finite = np.isfinite(y)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ModelOutputError(
+                f"model {self.label!r} returned {len(bad)} non-finite value(s) "
+                f"in {len(batch)} rows, first at row {bad[0]}")
         if self.noise_scale > 0.0:
             if noise is None:
                 if rng is None:

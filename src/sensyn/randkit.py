@@ -5,6 +5,10 @@ The sampling side of every estimator in this package flows through
 and the inverse CDFs of the marginal distributions, so that any quantity is a
 pure function of the seed and the stream layout, independent of evaluation
 order.
+
+``scipy.special`` is imported on the first normal draw or normal CDF, not at
+module load, so a process whose inputs are all uniform and whose model has
+no evaluation noise never loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import InputDomainError
 
@@ -83,6 +86,8 @@ class RngStream:
 
 def normal_cdf(x):
     """Standard normal CDF, accurate in both tails (erfc based)."""
+    from scipy.special import erfc
+
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * erfc(-x / _SQRT2)
 
@@ -97,6 +102,8 @@ def normal_inv_cdf(u):
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise InputDomainError("inverse CDF argument must lie strictly in (0, 1)")
+    from scipy.special import ndtri
+
     x = ndtri(u_arr)
     return x if u_arr.ndim else float(x)
 

@@ -7,12 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgsm import dgsm_from_gradients, gradient_matrix
-from .errors import InputDomainError
+from .errors import DegenerateSpectrumError, InputDomainError
 from .linalg import normalized_cumsum, select_m, sym_eig
 from .models import Model
 from .randkit import RngStream
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
-                       c_as_from_gradients, estimate_c_gas, subspace_analysis)
+                       c_as_from_gradients, estimate_c_gas)
 from .variance import SobolEstimate, estimate_sobol, upper_sobol
 
 METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
@@ -110,26 +110,33 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
             v = dgsm_from_gradients(g)
             fields.update(dgsm_raw=v, dgsm_normalized=normalize(v))
         if "as" in methods:
-            matrix = c_as_from_gradients(g)
-            spec = sym_eig(matrix)
-            m_sel = select_m(spec, threshold) if m_override is None else m_override
-            result = SubspaceResult(kind="AS", matrix=matrix, spectrum=spec,
-                                    m_selected=m_sel)
+            result = _decompose("AS", c_as_from_gradients(g), model, n,
+                                threshold, m_override)
             _fill_subspace(fields, "as", result, model)
 
     if "gas" in methods:
-        result = subspace_analysis(model, "GAS", root.substream(3), n=m1, m2=m2,
-                                   threshold=threshold, slope_window=slope_window)
-        if m_override is not None:
-            result = SubspaceResult(kind="GAS", matrix=result.matrix,
-                                    spectrum=result.spectrum,
-                                    m_selected=m_override)
+        matrix = estimate_c_gas(model, m1, m2, root.substream(3),
+                                slope_window=slope_window)
+        result = _decompose("GAS", matrix, model, m1 * m2, threshold, m_override)
         _fill_subspace(fields, "gas", result, model)
 
     return SensitivityReport(
         model_label=model.label, d=model.d, seed=seed, n=n, m1=m1, m2=m2, h=h,
         noise_scale=model.noise_scale, threshold=threshold, methods=methods,
         reference_direction=model.reference_direction, **fields)
+
+
+def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,
+               threshold: float, m_override: int | None) -> SubspaceResult:
+    if not np.any(matrix):
+        raise DegenerateSpectrumError(
+            f"{kind} matrix of model {model.label!r} is all zero at n={n}: "
+            f"every sampled {'gradient' if kind == 'AS' else 'slope'} vanished; "
+            f"use a larger n (--n) or drop the {kind.lower()!r} method")
+    spec = sym_eig(matrix)
+    m_sel = select_m(spec, threshold) if m_override is None else m_override
+    return SubspaceResult(kind=kind, matrix=matrix, spectrum=spec,
+                          m_selected=m_sel)
 
 
 def _fill_subspace(fields: dict, prefix: str, result: SubspaceResult,

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from sensyn import Model, Uniform, cli
 from sensyn.cli import main
 
 
@@ -92,6 +93,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eval_fn, message", [
+        (lambda x: np.where(x[:, 0] < 0.01, np.nan, x.sum(axis=1)),
+         "non-finite value"),
+        (lambda x: 2.0 * x, "returned output of shape"),
+    ])
+    def test_bad_model_output_is_exit_one(self, eval_fn, message, tmp_path,
+                                          capsys, monkeypatch):
+        bad = Model(label="bad", family="custom",
+                    marginals=(Uniform(0.0, 1.0),) * 3, eval_fn=eval_fn)
+        monkeypatch.setattr(cli, "make_builtin", lambda name, **params: bad)
+        for methods in ("sobol", "all"):
+            code = main(["analyze", "--model", "example4", "--methods", methods,
+                         "--n", "2000", "--out", str(tmp_path / "x.json")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "model 'bad'" in err and message in err
+
+    def test_degenerate_spectrum_names_method(self, tmp_path, capsys):
+        # every forward difference of the indicator is zero at this n
+        code = main(["analyze", "--model", "example2", "--n", "100", "--seed", "1",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "AS matrix of model 'example2' is all zero at n=100" in err
+        assert "drop the 'as' method" in err
 
     def test_empty_sizes_is_usage_error(self, tmp_path):
         code = main(["convergence", "--model", "linear", "--c", "1,2",
@@ -229,3 +256,27 @@ class TestReproducibility:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestStartup:
+    def test_scipy_loaded_only_for_normal_draws(self, tmp_path):
+        # a fresh interpreter, since this test process has scipy loaded already
+        script = (
+            "import os, sys\n"
+            "import sensyn.cli as cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy loaded at import'\n"
+            "os.chdir(sys.argv[1])\n"
+            "for args in (['analyze', '--model', 'example4', '--n', '500',\n"
+            "              '--out', 'r.json'],\n"
+            "             ['bounds', '--model', 'example4', '--n', '500',\n"
+            "              '--out', 'b.json'],\n"
+            "             ['plot', 'r.json', '--out', 'r.svg']):\n"
+            "    assert cli.main(args) == 0, args\n"
+            "    assert 'scipy' not in sys.modules, args\n"
+            "assert cli.main(['analyze', '--model', 'example2', '--n', '500',\n"
+            "                 '--methods', 'sobol,gas', '--out', 'r2.json']) == 0\n"
+            "assert 'scipy.special' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "r.svg").exists() and (tmp_path / "b.json").exists()

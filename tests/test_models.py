@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, Normal, RngStream, Uniform,
-                    analytic_anova, indicator_upper_sobol, make_builtin,
-                    make_example1, make_example2, make_example4, make_linear,
-                    make_quadratic_normal, rank, sample_inputs, upper_sobol)
+from sensyn import (InputDomainError, Model, ModelOutputError, Normal,
+                    RngStream, Uniform, analytic_anova, indicator_upper_sobol,
+                    make_builtin, make_example1, make_example2, make_example4,
+                    make_linear, make_quadratic_normal, rank, sample_inputs,
+                    upper_sobol)
 
 EX1_SIGMA2 = 385.0 / 12.0 + 200.0 / 144.0  # = 33.4722...
 EX4_SIGMA2 = 4.0 / 12.0 + 2500.0 / 135168.0
@@ -49,6 +50,42 @@ class TestEvaluation:
         eps = np.array([1.0, -1.0])
         got = model.evaluate(np.zeros((2, 10)), noise=eps)
         np.testing.assert_allclose(got, [2.0, -2.0])
+
+
+class TestOutputValidation:
+    @staticmethod
+    def model(eval_fn, noise_scale=0.0):
+        return Model(label="custom", family="custom",
+                     marginals=(Uniform(0.0, 1.0),) * 3, eval_fn=eval_fn,
+                     noise_scale=noise_scale)
+
+    def test_non_finite_rows_named(self):
+        def f(x):
+            y = x.sum(axis=1)
+            y[[2, 5]] = [np.nan, np.inf]
+            return y
+
+        with pytest.raises(ModelOutputError,
+                           match=r"'custom' returned 2 non-finite .* first at row 2"):
+            self.model(f).evaluate(np.zeros((8, 3)))
+
+    def test_broadcast_shape_rejected(self):
+        with pytest.raises(ModelOutputError, match=r"shape \(8, 3\); expected \(8,\)"):
+            self.model(lambda x: 2.0 * x).evaluate(np.zeros((8, 3)))
+
+    def test_scalar_output_rejected(self):
+        with pytest.raises(ModelOutputError):
+            self.model(lambda x: 1.0).evaluate(np.zeros((4, 3)))
+
+    def test_checked_before_noise(self):
+        # noise is finite, so the raw output alone decides
+        model = self.model(lambda x: np.full(len(x), np.nan), noise_scale=1.0)
+        with pytest.raises(ModelOutputError):
+            model.evaluate(np.zeros((3, 3)), noise=np.zeros(3))
+
+    def test_is_value_error(self):
+        assert issubclass(ModelOutputError, ValueError)
+        assert not issubclass(ModelOutputError, InputDomainError)
 
 
 class TestConstruction:

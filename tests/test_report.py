@@ -3,9 +3,28 @@
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, analytic_anova, build_report,
+from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
+                    ModelOutputError, Uniform, analytic_anova, build_report,
                     convergence_study, make_example1, make_example2,
                     make_example4, make_linear, normalize, rank)
+
+
+def nan_rows_model() -> Model:
+    """Three uniform inputs; NaN wherever the first input is below 0.01."""
+    def f(x):
+        y = x @ np.array([1.0, 2.0, 3.0])
+        y[x[:, 0] < 0.01] = np.nan
+        return y
+
+    return Model(label="nan_rows", family="custom",
+                 marginals=(Uniform(0.0, 1.0),) * 3, eval_fn=f)
+
+
+def broadcast_model() -> Model:
+    """Returns an (n, d) array instead of one value per row."""
+    return Model(label="broadcast", family="custom",
+                 marginals=(Uniform(0.0, 1.0),) * 3,
+                 eval_fn=lambda x: x * np.array([1.0, 2.0, 3.0]))
 
 
 class TestNormalize:
@@ -85,6 +104,32 @@ class TestBuildReport:
         np.testing.assert_array_equal(a.sobol_upper, b.sobol_upper)
         np.testing.assert_array_equal(a.gas_scores_full, b.gas_scores_full)
         np.testing.assert_array_equal(a.dgsm_raw, b.dgsm_raw)
+
+
+class TestBadModelOutput:
+    @pytest.mark.parametrize("methods", [("sobol",), ("sobol", "dgsm", "as", "gas")])
+    def test_non_finite_output(self, methods):
+        with pytest.raises(ModelOutputError, match=r"'nan_rows' returned \d+ non-finite"):
+            build_report(nan_rows_model(), seed=1, n=2_000, methods=methods)
+
+    @pytest.mark.parametrize("methods", [("sobol",), ("sobol", "dgsm", "as", "gas")])
+    def test_mis_shaped_output(self, methods):
+        with pytest.raises(ModelOutputError,
+                           match=r"'broadcast' returned output of shape \(2000, 3\)"):
+            build_report(broadcast_model(), seed=1, n=2_000, methods=methods)
+
+
+class TestDegenerateSpectrum:
+    # no forward difference of the indicator straddles its jump at this n
+    def test_all_zero_as_matrix_names_method(self):
+        with pytest.raises(DegenerateSpectrumError,
+                           match=r"AS matrix of model 'example2' is all zero at n=100"):
+            build_report(make_example2(), seed=1, n=100, methods=("as",))
+
+    def test_all_zero_gas_matrix_names_method(self):
+        constant = make_linear([0.0, 0.0])
+        with pytest.raises(DegenerateSpectrumError, match=r"drop the 'gas' method"):
+            build_report(constant, seed=1, n=50, methods=("gas",))
 
 
 class TestConvergenceStudy:
