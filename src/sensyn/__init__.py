@@ -8,7 +8,7 @@ inequalities relating the measures.
 
 from .bounds import (BoundCheck, check_dgsm_bounds, check_gas_bound_general,
                      check_gas_bound_uniform, check_quadratic_identity)
-from .dgsm import dgsm, dgsm_from_gradients, fd_gradient, gradient_matrix
+from .dgsm import dgsm, dgsm_from_gradients, gradient_matrix
 from .errors import (DegenerateSpectrumError, EigenNotConvergedError,
                      InputDomainError, ModelOutputError, SensynError,
                      UnsupportedModelError, ZeroVarianceError)
@@ -24,8 +24,7 @@ from .randkit import (Normal, RngStream, Uniform, cheeger_constant,
 from .report import (ConvergenceTable, SensitivityReport, build_report,
                      convergence_study, normalize, rank)
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult, c_as_from_gradients,
-                       estimate_c_as, estimate_c_gas, finite_slope, scores,
-                       subspace_analysis)
+                       estimate_c_as, estimate_c_gas, scores, subspace_analysis)
 from .variance import (SobolEstimate, estimate_sobol, estimate_variance,
                        lower_sobol, upper_sobol)
 

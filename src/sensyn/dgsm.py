@@ -20,26 +20,6 @@ from .randkit import RngStream
 _BASE, _NOISE = 0, 2
 
 
-def fd_gradient(model: Model, z, h: float, rng: RngStream | None = None) -> np.ndarray:
-    """Forward-difference gradient at a single point: (f(z + h e_i) - f(z))/h."""
-    if h <= 0.0:
-        raise InputDomainError("finite-difference increment must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or len(z) != model.d:
-        raise InputDomainError(f"expected a point of dimension {model.d}")
-    noise = rng.substream(_NOISE) if rng is not None else None
-    fz = model.evaluate(z, rng=None if noise is None else noise.substream(0))
-    g = np.empty(model.d)
-    for i in range(model.d):
-        zi = z.copy()
-        zi[i] += h
-        fzi = model.evaluate(zi, rng=None if noise is None else noise.substream(i + 1))
-        g[i] = (fzi - fz) / h
-        if not np.isfinite(g[i]):
-            raise InputDomainError(f"non-finite derivative for input {i + 1}")
-    return g
-
-
 def gradient_matrix(model: Model, n: int, h: float, rng: RngStream) -> np.ndarray:
     """Forward-difference gradients at n sampled points, as an (n, d) array.
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputDomainError, ModelOutputError, UnsupportedModelError
+from .errors import InputDomainError, ModelOutputError
 from .randkit import InputDistribution, Normal, RngStream, Uniform
 
 # fixed ridge direction for the discontinuous built-in (unit-normalized below)
@@ -125,10 +125,20 @@ def _anova_from_components(d: int, comps: dict[tuple[int, ...], float]) -> Analy
 # ---------------------------------------------------------------------------
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or an error naming the parameter if any
+    entry is NaN or infinite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise InputDomainError(f"model parameter {name!r} must be finite")
+    return arr
+
+
 def make_example1(noise_scale: float = 0.0) -> Model:
     """Ten uniform inputs on (-0.5, 0.5): an increasing linear part plus the
     bilinear interactions 10*(z1*z2 - z9*z10), optionally with additive
     evaluation noise."""
+    noise_scale = float(_finite("noise_scale", noise_scale))
     if noise_scale < 0.0:
         raise InputDomainError("noise scale must be nonnegative")
     coeff = np.arange(1.0, 11.0)
@@ -141,7 +151,7 @@ def make_example1(noise_scale: float = 0.0) -> Model:
         family="example1",
         marginals=tuple(Uniform(-0.5, 0.5) for _ in range(10)),
         eval_fn=f,
-        noise_scale=float(noise_scale),
+        noise_scale=noise_scale,
         multilinear=True,
     )
 
@@ -153,7 +163,7 @@ def make_example2(direction=None) -> Model:
         theta = np.asarray(INDICATOR_DIRECTION, dtype=np.float64)
         theta = theta / np.linalg.norm(theta)
     else:
-        theta = np.asarray(direction, dtype=np.float64)
+        theta = _finite("direction", direction)
         norm = np.linalg.norm(theta)
         if norm == 0.0:
             raise InputDomainError("ridge direction must be nonzero")
@@ -180,9 +190,10 @@ def make_example2(direction=None) -> Model:
 def make_example4(c=(1.0, 1.0, 1.0, 1.0), c12: float = 50.0) -> Model:
     """Four uniform(0,1) inputs: centered linear terms plus the strongly
     nonlinear interaction c12*(x1-1/2)*(x2-1/2)**5."""
-    c = np.asarray(c, dtype=np.float64)
+    c = _finite("c", c)
     if c.shape != (4,):
         raise InputDomainError("expected exactly four linear coefficients")
+    c12 = float(_finite("c12", c12))
 
     def f(x):
         y = x - 0.5
@@ -199,13 +210,14 @@ def make_example4(c=(1.0, 1.0, 1.0, 1.0), c12: float = 50.0) -> Model:
 def make_linear(coefficients, intervals=None) -> Model:
     """Linear map sum(c_i * z_i) with uniform interval marginals
     (default (0,1) for every input)."""
-    c = np.asarray(coefficients, dtype=np.float64)
+    c = _finite("coefficients", coefficients)
     if c.ndim != 1 or len(c) == 0:
         raise InputDomainError("coefficients must be a nonempty vector")
     if intervals is None:
         marginals = tuple(Uniform(0.0, 1.0) for _ in c)
     else:
-        marginals = tuple(Uniform(a, b) for a, b in intervals)
+        marginals = tuple(Uniform(float(a), float(b))
+                          for a, b in _finite("intervals", intervals))
         if len(marginals) != len(c):
             raise InputDomainError("one interval per coefficient required")
 
@@ -224,8 +236,8 @@ def make_linear(coefficients, intervals=None) -> Model:
 def make_quadratic_normal(a_matrix, b) -> Model:
     """Quadratic form 0.5*z'Az + b'z under standard normal inputs; ``A``
     must be symmetric."""
-    a_matrix = np.asarray(a_matrix, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a_matrix = _finite("A", a_matrix)
+    b = _finite("b", b)
     if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
         raise InputDomainError("A must be square")
     if not np.allclose(a_matrix, a_matrix.T, rtol=0.0, atol=0.0):
@@ -331,14 +343,6 @@ def analytic_anova(model: Model) -> AnalyticAnova | None:
         return _anova_from_components(d, comps)
 
     return None
-
-
-def require_analytic_anova(model: Model) -> AnalyticAnova:
-    oracle = analytic_anova(model)
-    if oracle is None:
-        raise UnsupportedModelError(
-            f"no closed-form ANOVA for model family {model.family!r}")
-    return oracle
 
 
 def indicator_upper_sobol(direction) -> np.ndarray:

@@ -22,7 +22,11 @@ noise-free models:
   response, evaluation noise); a separation floor bounds the quotient
   denominators while leaving multilinear slopes untouched and quadratic
   second moments exactly unbiased under normal marginals (the pair midpoint
-  is independent of the pair gap).
+  is independent of the pair gap).  A first draw that clears the floor is
+  kept, so the base evaluation f(z) stays shared; each pair that does not is
+  replaced by one closed-form draw from the conditioned law
+  (:func:`separated_pairs`).  The cost is therefore fixed: one extra
+  evaluated row per replaced pair, and no redraw rounds.
 * evaluation noise is drawn once per replicate and shared by the replicate's
   evaluations, so common-mode noise cancels inside each difference quotient.
   This is what keeps the slope matrix stable on stochastic models while
@@ -31,6 +35,7 @@ noise-free models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +44,8 @@ from .dgsm import gradient_matrix
 from .errors import InputDomainError
 from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
-from .randkit import RngStream
+from .randkit import (InputDistribution, Normal, RngStream, Uniform, normal_cdf,
+                      normal_inv_cdf)
 
 DEFAULT_SLOPE_WINDOW = 0.35
 _COINCIDENT_TOL = 1e-12
@@ -88,38 +94,33 @@ def _mean_outer(d_mat: np.ndarray, chunk: int = 4096) -> np.ndarray:
     return acc / n
 
 
-def finite_slope(model: Model, v, z, rng: RngStream) -> np.ndarray:
-    """Vector of one-coordinate difference quotients at a single point pair.
+def separated_pairs(dist: InputDistribution, gap: float, n: int,
+                    rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` i.i.d. pairs ``(a, b)`` from the product law of ``dist``
+    conditioned on ``|a - b| >= gap``, from one ``uniforms(3 * n)`` call.
 
-    Component i is ``(f(v_i, z_-i) - f(z)) / (v_i - z_i)``.  Coordinates of
-    ``v`` closer to ``z`` than 1e-12 of the marginal scale are resampled
-    from their marginal (at most 100 retries each).  For stochastic models
-    every evaluation draws independent noise.
+    Uniform(lo, lo + L): the pair gap g has density proportional to
+    ``L - g`` on [gap, L], and given g the lower point is uniform on
+    [lo, lo + L - g].  Normal(mu, sigma): ``a + b`` and ``a - b`` are
+    independent, so the sum keeps its N(2 mu, 2 sigma**2) law and the
+    difference is N(0, 2 sigma**2) truncated to ``|a - b| >= gap``.  The
+    third uniform decides which of ``a`` and ``b`` is the larger.  ``gap``
+    must be nonnegative and, for a uniform, below its width.
     """
-    z = np.asarray(z, dtype=np.float64)
-    v = np.array(v, dtype=np.float64)
-    if z.shape != (model.d,) or v.shape != (model.d,):
-        raise InputDomainError(f"expected points of dimension {model.d}")
-    resample = rng.substream(_REDRAW)
-    for i, dist in enumerate(model.marginals):
-        tol = _COINCIDENT_TOL * dist.scale
-        retries = 0
-        stream = resample.substream(i)
-        while abs(v[i] - z[i]) < tol:
-            if retries >= 100:
-                raise InputDomainError(
-                    f"could not separate coordinate {i + 1} from the base point")
-            v[i] = float(dist.inv_cdf(stream.uniforms(1))[0])
-            retries += 1
-    noise = rng.substream(_NOISE)
-    fz = model.evaluate(z, rng=noise.substream(0))
-    out = np.empty(model.d)
-    for i in range(model.d):
-        zi = z.copy()
-        zi[i] = v[i]
-        fvi = model.evaluate(zi, rng=noise.substream(i + 1))
-        out[i] = (fvi - fz) / (v[i] - z[i])
-    return out
+    u0, u1, u2 = rng.uniforms(3 * n).reshape(3, n)
+    if isinstance(dist, Uniform):
+        slack = (dist.scale - gap) * np.sqrt(u0)  # L - g
+        lower = dist.lower + slack * u1
+        upper = lower + (dist.scale - slack)
+        low_first = u2 < 0.5
+        return np.where(low_first, lower, upper), np.where(low_first, upper, lower)
+    if isinstance(dist, Normal):
+        spread = math.sqrt(2.0) * dist.sigma
+        total = 2.0 * dist.mu + spread * normal_inv_cdf(u1)
+        diff = -spread * normal_inv_cdf(u0 * normal_cdf(-gap / spread))
+        diff = np.where(u2 < 0.5, diff, -diff)
+        return 0.5 * (total + diff), 0.5 * (total - diff)
+    raise InputDomainError(f"no separated pair law for marginal {dist!r}")
 
 
 def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
@@ -128,10 +129,12 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
 
     Averages ``m1 * m2`` outer products of slope vectors: ``m1`` base points,
     each paired with ``m2`` fresh freeze vectors.  One base evaluation is
-    shared by the d quotients of a replicate (d+1 calls), except where the
-    separation floor forces a redrawn coordinate pair (two extra calls for
-    that coordinate).  Stochastic models draw one noise variate per base
-    point, shared by all of its evaluations.
+    shared by the d quotients of a replicate (d+1 calls).  A (base, freeze)
+    coordinate pair closer than the separation floor is replaced by one
+    draw of :func:`separated_pairs`, which costs one extra evaluated row and,
+    per (freeze vector, input) with any such pair, one extra model call and
+    one ``uniforms`` call; there is no rejection loop.  Stochastic models
+    draw one noise variate per base point, shared by all of its evaluations.
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
@@ -154,35 +157,24 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
     for j in range(m2):
         v = sample_inputs(model, m1, freeze_root.substream(j))
         redraw_j = redraw_root.substream(j)
-        for i in range(d):
-            dist = model.marginals[i]
+        for i, dist in enumerate(model.marginals):
             a = z[:, i].copy()
             b = v[:, i]
             bad = np.abs(b - a) < gaps[i]
-            stream = redraw_j.substream(i)
-            rounds = 0
-            while bad.any():
-                if rounds >= 10_000:
-                    raise InputDomainError(
-                        f"could not separate coordinate {i + 1}; "
-                        "slope_window too large for this marginal")
-                nb = int(bad.sum())
-                a[bad] = dist.inv_cdf(stream.uniforms(nb))
-                b[bad] = dist.inv_cdf(stream.uniforms(nb))
-                bad = np.abs(b - a) < gaps[i]
-                rounds += 1
+            nb = int(bad.sum())
+            if nb:
+                a[bad], b[bad] = separated_pairs(dist, gaps[i], nb,
+                                                 redraw_j.substream(i))
 
             zb = z.copy()
             zb[:, i] = b
             fb = model.evaluate(zb, noise=eps)
             fa = fz
-            redrawn = a != z[:, i]
-            if redrawn.any():
-                za = z[redrawn].copy()
-                za[:, i] = a[redrawn]
+            if nb:
+                za = z[bad]
+                za[:, i] = a[bad]
                 fa = fz.copy()
-                fa[redrawn] = model.evaluate(
-                    za, noise=None if eps is None else eps[redrawn])
+                fa[bad] = model.evaluate(za, noise=None if eps is None else eps[bad])
             slopes[:, i] = (fb - fa) / (b - a)
         acc += _mean_outer(slopes)
     return acc / m2

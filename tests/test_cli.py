@@ -120,6 +120,24 @@ class TestExitCodes:
         assert "AS matrix of model 'example2' is all zero at n=100" in err
         assert "drop the 'as' method" in err
 
+    @pytest.mark.parametrize("params, name", [
+        (["--model", "example1", "--noise", "nan"], "noise_scale"),
+        (["--model", "example2", "--theta", "1,inf,0"], "direction"),
+        (["--model", "example4", "--c12", "1e309"], "c12"),
+        (["--model", "example4", "--c", "1,1,nan,1"], "c"),
+        (["--model", "linear", "--c", "1,nan"], "coefficients"),
+        (["--model", "quadratic", "--A", "diag:1,nan", "--b", "0,0"], "A"),
+        (["--model", "quadratic", "--A", "diag:1,1", "--b", "0,-inf"], "b"),
+    ])
+    def test_non_finite_model_parameter_is_usage_error(self, params, name,
+                                                       tmp_path, capsys):
+        code = main(["analyze", *params, "--n", "200",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"parameter '{name}' must be finite" in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_empty_sizes_is_usage_error(self, tmp_path):
         code = main(["convergence", "--model", "linear", "--c", "1,2",
                      "--sizes", "", "--seeds", "2",
@@ -280,3 +298,24 @@ class TestStartup:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "r.svg").exists() and (tmp_path / "b.json").exists()
+
+    def test_uniform_slope_matrix_never_loads_scipy(self, tmp_path):
+        # the separated-pair redraw of uniform marginals needs no normal CDF
+        script = (
+            "import os, sys\n"
+            "import sensyn.cli as cli\n"
+            "from sensyn import RngStream, estimate_c_gas, make_example1, make_linear\n"
+            "for window in (0.0, 0.35, 0.89):\n"
+            "    estimate_c_gas(make_example1(), 500, 2, RngStream(1),\n"
+            "                   slope_window=window)\n"
+            "    estimate_c_gas(make_linear([1.0, 2.0], [(2.0, 7.0), (-3.0, -2.5)]),\n"
+            "                   500, 1, RngStream(2), slope_window=window)\n"
+            "os.chdir(sys.argv[1])\n"
+            "assert cli.main(['analyze', '--model', 'example1', '--methods', 'gas',\n"
+            "                 '--n', '500', '--slope-window', '0.89',\n"
+            "                 '--out', 'g.json']) == 0\n"
+            "assert 'scipy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "g.json").exists()

@@ -3,37 +3,44 @@
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, RngStream, cheeger_constant, dgsm,
-                    estimate_variance, fd_gradient, gradient_matrix,
+from sensyn import (InputDomainError, Model, Normal, RngStream,
+                    cheeger_constant, dgsm, estimate_variance, gradient_matrix,
                     make_example1, make_example2, make_example4, make_linear,
                     make_quadratic_normal, upper_sobol)
 
 
-class TestFdGradient:
+class TestGradientMatrix:
     def test_linear_exact(self):
-        model = make_linear([1.0, 2.0, 3.0])
-        g = fd_gradient(model, np.array([0.3, 0.4, 0.5]), 1e-3)
-        np.testing.assert_allclose(g, [1.0, 2.0, 3.0], atol=1e-10)
+        g = gradient_matrix(make_linear([1.0, 2.0, 3.0]), 200, 1e-3, RngStream(4))
+        np.testing.assert_allclose(g, np.tile([1.0, 2.0, 3.0], (200, 1)), atol=1e-10)
 
     def test_forward_difference_bias(self):
-        # f = z**2: slope (f(z+h)-f(z))/h = 2z + h
-        model = make_quadratic_normal([[2.0]], [0.0])
-        g = fd_gradient(model, np.array([1.0]), 1e-3)
-        assert g[0] == pytest.approx(2.001, abs=1e-9)
+        # f = z**2: slope (f(z+h)-f(z))/h = 2z + h at every sampled base point
+        batches = []
+
+        def square(x):
+            batches.append(x.copy())
+            return x[:, 0] ** 2
+
+        model = Model(label="square", family="custom", marginals=(Normal(0.0, 1.0),),
+                      eval_fn=square)
+        g = gradient_matrix(model, 500, 1e-3, RngStream(5))
+        np.testing.assert_allclose(g[:, 0], 2.0 * batches[0][:, 0] + 1e-3, atol=1e-9)
 
     def test_indicator_spikes_inside_stencil(self):
+        # a forward step flips the indicator only where the ridge argument
+        # crosses zero inside the stencil, towards the sign of theta_i
         model = make_example2()
         theta = model.reference_direction
-        # place the ridge argument just below zero: components with
-        # theta_i > 1e-4/h flip the indicator inside the forward stencil
-        z = -1e-4 * theta / (theta @ theta)
-        g = fd_gradient(model, z, 1e-3)
-        expect = np.where(theta > 0.1, 1000.0, 0.0)
-        np.testing.assert_allclose(g, expect, atol=1e-9)
+        g = gradient_matrix(model, 20_000, 1e-3, RngStream(6))
+        spike = np.sign(theta) / 1e-3
+        assert np.all((g == 0.0) | (g == spike))
+        assert np.count_nonzero(g) > 10
 
     def test_increment_domain(self):
-        with pytest.raises(InputDomainError):
-            fd_gradient(make_linear([1.0]), np.array([0.5]), 0.0)
+        for h in (0.0, -1e-3):
+            with pytest.raises(InputDomainError):
+                gradient_matrix(make_linear([1.0]), 10, h, RngStream(0))
 
 
 class TestDgsm:

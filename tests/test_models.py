@@ -117,6 +117,24 @@ class TestConstruction:
         with pytest.raises(InputDomainError):
             make_builtin("example3")
 
+    @pytest.mark.parametrize("factory, params, name", [
+        (make_example1, {"noise_scale": float("nan")}, "noise_scale"),
+        (make_example1, {"noise_scale": float("inf")}, "noise_scale"),
+        (make_example2, {"direction": [1.0, float("inf"), 0.0]}, "direction"),
+        (make_example4, {"c": [1.0, float("nan"), 1.0, 1.0]}, "c"),
+        (make_example4, {"c12": 1e309}, "c12"),
+        (make_linear, {"coefficients": [1.0, float("nan")]}, "coefficients"),
+        (make_linear, {"coefficients": [1.0, 2.0],
+                       "intervals": [(0.0, 1.0), (0.0, float("inf"))]}, "intervals"),
+        (make_quadratic_normal, {"a_matrix": [[1.0, 0.0], [0.0, float("nan")]],
+                                 "b": [0.0, 0.0]}, "A"),
+        (make_quadratic_normal, {"a_matrix": np.eye(2),
+                                 "b": [float("-inf"), 0.0]}, "b"),
+    ])
+    def test_non_finite_parameter_rejected(self, factory, params, name):
+        with pytest.raises(InputDomainError, match=f"parameter '{name}' must be finite"):
+            factory(**params)
+
 
 class TestAnalyticAnova:
     def test_example1_sigma2_and_pinned_indices(self):

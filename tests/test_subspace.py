@@ -1,44 +1,74 @@
 """Slope/gradient sensitivity matrices, scores, and their identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
-from sensyn import (InputDomainError, Model, RngStream, SpectralDecomposition,
-                    Uniform, analytic_anova, c_as_from_gradients,
-                    dgsm_from_gradients, estimate_c_as, estimate_c_gas,
-                    finite_slope, gradient_matrix, indicator_upper_sobol,
+from sensyn import (InputDomainError, Model, Normal, RngStream,
+                    SpectralDecomposition, Uniform, analytic_anova,
+                    c_as_from_gradients, dgsm_from_gradients, estimate_c_as,
+                    estimate_c_gas, gradient_matrix, indicator_upper_sobol,
                     make_example1, make_example2, make_linear,
                     make_quadratic_normal, rank, scores, subspace_analysis,
                     sym_eig)
+from sensyn.subspace import separated_pairs
 
 
-class TestFiniteSlope:
-    def test_linear_exact_slope(self):
-        model = make_linear([1.0, 2.0, 3.0])
-        d = finite_slope(model, np.array([0.9, 0.1, 0.6]),
-                         np.array([0.2, 0.8, 0.3]), RngStream(0))
-        np.testing.assert_allclose(d, [1.0, 2.0, 3.0], atol=1e-12)
+def _gap(dist, window):
+    return max(window, 1e-12) * dist.scale
 
-    def test_indicator_unchanged_component(self):
-        model = make_example2()
-        theta = model.reference_direction
-        z = theta.copy()  # theta.z = 1 > 0
-        v = theta + 0.5   # moving any single coordinate up keeps theta.z > 0
-        mask = theta > 0.0
-        d = finite_slope(model, v, z, RngStream(1))
-        assert np.all(d[mask] == 0.0)
 
-    def test_quadratic_midpoint_slope(self):
-        # f = z1**2: slope between 0.2 and 0.8 is the derivative at 0.5
-        model = make_quadratic_normal([[2.0]], [0.0])
-        d = finite_slope(model, np.array([0.8]), np.array([0.2]), RngStream(2))
-        assert d[0] == pytest.approx(1.0, abs=1e-12)
+def _rejection_pairs(dist, gap, n, seed):
+    """Independent reference: i.i.d. pairs from numpy, kept if separated."""
+    gen = np.random.default_rng(seed)
+    kept = np.empty((0, 2))
+    while len(kept) < n:
+        if isinstance(dist, Uniform):
+            pairs = gen.uniform(dist.lower, dist.upper, (4 * n, 2))
+        else:
+            pairs = gen.normal(dist.mu, dist.sigma, (4 * n, 2))
+        kept = np.vstack([kept, pairs[np.abs(pairs[:, 0] - pairs[:, 1]) >= gap]])
+    return kept[:n, 0], kept[:n, 1]
 
-    def test_coincident_coordinate_resampled(self):
-        model = make_linear([1.0, 2.0])
-        z = np.array([0.5, 0.5])
-        d = finite_slope(model, z.copy(), z, RngStream(3))
-        np.testing.assert_allclose(d, [1.0, 2.0], atol=1e-12)
+
+def _slope_pairs(marginals, window, m1, m2, seed, fn=lambda x: x.sum(axis=1)):
+    """Run estimate_c_gas on a model that records its input batches.
+
+    Returns the matrix, the base points z, and for every (freeze vector,
+    input) the input index, the coordinate pairs (a, b) of its quotients and
+    the mask of redrawn rows.
+    """
+    batches = []
+
+    def record(x):
+        batches.append(x.copy())
+        return fn(x)
+
+    model = Model(label="record", family="custom", marginals=tuple(marginals),
+                  eval_fn=record)
+    matrix = estimate_c_gas(model, m1, m2, RngStream(seed), slope_window=window)
+    z = batches[0]
+    out = []
+    k = 1
+    for _ in range(m2):
+        for i in range(model.d):
+            a, b = z[:, i].copy(), batches[k][:, i]
+            k += 1
+            redrawn = np.zeros(m1, dtype=bool)
+            # a redraw batch is the only one whose column i is not z's
+            nxt = batches[k] if k < len(batches) else None
+            if nxt is not None and not np.array_equal(nxt[:, i], z[:len(nxt), i]):
+                kept = (i + 1) % model.d  # a column the redraw leaves as in z
+                redrawn = np.isin(z[:, kept], nxt[:, kept])
+                a[redrawn] = nxt[:, i]
+                k += 1
+            out.append((i, a, b, redrawn))
+    assert k == len(batches)
+    return matrix, z, out
 
 
 class TestSlopeMatrix:
@@ -101,6 +131,137 @@ class TestSlopeMatrix:
     def test_window_domain(self):
         with pytest.raises(InputDomainError):
             estimate_c_gas(make_example1(), 10, 1, RngStream(0), slope_window=0.95)
+
+    def test_linear_exact_slope(self):
+        c = np.array([1.5, -2.0, 3.0])
+        model = make_linear(c, intervals=[(2.0, 7.0), (-3.0, -2.5), (0.0, 1.0)])
+        for window in (0.0, 0.35, 0.89):
+            matrix = estimate_c_gas(model, 300, 2, RngStream(24),
+                                    slope_window=window)
+            np.testing.assert_allclose(matrix, np.outer(c, c), rtol=1e-9)
+
+    def test_failing_pairs_redrawn_separated_in_support(self):
+        marginals = (Uniform(2.0, 7.0), Uniform(-3.0, -2.5), Normal(2.0, 3.0))
+        for window in (0.0, 0.35, 0.89):
+            _, _, pairs = _slope_pairs(marginals, window, 400, 2, 25)
+            for i, a, b, redrawn in pairs:
+                dist = marginals[i]
+                assert np.all(np.abs(a - b) >= _gap(dist, window))
+                if isinstance(dist, Uniform):
+                    for x in (a, b):
+                        assert np.all((x >= dist.lower) & (x <= dist.upper))
+            if window > 0.0:
+                assert all(redrawn.any() for _, _, _, redrawn in pairs)
+
+    def test_quadratic_midpoint_slope(self):
+        # f = z1**2: the slope between a and b is a + b, whatever the window
+        matrix, _, pairs = _slope_pairs((Normal(0.0, 1.0),) * 2, 0.35, 500, 1, 26,
+                                        fn=lambda x: x[:, 0] ** 2)
+        _, a, b, _ = pairs[0]
+        assert matrix[0, 0] == pytest.approx(np.mean((a + b) ** 2), rel=1e-12)
+        np.testing.assert_array_equal(matrix[1], 0.0)
+
+    def test_indicator_slopes_from_recorded_pairs(self):
+        # the matrix is the mean outer product of the quotients of the pairs
+        # it evaluated; an indicator that keeps its side gives a zero slope
+        model = make_example2()
+        m1, m2 = 300, 2
+        matrix, z, pairs = _slope_pairs(model.marginals, 0.35, m1, m2, 27,
+                                        fn=model.eval_fn)
+        expect = np.zeros((model.d, model.d))
+        for j in range(m2):
+            slopes = np.empty((m1, model.d))
+            for i, a, b, _ in pairs[j * model.d:(j + 1) * model.d]:
+                za, zb = z.copy(), z.copy()
+                za[:, i], zb[:, i] = a, b
+                fa, fb = model.eval_fn(za), model.eval_fn(zb)
+                slopes[:, i] = (fb - fa) / (b - a)
+                assert np.all(slopes[fa == fb, i] == 0.0)
+            expect += slopes.T @ slopes / m1
+        np.testing.assert_allclose(matrix, expect / m2, rtol=1e-12, atol=1e-15)
+
+    def test_one_uniforms_call_per_redrawn_block(self, monkeypatch):
+        uniforms_calls = eval_calls = 0
+        draw = RngStream.uniforms
+
+        def counted_uniforms(stream, n):
+            nonlocal uniforms_calls
+            uniforms_calls += 1
+            return draw(stream, n)
+
+        base = make_example1()
+
+        def counted_eval(x):
+            nonlocal eval_calls
+            eval_calls += 1
+            return base.eval_fn(x)
+
+        monkeypatch.setattr(RngStream, "uniforms", counted_uniforms)
+        model = dataclasses.replace(base, eval_fn=counted_eval)
+        m1, m2, d = 1_000, 2, model.d
+        estimate_c_gas(model, m1, m2, RngStream(26), slope_window=0.89)
+        # base and freeze columns, then one call per (freeze vector, input):
+        # at this window every block has pairs to redraw
+        assert eval_calls == 1 + 2 * m2 * d
+        assert uniforms_calls == d + m2 * d + m2 * d
+
+
+class TestPairDraw:
+    DISTS = (Uniform(-0.5, 0.5), Uniform(0.0, 1.0), Uniform(2.0, 7.0),
+             Normal(0.0, 1.0), Normal(2.0, 3.0))
+
+    @pytest.mark.parametrize("window", [0.0, 0.35, 0.89])
+    @pytest.mark.parametrize("dist", DISTS, ids=repr)
+    def test_in_support_and_separated(self, dist, window):
+        gap = _gap(dist, window)
+        a, b = separated_pairs(dist, gap, 5_000, RngStream(27))
+        assert a.shape == b.shape == (5_000,)
+        assert np.all(np.abs(a - b) >= gap)
+        if isinstance(dist, Uniform):
+            for x in (a, b):
+                assert np.all((x >= dist.lower) & (x <= dist.upper))
+        else:
+            assert np.all(np.isfinite(a) & np.isfinite(b))
+
+    @pytest.mark.parametrize("window", [0.35, 0.89])
+    @pytest.mark.parametrize("dist", DISTS[:2] + DISTS[3:], ids=repr)
+    def test_law_matches_rejection_reference(self, dist, window):
+        gap = _gap(dist, window)
+        a, b = separated_pairs(dist, gap, 20_000, RngStream(28))
+        ra, rb = _rejection_pairs(dist, gap, 20_000, seed=29)
+        # 24 two-sample KS tests in this class: a Bonferroni level of 0.05/24
+        for got, ref in ((a, ra), (b - a, rb - ra), (a + b, ra + rb)):
+            assert ks_2samp(got, ref).pvalue >= 0.002
+
+    def test_unsupported_marginal(self):
+        @dataclasses.dataclass(frozen=True)
+        class Exponential:
+            rate: float
+
+        with pytest.raises(InputDomainError, match="no separated pair law"):
+            separated_pairs(Exponential(1.0), 0.1, 5, RngStream(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(uniform=st.booleans(),
+           loc=st.floats(-100.0, 100.0),
+           scale=st.floats(0.01, 100.0),
+           window=st.floats(0.0, 0.9, exclude_max=True),
+           n=st.integers(1, 300),
+           seed=st.integers(0, 2**64 - 1))
+    def test_pair_draw_properties(self, uniform, loc, scale, window, n, seed):
+        dist = Uniform(loc, loc + scale) if uniform else Normal(loc, scale)
+        gap = window * dist.scale
+        a, b = separated_pairs(dist, gap, n, RngStream(seed, 3))
+        assert a.shape == b.shape == (n,)
+        assert np.all(np.abs(a - b) >= gap)
+        if uniform:
+            for x in (a, b):
+                assert np.all((x >= dist.lower) & (x <= dist.upper))
+        else:
+            assert np.all(np.isfinite(a) & np.isfinite(b))
+        again = separated_pairs(dist, gap, n, RngStream(seed, 3))
+        np.testing.assert_array_equal(a, again[0])
+        np.testing.assert_array_equal(b, again[1])
 
 
 class TestGradientMatrix:
