@@ -11,7 +11,7 @@ from .bounds import (BoundCheck, check_dgsm_bounds, check_gas_bound_general,
 from .dgsm import dgsm, dgsm_from_gradients, gradient_matrix
 from .errors import (DegenerateSpectrumError, EigenNotConvergedError,
                      InputDomainError, ModelOutputError, SensynError,
-                     UnsupportedModelError, ZeroVarianceError)
+                     ZeroVarianceError)
 from .linalg import (SpectralDecomposition, normalized_cumsum, select_m,
                      sym_eig)
 from .models import (AnalyticAnova, Model, analytic_anova, builtin_names,

@@ -17,10 +17,6 @@ class DegenerateSpectrumError(SensynError, ArithmeticError):
     """Spectrum-derived quantity requested for an all-zero spectrum."""
 
 
-class UnsupportedModelError(SensynError, ValueError):
-    """The requested closed-form result is not available for this model."""
-
-
 class EigenNotConvergedError(SensynError, ArithmeticError):
     """An iterative eigensolver used up its sweep budget above its tolerance."""
 

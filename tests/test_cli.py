@@ -277,27 +277,31 @@ class TestReproducibility:
 
 
 class TestStartup:
-    def test_scipy_loaded_only_for_normal_draws(self, tmp_path):
-        # a fresh interpreter, since this test process has scipy loaded already
+    def test_no_command_loads_scipy(self, tmp_path):
+        # a fresh interpreter in which any scipy import fails
         script = (
             "import os, sys\n"
+            "sys.modules['scipy'] = None\n"
             "import sensyn.cli as cli\n"
-            "assert 'scipy' not in sys.modules, 'scipy loaded at import'\n"
             "os.chdir(sys.argv[1])\n"
-            "for args in (['analyze', '--model', 'example4', '--n', '500',\n"
-            "              '--out', 'r.json'],\n"
-            "             ['bounds', '--model', 'example4', '--n', '500',\n"
+            "for args in (['analyze', '--model', 'example2', '--n', '500',\n"
+            "              '--methods', 'sobol,gas', '--out', 'r.json'],\n"
+            "             ['bounds', '--model', 'quadratic', '--A', 'diag:2,0',\n"
+            "              '--b', '0,1', '--n', '2000', '--out', 'q.json'],\n"
+            "             ['bounds', '--model', 'example2', '--n', '2000',\n"
             "              '--out', 'b.json'],\n"
+            "             ['convergence', '--model', 'example1', '--noise', '1',\n"
+            "              '--sizes', '10,100', '--seeds', '2', '--out', 'c.json'],\n"
             "             ['plot', 'r.json', '--out', 'r.svg']):\n"
             "    assert cli.main(args) == 0, args\n"
-            "    assert 'scipy' not in sys.modules, args\n"
-            "assert cli.main(['analyze', '--model', 'example2', '--n', '500',\n"
-            "                 '--methods', 'sobol,gas', '--out', 'r2.json']) == 0\n"
-            "assert 'scipy.special' in sys.modules\n")
+            "loaded = sorted(k for k, m in sys.modules.items()\n"
+            "                if k.startswith('scipy') and m is not None)\n"
+            "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "r.svg").exists() and (tmp_path / "b.json").exists()
+        for name in ("r.json", "q.json", "b.json", "c.json", "r.svg"):
+            assert (tmp_path / name).exists(), name
 
     def test_uniform_slope_matrix_never_loads_scipy(self, tmp_path):
         # the separated-pair redraw of uniform marginals needs no normal CDF

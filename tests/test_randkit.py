@@ -1,14 +1,14 @@
 """Streams, distributions, inverse CDFs, and the distribution constant."""
 
 import math
-import statistics
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from sensyn import (InputDomainError, Normal, RngStream, Uniform,
                     cheeger_constant, cheeger_constant_grid, inverse_cdf,
-                    normal_inv_cdf, sample)
+                    normal_cdf, normal_inv_cdf, sample)
 
 
 def bisect_normal_quantile(u, iters=200):
@@ -49,11 +49,35 @@ class TestInverseCdf:
                                                   abs=1e-9)
 
     def test_absolute_accuracy_band(self):
-        # independent reference: the stdlib's Wichura AS241 quantile
-        reference = statistics.NormalDist().inv_cdf
+        # independent reference: scipy's Cephes ndtri (the stdlib's
+        # NormalDist.inv_cdf is AS241 too, so it would not be independent)
         u = np.linspace(1e-10, 1 - 1e-10, 100001)
-        expected = np.array([reference(v) for v in u.tolist()])
-        assert np.max(np.abs(normal_inv_cdf(u) - expected)) < 1e-12
+        assert np.max(np.abs(normal_inv_cdf(u) - ndtri(u))) < 1e-12
+
+    def test_relative_accuracy_whole_range(self):
+        # from the smallest subnormal to 1/2, and the mirror up to 1 - 2**-53
+        g = np.geomspace(5e-324, 0.5, 100001)
+        mirror = 1.0 - g
+        for u in (g, mirror[mirror < 1.0]):
+            x, ref = normal_inv_cdf(u), ndtri(u)
+            assert np.all(np.isfinite(x))
+            assert np.all(np.abs(x - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("joint, half_width", [
+        (0.075, 0.075e-6), (0.925, 0.925e-6),
+        (math.exp(-25.0), math.exp(-25.0) * 1e-6),
+        # doubles near 1 are 1.1e-16 apart, so a 1e-6 relative span would
+        # hold two values; half the tail mass gives 10**5 distinct ones
+        (1.0 - math.exp(-25.0), 0.5 * math.exp(-25.0))])
+    def test_non_decreasing_across_branch_joints(self, joint, half_width):
+        u = joint + np.linspace(-half_width, half_width, 100001)
+        assert u[0] < joint < u[-1]
+        assert np.all(np.diff(normal_inv_cdf(u)) >= 0.0)
+
+    def test_scalar_in_float_out(self):
+        assert type(normal_inv_cdf(0.3)) is float
+        assert type(normal_inv_cdf(np.float64(1e-300))) is float
+        assert normal_inv_cdf(np.full((2, 3), 0.5)).shape == (2, 3)
 
     def test_monotone(self):
         rng = RngStream(11)
@@ -68,6 +92,26 @@ class TestInverseCdf:
             inverse_cdf(Normal(0.0, 1.0), u)
         with pytest.raises(InputDomainError):
             inverse_cdf(Uniform(0.0, 1.0), u)
+
+
+class TestNormalCdf:
+    def test_matches_ndtr(self):
+        x = np.linspace(-38.0, 8.0, 460001)
+        p, ref = normal_cdf(x), ndtr(x)
+        normal = ref >= np.finfo(np.float64).tiny
+        # 1e-14 relative, widened below x = -10 by the x**2 condition number
+        # of the CDF in its argument: rounding x / sqrt(2) alone moves the
+        # result by x**2 * 2**-53 relative, in either implementation
+        bound = 1e-14 * np.maximum(1.0, x[normal] ** 2 / 100.0)
+        assert np.all(np.abs(p - ref)[normal] <= bound * ref[normal])
+        # below the normal range the value is subnormal and nonnegative
+        assert np.all((p[~normal] >= 0.0) & (p[~normal] < 2.3e-308))
+
+    def test_scalar_in_float_out(self):
+        assert type(normal_cdf(0.3)) is float
+        assert normal_cdf(0.0) == 0.5
+        assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert type(Normal(1.0, 2.0).cdf(1.0)) is float
 
 
 class TestDistributions:
