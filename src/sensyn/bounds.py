@@ -3,7 +3,12 @@
 Each check estimates the two sides of an inequality (or the two sides of an
 equality) with ten independent replicate batches and passes when the slack
 ``rhs - lhs`` is no more negative than five combined batch-means standard
-errors.  The checks are:
+errors.  With ten batches of near-normal batch means, the slack over its
+batch-means standard error is approximately Student-t with 9 degrees of
+freedom (Schmeiser 1982, "Batch size effects in the analysis of simulation
+output"), so the 5-SE rule is a one-sided t-test whose false-fail
+probability per input is about 3.7e-4 when the bound holds with equality.
+The checks are:
 
 * slope-score bound on the unit cube: upper index <= (score_m + spill)/(2 var),
   where the spill term is the (m+1)-th eigenvalue for m < d;

@@ -184,7 +184,8 @@ def cmd_bounds(cfg: RunConfig, model) -> int:
             model, cfg.epsilon, model.d, n_batch, rng.substream(50),
             slope_window=cfg.slope_window))
     checks.extend(bounds_mod.check_dgsm_bounds(model, n_batch, cfg.h,
-                                               rng.substream(60)))
+                                               rng.substream(60),
+                                               threshold=cfg.threshold))
     payload = {
         "meta": {"model": model.label, "seed": cfg.seed, "n_per_batch": n_batch,
                  "epsilon": cfg.epsilon},

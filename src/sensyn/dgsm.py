@@ -35,9 +35,10 @@ def gradient_matrix(model: Model, n: int, h: float, rng: RngStream) -> np.ndarra
     fz = model.evaluate(z, rng=noise.substream(0))
     g = np.empty((n, model.d))
     for i in range(model.d):
-        zi = z.copy()
-        zi[:, i] += h
-        fzi = model.evaluate(zi, rng=noise.substream(i + 1))
+        zi = z[:, i].copy()
+        z[:, i] += h
+        fzi = model.evaluate(z, rng=noise.substream(i + 1))
+        z[:, i] = zi
         g[:, i] = (fzi - fz) / h
     if not np.all(np.isfinite(g)):
         bad = int(np.nonzero(~np.all(np.isfinite(g), axis=0))[0][0])

@@ -33,6 +33,11 @@ class Model:
     outputs and must be free of internal randomness; stochastic behaviour is
     modelled by ``noise_scale`` which adds ``noise_scale * eps`` per
     evaluation with ``eps ~ N(0,1)`` drawn from a caller-provided stream.
+    The input array is read-only and valid only during the call: estimators
+    overwrite one column of their design in place between calls, so a model
+    that must keep its input copies it, and one that writes into it raises
+    ``ValueError``.  An ``eval_fn`` that needs a writable buffer even without
+    writing (a non-const typed memoryview, say) must take ``np.array(z)``.
     """
 
     label: str
@@ -60,11 +65,14 @@ class Model:
         """
         z = np.asarray(z, dtype=np.float64)
         single = z.ndim == 1
-        batch = z[None, :] if single else z
+        batch = z[None, :] if single else z.view()
         if batch.ndim != 2 or batch.shape[1] != self.d:
             raise InputDomainError(
                 f"expected points of dimension {self.d}, got shape {z.shape}")
+        batch.flags.writeable = False
         y = np.asarray(self.eval_fn(batch), dtype=np.float64)
+        if np.may_share_memory(y, batch):
+            y = y.copy()  # a view of the input would change with the design
         if y.shape != (len(batch),):
             raise ModelOutputError(
                 f"model {self.label!r} returned output of shape {y.shape}; "
@@ -86,12 +94,14 @@ class Model:
 
 
 def sample_inputs(model: Model, n: int, rng: RngStream) -> np.ndarray:
-    """Draw an (n, d) matrix of input points, column i from substream i."""
+    """Draw a C-ordered (n, d) matrix of input points, column i from
+    substream i."""
     if n < 1:
         raise InputDomainError("sample size must be at least 1")
-    cols = [dist.inv_cdf(rng.substream(i).uniforms(n))
-            for i, dist in enumerate(model.marginals)]
-    return np.column_stack(cols)
+    z = np.empty((n, model.d))
+    for i, dist in enumerate(model.marginals):
+        z[:, i] = dist.inv_cdf(rng.substream(i).uniforms(n))
+    return z
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The sampling side of every estimator in this package flows through
 :class:`RngStream` (a counter-based generator keyed by ``(seed, stream_id)``)
 and the inverse CDFs of the marginal distributions, so that any quantity is a
 pure function of the seed and the stream layout, independent of evaluation
-order.
+order.  A stream builds its Philox bit generator on its first draw, so a
+stream that only derives substreams never builds one.
 
 The normal quantile is Wichura's AS241 rational approximation and the normal
 CDF is the stdlib ``math.erfc``, both in plain numpy/Python, so no code path
@@ -54,8 +55,7 @@ class RngStream:
             raise InputDomainError("stream_id must fit in an unsigned 64-bit word")
         self.seed = seed
         self.stream_id = stream_id
-        key = np.array([seed, stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._bits = None  # the Philox, built on the first draw
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -71,7 +71,10 @@ class RngStream:
         """Draw ``n`` variates strictly inside (0, 1)."""
         if n < 0:
             raise InputDomainError("draw count must be nonnegative")
-        raw = self._gen.integers(0, 1 << 64, size=n, dtype=np.uint64)
+        if self._bits is None:
+            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+            self._bits = np.random.Philox(key=key)
+        raw = self._bits.random_raw(n)
         # top 53 bits, centered on half-steps: values in (0, 1) exclusive
         return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
@@ -101,13 +104,9 @@ def normal_pdf(x):
 
 # Wichura (1988), "Algorithm AS241: The percentage points of the normal
 # distribution", Applied Statistics 37(3), PPND16.  Each table holds the
-# numerator (row 0) and denominator (row 1) coefficients of one rational
-# branch, highest degree first, as (2, 1) columns ready to broadcast.
-def _coefficients(numerator, denominator):
-    return tuple(np.array([[a], [b]]) for a, b in zip(numerator, denominator))
-
-
-_CENTRAL = _coefficients(  # |u - 1/2| <= 0.425, in r = 0.180625 - (u - 1/2)**2
+# numerator and denominator coefficients of one rational branch, highest
+# degree first.
+_CENTRAL = (  # |u - 1/2| <= 0.425, in r = 0.180625 - (u - 1/2)**2
     (2.5090809287301226727e+3, 3.3430575583588128105e+4,
      6.7265770927008700853e+4, 4.5921953931549871457e+4,
      1.3731693765509461125e+4, 1.9715909503065514427e+3,
@@ -116,7 +115,7 @@ _CENTRAL = _coefficients(  # |u - 1/2| <= 0.425, in r = 0.180625 - (u - 1/2)**2
      3.9307895800092710610e+4, 2.1213794301586595867e+4,
      5.3941960214247511077e+3, 6.8718700749205790830e+2,
      4.2313330701600911252e+1, 1.0))
-_INTERMEDIATE = _coefficients(  # r = sqrt(-log min(u, 1 - u)) <= 5, in r - 1.6
+_INTERMEDIATE = (  # r = sqrt(-log min(u, 1 - u)) <= 5, in r - 1.6
     (7.7454501427834140764e-4, 2.2723844989269184583e-2,
      2.4178072517745061177e-1, 1.2704582524523683826e+0,
      3.6478483247632046050e+0, 5.7694972214606914055e+0,
@@ -125,7 +124,7 @@ _INTERMEDIATE = _coefficients(  # r = sqrt(-log min(u, 1 - u)) <= 5, in r - 1.6
      1.5198666563616457197e-2, 1.4810397642748007459e-1,
      6.8976733498510000455e-1, 1.6763848301838038494e+0,
      2.0531916266377588219e+0, 1.0))
-_FAR = _coefficients(  # r > 5, in r - 5
+_FAR = (  # r > 5, in r - 5
     (2.0103343992922881327e-7, 2.7115555687434875782e-5,
      1.2426609473880784386e-3, 2.6532189526576123093e-2,
      2.9656057182850489123e-1, 1.7848265399172913358e+0,
@@ -136,14 +135,21 @@ _FAR = _coefficients(  # r > 5, in r - 5
      5.9983220655588793769e-1, 1.0))
 
 
+def _horner(coefficients, r):
+    """The polynomial at ``r`` by Horner's rule, in place on one new array."""
+    acc = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefficients[-1]
+    return acc
+
+
 def _rational(table, r):
     """Numerator / denominator of one AS241 branch, both by Horner in ``r``."""
-    acc = table[0] * r
-    for column in table[1:-1]:
-        acc += column
-        acc *= r
-    acc += table[-1]
-    return acc[0] / acc[1]
+    out = _horner(table[0], r)
+    out /= _horner(table[1], r)
+    return out
 
 
 def normal_inv_cdf(u):
@@ -160,7 +166,10 @@ def normal_inv_cdf(u):
         raise InputDomainError("inverse CDF argument must lie strictly in (0, 1)")
     flat = u_arr.ravel()
     q = flat - 0.5
-    x = q * _rational(_CENTRAL, 0.180625 - q * q)
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _rational(_CENTRAL, r)
+    x *= q
     tail = np.flatnonzero(np.abs(q) > 0.425)
     if tail.size:
         t = flat[tail]

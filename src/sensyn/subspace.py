@@ -163,16 +163,17 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
             bad = np.abs(b - a) < gaps[i]
             nb = int(bad.sum())
             if nb:
-                a[bad], b[bad] = separated_pairs(dist, gaps[i], nb,
-                                                 redraw_j.substream(i))
+                a_bad, b[bad] = separated_pairs(dist, gaps[i], nb,
+                                                redraw_j.substream(i))
 
-            zb = z.copy()
-            zb[:, i] = b
-            fb = model.evaluate(zb, noise=eps)
+            z[:, i] = b
+            fb = model.evaluate(z, noise=eps)
+            z[:, i] = a  # restore the base column before a takes the redraws
             fa = fz
             if nb:
+                a[bad] = a_bad
                 za = z[bad]
-                za[:, i] = a[bad]
+                za[:, i] = a_bad
                 fa = fz.copy()
                 fa[bad] = model.evaluate(za, noise=None if eps is None else eps[bad])
             slopes[:, i] = (fb - fa) / (b - a)

@@ -4,7 +4,9 @@ Upper indices use the pick-freeze form: one base sample plus one fresh
 coordinate per input, so a full run costs n*(d+1) evaluations.  Lower
 indices use a product-of-differences correlation estimator built from three
 independent base points, which keeps the variance of small indices low; the
-per-replicate cost is n*(2*d+2) evaluations.
+per-replicate cost is n*(2*d+2) evaluations.  For the evaluations of input i
+both estimators overwrite column i of a base design in place and restore it
+afterwards, instead of copying the design once per input.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ def upper_sobol(model: Model, n: int, rng: RngStream,
     freeze = rng.substream(_FREEZE)
     out = np.empty(model.d)
     for i in range(model.d):
-        vi = model.marginals[i].inv_cdf(freeze.substream(i).uniforms(n))
-        zi = z.copy()
-        zi[:, i] = vi
-        fzi = model.evaluate(zi, rng=noise.substream(i + 1))
+        zi = z[:, i].copy()
+        z[:, i] = model.marginals[i].inv_cdf(freeze.substream(i).uniforms(n))
+        fzi = model.evaluate(z, rng=noise.substream(i + 1))
+        z[:, i] = zi
         out[i] = np.mean((fz - fzi) ** 2) / (2.0 * sigma2)
     return out
 
@@ -102,12 +104,12 @@ def lower_sobol(model: Model, n: int, rng: RngStream,
 
     out = np.empty(model.d)
     for i in range(model.d):
-        xa = x.copy()
-        xa[:, i] = y[:, i]
-        za = z.copy()
-        za[:, i] = x[:, i]
-        fxa = model.evaluate(xa, rng=noise.substream(2 * i + 2))
-        fza = model.evaluate(za, rng=noise.substream(2 * i + 3))
+        xi, zi = x[:, i].copy(), z[:, i].copy()
+        x[:, i] = y[:, i]
+        z[:, i] = xi
+        fxa = model.evaluate(x, rng=noise.substream(2 * i + 2))
+        fza = model.evaluate(z, rng=noise.substream(2 * i + 3))
+        x[:, i], z[:, i] = xi, zi
         out[i] = np.mean((fx - fxa) * (fza - fz)) / sigma2
     return out
 

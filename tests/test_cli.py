@@ -182,6 +182,27 @@ class TestBoundsCommand:
             4.5983066034243985e-4, rel=1e-9)
 
 
+    def test_threshold_reaches_dgsm_bounds(self, tmp_path):
+        def bounds(*extra):
+            out = tmp_path / f"b{len(extra)}{''.join(extra)}.json"
+            code = main(["bounds", "--model", "example4", "--n", "2000",
+                         "--seed", "3", *extra, "--out", str(out)])
+            assert code == 0
+            return out.read_bytes()
+
+        default = bounds()
+        assert bounds("--threshold", "0.9") == default
+        before = {c["name"]: c for c in json.loads(default)["bounds"]}
+        after = {c["name"]: c for c in json.loads(bounds("--threshold", "0.5"))["bounds"]}
+        assert before.keys() == after.keys()
+        for name in before:
+            if name.startswith("as_score_bound_"):
+                assert after[name]["rhs"] != before[name]["rhs"]
+                assert after[name]["lhs"] == before[name]["lhs"]
+            else:
+                assert after[name] == before[name]
+
+
 class TestConvergenceCommand:
     def test_linear_sanity(self, tmp_path):
         out = tmp_path / "conv.json"

@@ -1,10 +1,13 @@
 """Built-in models, their marginals, and the analytic ANOVA oracles."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from sensyn import (InputDomainError, Model, ModelOutputError, Normal,
-                    RngStream, Uniform, analytic_anova, indicator_upper_sobol,
+                    RngStream, Uniform, analytic_anova, estimate_c_gas,
+                    gradient_matrix, indicator_upper_sobol, lower_sobol,
                     make_builtin, make_example1, make_example2, make_example4,
                     make_linear, make_quadratic_normal, rank, sample_inputs,
                     upper_sobol)
@@ -86,6 +89,152 @@ class TestOutputValidation:
     def test_is_value_error(self):
         assert issubclass(ModelOutputError, ValueError)
         assert not issubclass(ModelOutputError, InputDomainError)
+
+
+class Recorder:
+    """A model map that keeps a copy of every batch it is given."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, z):
+        self.batches.append(np.array(z))
+        return z @ np.array([1.0, 2.0, 3.0]) + z[:, 0] * z[:, 1]
+
+
+def differs_in_column(batch, base, i):
+    """True when ``batch`` equals ``base`` outside column i and every row
+    differs from it in column i."""
+    return (np.array_equal(np.delete(batch, i, axis=1), np.delete(base, i, axis=1))
+            and bool(np.all(batch[:, i] != base[:, i])))
+
+
+class TestDesignIsolation:
+    """Estimators overwrite one design column in place per input: each
+    evaluated batch must differ from its base in exactly that column, and the
+    design must come back intact."""
+
+    N = 200
+
+    @staticmethod
+    def model(eval_fn):
+        return Model(label="custom", family="custom",
+                     marginals=(Uniform(0.0, 1.0),) * 3, eval_fn=eval_fn)
+
+    @pytest.fixture
+    def designs(self, monkeypatch):
+        """Every design ``sample_inputs`` hands an estimator, with a copy of
+        it as drawn."""
+        drawn = []
+
+        def recording_sample_inputs(model, n, rng):
+            z = sample_inputs(model, n, rng)
+            drawn.append((z, z.copy()))
+            return z
+
+        for name in ("variance", "dgsm", "subspace"):
+            module = importlib.import_module(f"sensyn.{name}")
+            monkeypatch.setattr(module, "sample_inputs", recording_sample_inputs)
+        return drawn
+
+    @staticmethod
+    def assert_intact(designs):
+        assert designs
+        for z, as_drawn in designs:
+            assert z.tobytes() == as_drawn.tobytes()
+
+    def test_upper_sobol(self, designs):
+        rec = Recorder()
+        upper_sobol(self.model(rec), self.N, RngStream(1))
+        base, *swapped = rec.batches
+        assert len(swapped) == 3
+        assert all(differs_in_column(b, base, i) for i, b in enumerate(swapped))
+        self.assert_intact(designs)
+
+    def test_lower_sobol(self, designs):
+        rec = Recorder()
+        lower_sobol(self.model(rec), self.N, RngStream(2))
+        x, z, *swapped = rec.batches
+        assert len(swapped) == 6
+        for i in range(3):
+            assert differs_in_column(swapped[2 * i], x, i)
+            assert differs_in_column(swapped[2 * i + 1], z, i)
+            np.testing.assert_array_equal(swapped[2 * i + 1][:, i], x[:, i])
+        self.assert_intact(designs)
+
+    def test_gradient_matrix(self, designs):
+        rec = Recorder()
+        gradient_matrix(self.model(rec), self.N, 1e-3, RngStream(3))
+        base, *shifted = rec.batches
+        assert len(shifted) == 3
+        for i, b in enumerate(shifted):
+            assert differs_in_column(b, base, i)
+            np.testing.assert_array_equal(b[:, i], base[:, i] + 1e-3)
+        self.assert_intact(designs)
+
+    def test_estimate_c_gas(self, designs):
+        rec = Recorder()
+        estimate_c_gas(self.model(rec), self.N, 2, RngStream(4), slope_window=0.35)
+        base, *rest = rec.batches
+        i, full, redraws = -1, 0, 0
+        for b in rest:
+            if len(b) == self.N:  # f(v_i, z_-i): the whole design, column i swapped
+                i = (i + 1) % 3
+                full += 1
+                assert differs_in_column(b, base, i)
+            else:  # redrawn pairs: base rows, column i replaced
+                redraws += 1
+                others = np.delete(b, i, axis=1)
+                base_others = np.delete(base, i, axis=1)
+                match = (others[:, None, :] == base_others[None]).all(axis=2)
+                assert np.all(match.sum(axis=1) == 1)
+                assert np.all(b[:, i] != base[match.argmax(axis=1), i])
+        assert full == 6 and redraws > 0
+        # the freeze designs v take the redrawn pairs; the base must not
+        self.assert_intact(designs[:1])
+
+    @pytest.mark.parametrize("estimator", [
+        lambda m: upper_sobol(m, 50, RngStream(5)),
+        lambda m: lower_sobol(m, 50, RngStream(5)),
+        lambda m: gradient_matrix(m, 50, 1e-3, RngStream(5)),
+        lambda m: estimate_c_gas(m, 50, 1, RngStream(5)),
+    ])
+    def test_model_writing_its_input_raises(self, estimator):
+        def writer(z):
+            z[:, 0] = 0.5
+            return z.sum(axis=1)
+
+        with pytest.raises(ValueError, match="read-only"):
+            estimator(self.model(writer))
+
+    @pytest.mark.parametrize("estimator", [
+        lambda m: upper_sobol(m, 50, RngStream(5)),
+        lambda m: lower_sobol(m, 50, RngStream(5)),
+        lambda m: gradient_matrix(m, 50, 1e-3, RngStream(5)),
+        lambda m: estimate_c_gas(m, 50, 1, RngStream(5)),
+    ], ids=["upper_sobol", "lower_sobol", "gradient_matrix", "estimate_c_gas"])
+    def test_model_writing_a_copy_of_its_input_works(self, estimator):
+        # the remedy for an eval_fn that needs a writable buffer
+        def writer_on_copy(z):
+            w = np.array(z, copy=True)
+            w *= 2.0
+            return 0.5 * w.sum(axis=1)
+
+        got = estimator(self.model(writer_on_copy))
+        expected = estimator(self.model(lambda z: z.sum(axis=1)))
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_caller_array_stays_writable(self):
+        z = np.zeros((4, 3))
+        self.model(lambda x: x.sum(axis=1)).evaluate(z)
+        assert z.flags.writeable
+
+    def test_output_viewing_the_input_is_copied(self):
+        # the output must not follow the design's later column swaps
+        view = upper_sobol(self.model(lambda z: z[:, 0]), 2000, RngStream(6))
+        copy = upper_sobol(self.model(lambda z: z[:, 0].copy()), 2000, RngStream(6))
+        assert view.tobytes() == copy.tobytes()
+        assert view[0] > 0.5 and view[1] == view[2] == 0.0
 
 
 class TestConstruction:

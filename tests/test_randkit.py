@@ -9,6 +9,7 @@ from scipy.special import ndtr, ndtri
 from sensyn import (InputDomainError, Normal, RngStream, Uniform,
                     cheeger_constant, cheeger_constant_grid, inverse_cdf,
                     normal_cdf, normal_inv_cdf, sample)
+from sensyn import randkit
 
 
 def bisect_normal_quantile(u, iters=200):
@@ -178,6 +179,96 @@ class TestSampling:
     def test_invalid_count(self):
         with pytest.raises(InputDomainError):
             sample(Normal(0.0, 1.0), RngStream(0), 0)
+
+
+def former_uniforms(seed, stream_id, counts):
+    """Reference: the draws of successive ``uniforms(n)`` calls as a
+    ``Generator`` over the stream's Philox made them, through
+    ``integers(0, 2**64)`` and an out-of-place transform."""
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    for n in counts:
+        raw = gen.integers(0, 1 << 64, size=n, dtype=np.uint64)
+        yield ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def former_normal_inv_cdf(u):
+    """Reference: AS241 with each branch's numerator and denominator stacked
+    in one (2, n) Horner pass over (2, 1) coefficient columns."""
+    def stacked(table):
+        return tuple(np.array([[a], [b]]) for a, b in zip(*table))
+
+    def rational(table, r):
+        acc = table[0] * r
+        for column in table[1:-1]:
+            acc += column
+            acc *= r
+        acc += table[-1]
+        return acc[0] / acc[1]
+
+    central, intermediate, far_table = (
+        stacked(randkit._CENTRAL), stacked(randkit._INTERMEDIATE),
+        stacked(randkit._FAR))
+    u_arr = np.asarray(u, dtype=np.float64)
+    flat = u_arr.ravel()
+    q = flat - 0.5
+    x = q * rational(central, 0.180625 - q * q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        t = flat[tail]
+        r = np.sqrt(-np.log(np.minimum(t, 1.0 - t)))
+        xt = rational(intermediate, r - 1.6)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            xt[far] = rational(far_table, r[far] - 5.0)
+        x[tail] = np.copysign(xt, q[tail])
+    return x.reshape(u_arr.shape)
+
+
+class TestBitIdentity:
+    """The raw-word uniforms and the in-place AS241 reproduce the former
+    implementations bit for bit."""
+
+    COUNTS = (0, 1, 3, 4, 5, 0, 1000, 7, 4099)
+
+    @pytest.mark.parametrize("seed, stream_id", [
+        (0, 0), (1, 7), (12345, 1 << 63), ((1 << 64) - 1, (1 << 64) - 1)])
+    def test_uniforms_match_generator_integers(self, seed, stream_id):
+        stream = RngStream(seed, stream_id)
+        for n, expected in zip(self.COUNTS,
+                               former_uniforms(seed, stream_id, self.COUNTS)):
+            got = stream.uniforms(n)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_substream_derivation_leaves_parent_draws_alone(self):
+        root = RngStream(5, 3)
+        child = root.substream(2)
+        root.substream(9).substream(1)
+        expected = list(former_uniforms(5, 3, (6, 6)))
+        assert root.uniforms(6).tobytes() == expected[0].tobytes()
+        [child_expected] = former_uniforms(5, child.stream_id, (6,))
+        assert child.uniforms(6).tobytes() == child_expected.tobytes()
+        assert root.uniforms(6).tobytes() == expected[1].tobytes()
+
+    def test_normal_inv_cdf_random_points(self):
+        u = np.random.default_rng(20241).random(10**6)
+        u = u[u > 0.0]
+        assert normal_inv_cdf(u).tobytes() == former_normal_inv_cdf(u).tobytes()
+
+    def test_normal_inv_cdf_tail_grids(self):
+        g = np.geomspace(5e-324, 0.5, 100001)
+        mirror = 1.0 - g
+        u = np.concatenate([g, mirror[mirror < 1.0]])
+        assert normal_inv_cdf(u).tobytes() == former_normal_inv_cdf(u).tobytes()
+
+    def test_normal_inv_cdf_shapes(self):
+        u = RngStream(8).uniforms(6005)
+        for arr in (u[:1], u[:17], u, u[:-5].reshape(6, -1)):
+            got = normal_inv_cdf(arr)
+            assert got.shape == arr.shape
+            assert got.tobytes() == former_normal_inv_cdf(arr).tobytes()
+        assert normal_inv_cdf(u[:0]).shape == (0,)
 
 
 class TestCheegerConstant:
