@@ -153,39 +153,31 @@ def cmd_analyze(cfg: RunConfig, model) -> int:
     out = Path(cfg.out if cfg.out else f"{cfg.model_name}_report.{cfg.fmt}")
     if cfg.fmt == "json":
         output.write_text(out, output.dumps_json(output.report_to_dict(report)) + "\n")
-    elif cfg.fmt == "csv":
+    else:
         oracle = analytic_anova(model)
         share = None
         if oracle is not None:
             share = [oracle.upper[i] for i in range(model.d)]
         output.write_text(out, output.report_to_csv(report, sigma2_share=share))
-    else:
-        raise InputDomainError("analyze writes json or csv (use the plot command for svg)")
     print(f"wrote {out}")
     return 0
 
 
 def cmd_bounds(cfg: RunConfig, model) -> int:
-    rng = RngStream(cfg.seed)
-    checks = []
     n_batch = max(cfg.n // bounds_mod.N_BATCHES, 2)
-    if model.family == "quadratic_normal":
-        checks.append(bounds_mod.check_quadratic_identity(
-            cfg.model_params["a_matrix"], cfg.model_params["b"], n_batch,
-            rng.substream(1), slope_window=cfg.slope_window, h=cfg.h))
-    if all(getattr(mar, "lower", None) == 0.0 and getattr(mar, "upper", None) == 1.0
-           for mar in model.marginals):
+    quadratic = model.family == "quadratic_normal"
+    unit_cube = bounds_mod.is_unit_cube(model)
+    bounded = model.output_range is not None
+    stats = bounds_mod.batch_statistics(
+        model, n_batch, RngStream(cfg.seed), gas=quadratic or unit_cube or bounded,
+        gradients=model.differentiable, h=cfg.h, slope_window=cfg.slope_window)
+    checks = [bounds_mod.quadratic_identity(stats)] if quadratic else []
+    if unit_cube:
         for m in (cfg.m_override,) if cfg.m_override else (1, model.d):
-            checks.append(bounds_mod.check_gas_bound_uniform(
-                model, m, n_batch, rng.substream(2 + m),
-                slope_window=cfg.slope_window))
-    if model.output_range is not None:
-        checks.append(bounds_mod.check_gas_bound_general(
-            model, cfg.epsilon, model.d, n_batch, rng.substream(50),
-            slope_window=cfg.slope_window))
-    checks.extend(bounds_mod.check_dgsm_bounds(model, n_batch, cfg.h,
-                                               rng.substream(60),
-                                               threshold=cfg.threshold))
+            checks.append(bounds_mod.gas_bound_uniform(stats, m))
+    if bounded:
+        checks.append(bounds_mod.gas_bound_general(stats, cfg.epsilon, model.d))
+    checks.extend(bounds_mod.dgsm_bounds(stats, threshold=cfg.threshold))
     payload = {
         "meta": {"model": model.label, "seed": cfg.seed, "n_per_batch": n_batch,
                  "epsilon": cfg.epsilon},
@@ -245,7 +237,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument("--model", required=True, help="built-in model name")
     parser.add_argument("--noise", "-k", type=float, default=0.0,
                         help="noise scale for example1")
@@ -282,8 +274,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seeds", type=int, default=20,
                         help="seed count for convergence")
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--format", choices=("json", "csv", "svg"),
-                        default="json")
+    parser.add_argument("--format", choices=formats, default="json")
 
 
 def main(argv=None) -> int:
@@ -292,11 +283,13 @@ def main(argv=None) -> int:
         description="Global sensitivity analysis on built-in benchmark models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (("analyze", "estimate sensitivity measures"),
-                            ("bounds", "verify the measure inequalities"),
-                            ("convergence", "ranking agreement vs sample size")):
+    # each command accepts only the formats it writes (svg comes from plot)
+    for name, help_text, formats in (
+            ("analyze", "estimate sensitivity measures", ("json", "csv")),
+            ("bounds", "verify the measure inequalities", ("json",)),
+            ("convergence", "ranking agreement vs sample size", ("json",))):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, formats)
 
     plot = sub.add_parser("plot", help="render a saved report as SVG")
     plot.add_argument("report", help="path of a JSON report")

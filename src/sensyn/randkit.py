@@ -162,7 +162,7 @@ def normal_inv_cdf(u):
     subnormal.
     """
     u_arr = np.asarray(u, dtype=np.float64)
-    if (u_arr <= 0.0).any() or (u_arr >= 1.0).any():
+    if not ((u_arr > 0.0) & (u_arr < 1.0)).all():  # NaN fails too
         raise InputDomainError("inverse CDF argument must lie strictly in (0, 1)")
     flat = u_arr.ravel()
     q = flat - 0.5
@@ -215,7 +215,7 @@ class Uniform:
 
     def inv_cdf(self, u):
         u = np.asarray(u, dtype=np.float64)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
+        if not ((u > 0.0) & (u < 1.0)).all():  # NaN fails too
             raise InputDomainError("inverse CDF argument must lie strictly in (0, 1)")
         return self.lower + self.scale * u
 

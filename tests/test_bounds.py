@@ -1,13 +1,18 @@
 """Bound checks: hypotheses, verdicts, and their guarantees on built-ins."""
 
+import contextlib
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, Model, RngStream,
+from sensyn import (InputDomainError, Model, RngStream, bounds, cli,
                     check_dgsm_bounds, check_gas_bound_general,
                     check_gas_bound_uniform, check_quadratic_identity,
                     make_example1, make_example2, make_example4, make_linear,
                     make_quadratic_normal)
+from sensyn.bounds import N_BATCHES, batch_statistics, quadratic_identity
 
 
 def scaled(model, factor):
@@ -152,6 +157,17 @@ class TestDgsmBounds:
         assert checks["dgsm_bound_unit_cube"].skipped_reason is not None
         assert checks["as_score_bound_general"].all_passed
 
+    def test_discontinuous_model_is_skipped_without_sampling(self, monkeypatch):
+        def evaluate(*args, **kwargs):
+            raise AssertionError("no model evaluation expected")
+        monkeypatch.setattr(Model, "evaluate", evaluate)
+        checks = check_dgsm_bounds(make_example2(), 1_000, 1e-3, RngStream(8))
+        assert [c.name for c in checks] == ["linear_dgsm_equality",
+                                            "dgsm_bound_unit_cube",
+                                            "dgsm_bound_general",
+                                            "as_score_bound_general"]
+        assert all(c.skipped_reason is not None for c in checks)
+
 
 class TestScalingInvariance:
     def test_uniform_bound_sides_invariant(self):
@@ -161,3 +177,84 @@ class TestScalingInvariance:
         np.testing.assert_allclose(base.lhs, big.lhs, rtol=1e-9)
         np.testing.assert_allclose(base.rhs, big.rhs, rtol=1e-9)
         np.testing.assert_array_equal(base.passed, big.passed)
+
+
+COUNTED = ("upper_sobol", "estimate_c_gas", "gradient_matrix", "estimate_variance")
+
+
+def run_bounds(argv, tmp_path, monkeypatch):
+    """Run ``sensyn bounds`` in-process; return the calls of each counted
+    estimator, the model rows evaluated, and the spectra each slope score
+    read, as ``(m, id(spectrum))`` in call order."""
+    calls = dict.fromkeys(COUNTED, 0)
+    for name in COUNTED:
+        def counted(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
+    read = []
+
+    def recording_scores(spec, m, _fn=bounds.scores):
+        read.append((m, id(spec)))
+        return _fn(spec, m)
+    monkeypatch.setattr(bounds, "scores", recording_scores)
+    rows = [0]
+
+    def counting_evaluate(self, z, *args, _fn=Model.evaluate, **kwargs):
+        rows[0] += np.asarray(z).reshape(-1, self.d).shape[0]
+        return _fn(self, z, *args, **kwargs)
+    monkeypatch.setattr(Model, "evaluate", counting_evaluate)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["bounds", *argv, "--out", "b.json"]) == 0
+    return calls, rows[0], read
+
+
+class TestBatchEngine:
+    def test_example4_estimates_each_statistic_once_per_batch(self, tmp_path,
+                                                               monkeypatch):
+        calls, rows, _ = run_bounds(["--model", "example4", "--n", "10000",
+                                     "--seed", "0"], tmp_path, monkeypatch)
+        assert calls == dict.fromkeys(COUNTED, N_BATCHES)
+        # per batch of 1,000 rows: 5,000 upper, 5,000 + redraws slope,
+        # 1,000 variance, 5,000 gradients (376,147 rows with one loop per check)
+        assert rows == 182_920
+
+    def test_quadratic_shares_one_loop_between_identity_and_dgsm(self, tmp_path,
+                                                                 monkeypatch):
+        calls, _, _ = run_bounds(["--model", "quadratic", "--A", "diag:2,0",
+                                  "--b", "0,1", "--n", "2000"], tmp_path, monkeypatch)
+        assert calls == dict.fromkeys(COUNTED, N_BATCHES)
+
+    def test_discontinuous_model_draws_no_gradients(self, tmp_path, monkeypatch):
+        calls, _, _ = run_bounds(["--model", "example2", "--n", "2000"],
+                                 tmp_path, monkeypatch)
+        assert calls == {"upper_sobol": N_BATCHES, "estimate_c_gas": N_BATCHES,
+                         "gradient_matrix": 0, "estimate_variance": N_BATCHES}
+
+    def test_uniform_checks_read_the_same_spectra(self, tmp_path, monkeypatch):
+        counted = []
+        monkeypatch.setattr(bounds, "sym_eig",
+                            lambda c, _fn=bounds.sym_eig: counted.append(1) or _fn(c))
+        _, _, read = run_bounds(["--model", "example4", "--n", "2000"],
+                                tmp_path, monkeypatch)
+        # m = 1 then m = d read the slope spectra; the derivative checks follow
+        first, second = read[:N_BATCHES], read[N_BATCHES:2 * N_BATCHES]
+        assert [m for m, _ in first + second] == [1] * N_BATCHES + [4] * N_BATCHES
+        assert len({spec for _, spec in first}) == N_BATCHES
+        assert [spec for _, spec in second] == [spec for _, spec in first]
+        # one slope and one gradient decomposition per batch
+        assert len(counted) == 2 * N_BATCHES
+
+
+class TestDetection:
+    A = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 0.5]]
+    B = [0.2, -0.4, 0.1]
+
+    def test_quadratic_identity_fails_on_a_20_percent_slope_bias(self):
+        # 5,000 rows per batch, the quadratic's size in the benchmark's bounds run
+        stats = batch_statistics(make_quadratic_normal(self.A, self.B), 5_000,
+                                 RngStream(11), gas=True, gradients=True)
+        assert quadratic_identity(stats).all_passed
+        biased = dataclasses.replace(stats, c_gas=[1.2 * c for c in stats.c_gas])
+        assert not quadratic_identity(biased).all_passed

@@ -144,6 +144,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, fmt", [
+        (["bounds", "--model", "example4", "--n", "2000"], "csv"),
+        (["bounds", "--model", "example4", "--n", "2000"], "svg"),
+        (["convergence", "--model", "example4", "--sizes", "10,100", "--seeds", "2"], "csv"),
+        (["convergence", "--model", "example4", "--sizes", "10,100", "--seeds", "2"], "svg"),
+        (["analyze", "--model", "example4", "--n", "2000"], "svg"),
+    ], ids=["bounds-csv", "bounds-svg", "convergence-csv", "convergence-svg",
+            "analyze-svg"])
+    def test_unwritten_format_is_usage_error(self, argv, fmt, tmp_path):
+        out = tmp_path / f"x.{fmt}"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--format", fmt, "--out", str(out)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main([])

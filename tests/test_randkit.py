@@ -87,12 +87,16 @@ class TestInverseCdf:
             x = dist.inv_cdf(u)
             assert np.all(np.diff(x) > 0)
 
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.7, math.nan,
+                                   pytest.param([0.5, math.nan], id="array-nan"),
+                                   pytest.param([[0.2], [math.nan]], id="2d-nan")])
     def test_domain_errors(self, u):
         with pytest.raises(InputDomainError):
             inverse_cdf(Normal(0.0, 1.0), u)
         with pytest.raises(InputDomainError):
             inverse_cdf(Uniform(0.0, 1.0), u)
+        with pytest.raises(InputDomainError):
+            normal_inv_cdf(u)
 
 
 class TestNormalCdf:
