@@ -94,9 +94,26 @@ def _model_from_config(cfg: RunConfig):
     return make_builtin(name, **cfg.model_params)
 
 
+# the model flags (argparse dest and spelling) and the built-ins that take them
+_MODEL_FLAGS = {
+    "noise": ("--noise", ("example1",)),
+    "theta": ("--theta", ("example2",)),
+    "c": ("--c", ("example4", "linear")),
+    "c12": ("--c12", ("example4",)),
+    "a_matrix": ("--A", ("quadratic", "quadratic_normal")),
+    "b_vector": ("--b", ("quadratic", "quadratic_normal")),
+}
+
+
 def _collect_model_params(args) -> dict:
+    if args.model in set(builtin_names()) | {"quadratic"}:
+        ignored = [flag for dest, (flag, models) in _MODEL_FLAGS.items()
+                   if getattr(args, dest) is not None and args.model not in models]
+        if ignored:
+            raise InputDomainError(
+                f"model {args.model!r} does not take {', '.join(ignored)}")
     params = {}
-    if args.model == "example1":
+    if args.model == "example1" and args.noise is not None:
         params["noise_scale"] = args.noise
     if args.model == "example2" and args.theta:
         params["direction"] = [float(v) for v in args.theta.split(",")]
@@ -142,6 +159,16 @@ def _config_from_args(args) -> RunConfig:
         epsilon=args.epsilon, seed=args.seed, sizes=sizes,
         n_seeds=args.seeds, out=args.out, fmt=args.format,
         slope_window=args.slope_window)
+
+
+def _check_against_model(cfg: RunConfig, model) -> None:
+    """Reject a rank or tail probability no check could use, before any
+    sampling."""
+    if cfg.m_override is not None and not 1 <= cfg.m_override <= model.d:
+        raise InputDomainError(f"--m must lie in 1..{model.d} for model "
+                               f"{model.label!r}, got {cfg.m_override}")
+    if not 0.0 < cfg.epsilon < 0.5:
+        raise InputDomainError(f"--epsilon must lie in (0, 0.5), got {cfg.epsilon:g}")
 
 
 def cmd_analyze(cfg: RunConfig, model) -> int:
@@ -239,8 +266,8 @@ def cmd_plot(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument("--model", required=True, help="built-in model name")
-    parser.add_argument("--noise", "-k", type=float, default=0.0,
-                        help="noise scale for example1")
+    parser.add_argument("--noise", "-k", type=float, default=None,
+                        help="noise scale for example1 (default 0)")
     parser.add_argument("--theta", default=None,
                         help="comma list overriding example2's ridge direction")
     parser.add_argument("--c", default=None, help="comma list of coefficients")
@@ -307,6 +334,7 @@ def main(argv=None) -> int:
             args.seed = _default_seed()
         cfg = _config_from_args(args)
         model = _model_from_config(cfg)
+        _check_against_model(cfg, model)
     except (InputDomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

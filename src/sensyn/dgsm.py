@@ -20,20 +20,27 @@ from .randkit import RngStream
 _BASE, _NOISE = 0, 2
 
 
-def gradient_matrix(model: Model, n: int, h: float, rng: RngStream) -> np.ndarray:
+def gradient_matrix(model: Model, n: int, h: float, rng: RngStream,
+                    base: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Forward-difference gradients at n sampled points, as an (n, d) array.
 
     All d partial differences of one point share its base evaluation; every
     evaluation batch draws independent noise for stochastic models.
+    ``base = (z, f(z))`` supplies evaluated base points (a pick-freeze
+    design's, say) in place of drawing them, which saves n evaluations; z is
+    restored before the call returns.
     """
     if n < 1:
         raise InputDomainError("gradient sampling needs n >= 1")
     if h <= 0.0:
         raise InputDomainError("finite-difference increment must be positive")
-    z = sample_inputs(model, n, rng.substream(_BASE))
     noise = rng.substream(_NOISE)
-    fz = model.evaluate(z, rng=noise.substream(0))
-    g = np.empty((n, model.d))
+    if base is None:
+        z = sample_inputs(model, n, rng.substream(_BASE))
+        fz = model.evaluate(z, rng=noise.substream(0))
+    else:
+        z, fz = base
+    g = np.empty((len(z), model.d))
     for i in range(model.d):
         zi = z[:, i].copy()
         z[:, i] += h

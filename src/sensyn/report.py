@@ -11,9 +11,9 @@ from .errors import DegenerateSpectrumError, InputDomainError
 from .linalg import normalized_cumsum, select_m, sym_eig
 from .models import Model
 from .randkit import RngStream
-from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
+from .subspace import (DEFAULT_SLOPE_WINDOW, DesignSlopes, SubspaceResult,
                        c_as_from_gradients, estimate_c_gas)
-from .variance import SobolEstimate, estimate_sobol, upper_sobol
+from .variance import PickFreeze, sobol_from_design, upper_sobol
 
 METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
 
@@ -87,7 +87,21 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
                  m_override: int | None = None,
                  slope_window: float = DEFAULT_SLOPE_WINDOW) -> SensitivityReport:
     """Run the selected methods with a fixed stream layout and assemble the
-    report; identical arguments give identical reports."""
+    report; identical arguments give identical reports.
+
+    With ``sobol`` selected, the methods share one pick-freeze design on
+    substream 1 of the seed's stream: base points z with f(z) and one
+    freeze column f(v_i, z_-i) per input.  sigma2 and the upper indices come
+    from the design alone, the lower indices take it as two of their three
+    points, and the gradients (``dgsm``, ``as``) use its z and f(z) as their
+    base.  The slope matrix (``gas``) keeps each design pair (z_i, v_i) that
+    clears the slope window and replaces the others, but only when
+    ``m1 == n``, ``m2 == 1`` and the model is noise-free; a stochastic model
+    needs its common-mode noise, so then, as without ``sobol``, the slope
+    matrix draws its own samples on substream 3 and the gradients theirs on
+    substream 2.  For example4 at n = 10,000 this takes the report from
+    283,023 model rows to 140,000 plus two per replaced pair.
+    """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
     if unknown:
@@ -98,14 +112,18 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         m1 = n
     root = RngStream(seed)
     fields: dict = {}
+    base = c_gas = None
 
     if "sobol" in methods:
-        est: SobolEstimate = estimate_sobol(model, n, root.substream(1), seed=seed)
+        share_gas = ("gas" in methods and m1 == n and m2 == 1
+                     and model.noise_scale == 0.0)
+        est, base, c_gas = _shared_design(model, n, root, seed, share_gas,
+                                          slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
                       sobol_upper=est.upper)
 
     if "dgsm" in methods or "as" in methods:
-        g = gradient_matrix(model, n, h, root.substream(2))
+        g = gradient_matrix(model, n, h, root.substream(2), base=base)
         if "dgsm" in methods:
             v = dgsm_from_gradients(g)
             fields.update(dgsm_raw=v, dgsm_normalized=normalize(v))
@@ -113,17 +131,32 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
             result = _decompose("AS", c_as_from_gradients(g), model, n,
                                 threshold, m_override)
             _fill_subspace(fields, "as", result, model)
+    base = None  # the design's arrays go before the slope matrix draws its own
 
     if "gas" in methods:
-        matrix = estimate_c_gas(model, m1, m2, root.substream(3),
-                                slope_window=slope_window)
-        result = _decompose("GAS", matrix, model, m1 * m2, threshold, m_override)
+        if c_gas is None:
+            c_gas = estimate_c_gas(model, m1, m2, root.substream(3),
+                                   slope_window=slope_window)
+        result = _decompose("GAS", c_gas, model, m1 * m2, threshold, m_override)
         _fill_subspace(fields, "gas", result, model)
 
     return SensitivityReport(
         model_label=model.label, d=model.d, seed=seed, n=n, m1=m1, m2=m2, h=h,
         noise_scale=model.noise_scale, threshold=threshold, methods=methods,
         reference_direction=model.reference_direction, **fields)
+
+
+def _shared_design(model: Model, n: int, root: RngStream, seed: int,
+                   share_gas: bool, slope_window: float):
+    """Sobol' estimates, the design's base points and outputs, and (when
+    ``share_gas``) the slope matrix read off the same design."""
+    design = PickFreeze(model, n, root.substream(1), three_point=True)
+    slopes = None
+    if share_gas:
+        slopes = DesignSlopes(model, design.z, design.fz, root.substream(3),
+                              slope_window=slope_window)
+    est = sobol_from_design(design, seed=seed, on_column=slopes)
+    return est, (design.z, design.fz), None if slopes is None else slopes.matrix()
 
 
 def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,

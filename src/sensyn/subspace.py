@@ -26,7 +26,9 @@ noise-free models:
   kept, so the base evaluation f(z) stays shared; each pair that does not is
   replaced by one closed-form draw from the conditioned law
   (:func:`separated_pairs`).  The cost is therefore fixed: one extra
-  evaluated row per replaced pair, and no redraw rounds.
+  evaluated row per replaced pair, and no redraw rounds.  When the freeze
+  outputs come from a pick-freeze design (:class:`DesignSlopes`) they were
+  evaluated at the first draw, so a replaced pair costs two rows there.
 * evaluation noise is drawn once per replicate and shared by the replicate's
   evaluations, so common-mode noise cancels inside each difference quotient.
   This is what keeps the slope matrix stable on stochastic models while
@@ -123,6 +125,53 @@ def separated_pairs(dist: InputDistribution, gap: float, n: int,
     raise InputDomainError(f"no separated pair law for marginal {dist!r}")
 
 
+def _slope_gaps(model: Model, slope_window: float) -> np.ndarray:
+    """Separation floor of the (base, freeze) pairs of each input."""
+    if not 0.0 <= slope_window < 0.9:
+        raise InputDomainError("slope_window must lie in [0, 0.9)")
+    return np.array([max(slope_window * dist.scale, _COINCIDENT_TOL * dist.scale)
+                     for dist in model.marginals])
+
+
+def _slope_column(model: Model, z: np.ndarray, i: int, b: np.ndarray,
+                  fz: np.ndarray, gap: float, rng: RngStream, *,
+                  noise: np.ndarray | None = None,
+                  fb: np.ndarray | None = None) -> np.ndarray:
+    """Difference quotients of input i between the base points ``z`` (with
+    outputs ``fz``) and the same points with coordinate i set to ``b``.
+
+    Each pair ``(z_i, b)`` closer than ``gap`` is replaced by one
+    :func:`separated_pairs` draw on ``rng``; ``b`` takes the replacements in
+    place.  Without ``fb`` the whole column f(b, z_-i) is evaluated after the
+    replacement; with ``fb`` = f(b, z_-i) already evaluated at the first
+    draws, only the replaced pairs' rows are.  Either way each replaced
+    pair's base point costs one more row.  ``noise`` holds the common-mode
+    noise variates of the rows; ``z`` is unchanged on return.
+    """
+    a = z[:, i].copy()
+    bad = np.abs(b - a) < gap
+    nb = int(bad.sum())
+    if nb:
+        a_bad, b[bad] = separated_pairs(model.marginals[i], gap, nb, rng)
+    if fb is None:
+        z[:, i] = b
+        fb = model.evaluate(z, noise=noise)
+        z[:, i] = a
+    elif nb:
+        zb = z[bad]
+        zb[:, i] = b[bad]
+        fb = fb.copy()
+        fb[bad] = model.evaluate(zb, noise=None if noise is None else noise[bad])
+    fa = fz
+    if nb:
+        a[bad] = a_bad
+        za = z[bad]
+        za[:, i] = a_bad
+        fa = fz.copy()
+        fa[bad] = model.evaluate(za, noise=None if noise is None else noise[bad])
+    return (fb - fa) / (b - a)
+
+
 def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
                    slope_window: float = DEFAULT_SLOPE_WINDOW) -> np.ndarray:
     """Monte Carlo estimate of the finite-slope sensitivity matrix.
@@ -138,47 +187,56 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
-    if not 0.0 <= slope_window < 0.9:
-        raise InputDomainError("slope_window must lie in [0, 0.9)")
+    gaps = _slope_gaps(model, slope_window)
 
-    d = model.d
     z = sample_inputs(model, m1, rng.substream(_BASE))
     eps = None
     if model.noise_scale > 0.0:
         eps = rng.substream(_NOISE).standard_normals(m1)
     fz = model.evaluate(z, noise=eps)
 
-    gaps = np.array([max(slope_window * dist.scale, _COINCIDENT_TOL * dist.scale)
-                     for dist in model.marginals])
-    acc = np.zeros((d, d))
+    acc = np.zeros((model.d, model.d))
     freeze_root = rng.substream(_FREEZE)
     redraw_root = rng.substream(_REDRAW)
-    slopes = np.empty((m1, d))
+    slopes = np.empty((m1, model.d))
     for j in range(m2):
         v = sample_inputs(model, m1, freeze_root.substream(j))
         redraw_j = redraw_root.substream(j)
-        for i, dist in enumerate(model.marginals):
-            a = z[:, i].copy()
-            b = v[:, i]
-            bad = np.abs(b - a) < gaps[i]
-            nb = int(bad.sum())
-            if nb:
-                a_bad, b[bad] = separated_pairs(dist, gaps[i], nb,
-                                                redraw_j.substream(i))
-
-            z[:, i] = b
-            fb = model.evaluate(z, noise=eps)
-            z[:, i] = a  # restore the base column before a takes the redraws
-            fa = fz
-            if nb:
-                a[bad] = a_bad
-                za = z[bad]
-                za[:, i] = a_bad
-                fa = fz.copy()
-                fa[bad] = model.evaluate(za, noise=None if eps is None else eps[bad])
-            slopes[:, i] = (fb - fa) / (b - a)
+        for i in range(model.d):
+            slopes[:, i] = _slope_column(model, z, i, v[:, i], fz, gaps[i],
+                                         redraw_j.substream(i), noise=eps)
         acc += _mean_outer(slopes)
     return acc / m2
+
+
+class DesignSlopes:
+    """The slope matrix of a noise-free pick-freeze design, gathered one
+    freeze column at a time.
+
+    Called with ``(i, v_i, f(v_i, z_-i))`` for each input, it keeps every
+    first-draw pair ``(z_i, v_i)`` that clears the separation floor with its
+    evaluated output and evaluates two rows for each replaced pair
+    (:func:`_slope_column`); replacements draw on ``rng``.  Common-mode noise
+    cannot be shared with a design whose evaluations drew their own noise,
+    so a stochastic model is refused.
+    """
+
+    def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,
+                 rng: RngStream, slope_window: float = DEFAULT_SLOPE_WINDOW):
+        if model.noise_scale > 0.0:
+            raise InputDomainError("a design's slopes need a noise-free model")
+        self.model, self.z, self.fz = model, z, fz
+        self.gaps = _slope_gaps(model, slope_window)
+        self.redraw = rng.substream(_REDRAW)
+        self.slopes = np.empty(z.shape)
+
+    def __call__(self, i: int, v: np.ndarray, fv: np.ndarray) -> None:
+        self.slopes[:, i] = _slope_column(self.model, self.z, i, v, self.fz,
+                                          self.gaps[i], self.redraw.substream(i),
+                                          fb=fv)
+
+    def matrix(self) -> np.ndarray:
+        return _mean_outer(self.slopes)
 
 
 def c_as_from_gradients(g: np.ndarray) -> np.ndarray:

@@ -159,6 +159,47 @@ class TestExitCodes:
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "example4", "--theta", "1,2"],
+        ["analyze", "--model", "example4", "--noise", "1"],
+        ["bounds", "--model", "example2", "--noise", "0"],
+        ["analyze", "--model", "example1", "--c12", "3"],
+        ["convergence", "--model", "linear", "--c", "1,2", "--c12", "3"],
+        ["analyze", "--model", "example4", "--A", "diag:1,1"],
+        ["analyze", "--model", "linear", "--c", "1,2", "--b", "0,1"],
+        ["analyze", "--model", "quadratic", "--A", "diag:1,1", "--b", "0,1",
+         "--c", "1,2"],
+    ], ids=["theta-example4", "noise-example4", "noise-example2",
+            "c12-example1", "c12-linear", "A-example4", "b-linear", "c-quadratic"])
+    def test_model_flag_the_model_ignores_is_usage_error(self, argv, tmp_path,
+                                                         capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert "does not take" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--model", "example4", "--n", "100000", "--m", "7"],
+        ["analyze", "--model", "example4", "--m", "7"],
+        ["analyze", "--model", "example1", "--methods", "gas", "--m", "0"],
+        ["bounds", "--model", "example2", "--n", "100000", "--epsilon", "0.7"],
+        ["bounds", "--model", "example2", "--epsilon", "0"],
+    ], ids=["bounds-m", "analyze-m", "analyze-m-zero", "bounds-epsilon",
+            "bounds-epsilon-zero"])
+    def test_rank_and_epsilon_fail_before_sampling(self, argv, tmp_path,
+                                                   monkeypatch, capsys):
+        rows = []
+        evaluate = Model.evaluate
+
+        def counted(self, z, rng=None, noise=None):
+            rows.append(len(np.atleast_2d(z)))
+            return evaluate(self, z, rng=rng, noise=noise)
+
+        monkeypatch.setattr(Model, "evaluate", counted)
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert "must lie in" in capsys.readouterr().err
+        assert rows == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main([])

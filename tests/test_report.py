@@ -1,12 +1,20 @@
 """Normalization, rankings, report assembly, and convergence studies."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
-                    ModelOutputError, Uniform, analytic_anova, build_report,
-                    convergence_study, make_example1, make_example2,
-                    make_example4, make_linear, normalize, rank)
+                    ModelOutputError, RngStream, Uniform, analytic_anova,
+                    build_report, cli, convergence_study, estimate_c_gas,
+                    gradient_matrix, lower_sobol, make_example1,
+                    make_example2, make_example4, make_linear, normalize,
+                    rank, report, sample_inputs, subspace, upper_sobol)
+from sensyn.subspace import _mean_outer, separated_pairs
 
 
 def nan_rows_model() -> Model:
@@ -104,6 +112,233 @@ class TestBuildReport:
         np.testing.assert_array_equal(a.sobol_upper, b.sobol_upper)
         np.testing.assert_array_equal(a.gas_scores_full, b.gas_scores_full)
         np.testing.assert_array_equal(a.dgsm_raw, b.dgsm_raw)
+
+
+# The estimators as they were before they read a shared design: each drew
+# its own points.  Standalone calls must still reproduce them bit for bit,
+# since bounds, convergence and GAS-only reports are built from them.
+
+def former_upper_sobol(model, n, rng):
+    z = sample_inputs(model, n, rng.substream(0))
+    noise = rng.substream(2)
+    fz = model.evaluate(z, rng=noise.substream(0))
+    sigma2 = float(np.var(fz, ddof=1))
+    freeze = rng.substream(1)
+    out = np.empty(model.d)
+    for i in range(model.d):
+        zi = z[:, i].copy()
+        z[:, i] = model.marginals[i].inv_cdf(freeze.substream(i).uniforms(n))
+        fzi = model.evaluate(z, rng=noise.substream(i + 1))
+        z[:, i] = zi
+        out[i] = np.mean((fz - fzi) ** 2) / (2.0 * sigma2)
+    return out
+
+
+def former_lower_sobol(model, n, rng):
+    x = sample_inputs(model, n, rng.substream(0))
+    z = sample_inputs(model, n, rng.substream(3))
+    y = sample_inputs(model, n, rng.substream(4))
+    noise = rng.substream(2)
+    fx = model.evaluate(x, rng=noise.substream(0))
+    fz = model.evaluate(z, rng=noise.substream(1))
+    sigma2 = float(np.var(fx, ddof=1))
+    out = np.empty(model.d)
+    for i in range(model.d):
+        xi, zi = x[:, i].copy(), z[:, i].copy()
+        x[:, i] = y[:, i]
+        z[:, i] = xi
+        fxa = model.evaluate(x, rng=noise.substream(2 * i + 2))
+        fza = model.evaluate(z, rng=noise.substream(2 * i + 3))
+        x[:, i], z[:, i] = xi, zi
+        out[i] = np.mean((fx - fxa) * (fza - fz)) / sigma2
+    return out
+
+
+def former_gradient_matrix(model, n, h, rng):
+    z = sample_inputs(model, n, rng.substream(0))
+    noise = rng.substream(2)
+    fz = model.evaluate(z, rng=noise.substream(0))
+    g = np.empty((n, model.d))
+    for i in range(model.d):
+        zi = z[:, i].copy()
+        z[:, i] += h
+        fzi = model.evaluate(z, rng=noise.substream(i + 1))
+        z[:, i] = zi
+        g[:, i] = (fzi - fz) / h
+    return g
+
+
+def former_estimate_c_gas(model, m1, m2, rng, slope_window=0.35):
+    d = model.d
+    z = sample_inputs(model, m1, rng.substream(0))
+    eps = None
+    if model.noise_scale > 0.0:
+        eps = rng.substream(2).standard_normals(m1)
+    fz = model.evaluate(z, noise=eps)
+    gaps = np.array([max(slope_window * dist.scale, 1e-12 * dist.scale)
+                     for dist in model.marginals])
+    acc = np.zeros((d, d))
+    slopes = np.empty((m1, d))
+    for j in range(m2):
+        v = sample_inputs(model, m1, rng.substream(1).substream(j))
+        redraw_j = rng.substream(3).substream(j)
+        for i, dist in enumerate(model.marginals):
+            a = z[:, i].copy()
+            b = v[:, i]
+            bad = np.abs(b - a) < gaps[i]
+            nb = int(bad.sum())
+            if nb:
+                a_bad, b[bad] = separated_pairs(dist, gaps[i], nb,
+                                                redraw_j.substream(i))
+            z[:, i] = b
+            fb = model.evaluate(z, noise=eps)
+            z[:, i] = a
+            fa = fz
+            if nb:
+                a[bad] = a_bad
+                za = z[bad]
+                za[:, i] = a_bad
+                fa = fz.copy()
+                fa[bad] = model.evaluate(za, noise=None if eps is None else eps[bad])
+            slopes[:, i] = (fb - fa) / (b - a)
+        acc += _mean_outer(slopes)
+    return acc / m2
+
+
+def counting_rows(monkeypatch) -> list:
+    """Count the rows every ``Model.evaluate`` call receives."""
+    rows = [0]
+    evaluate = Model.evaluate
+
+    def counted(self, z, rng=None, noise=None):
+        rows[0] += len(np.atleast_2d(z))
+        return evaluate(self, z, rng=rng, noise=noise)
+
+    monkeypatch.setattr(Model, "evaluate", counted)
+    return rows
+
+
+def recorded_matrices(monkeypatch) -> dict:
+    """The AS and GAS matrices ``build_report`` decomposes, by kind."""
+    seen = {}
+    decompose = report._decompose
+
+    def recording(kind, matrix, *args):
+        seen[kind] = matrix
+        return decompose(kind, matrix, *args)
+
+    monkeypatch.setattr(report, "_decompose", recording)
+    return seen
+
+
+MODELS = {"example1": make_example1, "example1_noisy": lambda: make_example1(1.0),
+          "example2": make_example2, "example4": make_example4,
+          "linear": lambda: make_linear([1.0, -2.0, 0.5])}
+
+
+class TestSharedDesign:
+    def test_example4_row_count(self, monkeypatch):
+        rows = counting_rows(monkeypatch)
+        replaced = [0]
+
+        def counted_pairs(dist, gap, n, rng):
+            replaced[0] += n
+            return separated_pairs(dist, gap, n, rng)
+
+        monkeypatch.setattr(subspace, "separated_pairs", counted_pairs)
+        n, d = 10_000, 4
+        build_report(make_example4(), seed=0, n=n)
+        # design f(z), f(v_i, z_-i): n*(d+1); lower estimator's third point
+        # f(w), f(z_i, w_-i): n*(d+1); gradients at the design's base: n*d;
+        # slope matrix: two rows per design pair inside the slope window
+        assert rows[0] == n * (d + 1) + n * (d + 1) + n * d + 2 * replaced[0]
+        assert (rows[0], replaced[0]) == (186_278, 23_139)
+        # P(|u - u'| < 0.35) = 1 - 0.65**2 for two unit uniforms
+        assert replaced[0] / (n * d) == pytest.approx(1 - 0.65**2, abs=0.01)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_standalone_estimators_unchanged(self, name, seed):
+        model = MODELS[name]()
+        pairs = [
+            (upper_sobol(model, 400, RngStream(seed)),
+             former_upper_sobol(model, 400, RngStream(seed))),
+            (lower_sobol(model, 400, RngStream(seed)),
+             former_lower_sobol(model, 400, RngStream(seed))),
+            (gradient_matrix(model, 300, 1e-3, RngStream(seed)),
+             former_gradient_matrix(model, 300, 1e-3, RngStream(seed))),
+            (estimate_c_gas(model, 300, 1, RngStream(seed)),
+             former_estimate_c_gas(model, 300, 1, RngStream(seed))),
+            (estimate_c_gas(model, 200, 3, RngStream(seed), slope_window=0.6),
+             former_estimate_c_gas(model, 200, 3, RngStream(seed), slope_window=0.6)),
+        ]
+        for got, former in pairs:
+            assert got.tobytes() == former.tobytes()
+
+    def test_noisy_model_keeps_its_own_slope_samples(self, monkeypatch):
+        seen = recorded_matrices(monkeypatch)
+        model = make_example1(noise_scale=1.0)
+        build_report(model, seed=4, n=2_000)
+        alone = estimate_c_gas(model, 2_000, 1, RngStream(4).substream(3))
+        assert seen["GAS"].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("model_args", [["--model", "example1", "--noise", "1"],
+                                            ["--model", "example4"]])
+    def test_gas_only_report_unchanged(self, model_args, tmp_path, monkeypatch):
+        argv = ["analyze", *model_args, "--methods", "gas", "--n", "3000",
+                "--seed", "8"]
+        blobs = []
+        for former in (False, True):
+            if former:
+                monkeypatch.setattr(report, "estimate_c_gas", former_estimate_c_gas)
+            out = tmp_path / f"gas_{former}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_linear_slope_matrix_is_exact(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the shared design should give the slope matrix")
+
+        seen = recorded_matrices(monkeypatch)
+        monkeypatch.setattr(report, "estimate_c_gas", unused)
+        c = np.array([1.0, -2.0, 0.5, 3.0])
+        build_report(make_linear(c), seed=2, n=3_000, methods=("sobol", "gas"))
+        np.testing.assert_allclose(seen["GAS"], np.outer(c, c), rtol=0.0, atol=1e-12)
+
+
+def affine(model: Model, a: float, b: float) -> Model:
+    """``a * f + b`` on the same inputs."""
+    return Model(label="affine", family="custom", marginals=model.marginals,
+                 eval_fn=lambda z: a * model.eval_fn(z) + b)
+
+
+class TestAffineInvariance:
+    """Rescaling the output by a and shifting it by b leaves the Sobol'
+    indices alone and scales DGSM, AS and GAS by a**2, up to rounding."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(name=st.sampled_from(["example1", "example4", "linear"]),
+           a=st.floats(0.1, 20.0) | st.floats(-20.0, -0.1),
+           b=st.floats(-100.0, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_affine_output(self, name, a, b, seed):
+        model = MODELS[name]()
+        base = build_report(model, seed=seed, n=300)
+        moved = build_report(affine(model, a, b), seed=seed, n=300)
+        # rounding a*f + b loses |b|/|a| of f's digits, and a forward
+        # difference over h = 1e-3 magnifies that loss a thousandfold
+        shift = 1.0 + abs(b) / abs(a)
+        for field in ("sobol_lower", "sobol_upper"):
+            np.testing.assert_allclose(getattr(moved, field), getattr(base, field),
+                                       rtol=0.0, atol=1e-12 * shift)
+        tol = 1e-10 * shift
+        for field in ("dgsm_raw", "as_eigenvalues", "as_scores_full",
+                      "gas_eigenvalues", "gas_scores_full"):
+            want = a * a * getattr(base, field)
+            np.testing.assert_allclose(getattr(moved, field), want, rtol=tol,
+                                       atol=tol * np.max(np.abs(want)))
 
 
 class TestBadModelOutput:
