@@ -11,16 +11,27 @@
   the gradient-score variants.
 
 All checks of a run are pure functions of one set of ten independent
-replicate batches (:func:`batch_statistics`), which estimates each statistic
-they read once per batch.  A check passes when the slack ``rhs - lhs`` is no
-more negative than five combined batch-means standard errors: with ten
+replicate batches (:func:`batch_statistics`).  Each batch draws one
+pick-freeze design and reads every statistic the checks need from its rows:
+sigma2 and the upper indices, the slope matrix of a noise-free model (its
+first draws are the design's pairs), and the gradients (from the design's
+base points).  A check passes when the slack ``rhs - lhs`` is no more
+negative than five combined batch-means standard errors: with ten
 near-normal batch means the slack over its standard error is approximately
 Student-t with 9 degrees of freedom (Schmeiser 1982, "Batch size effects in
 the analysis of simulation output"), a one-sided t-test with false-fail
-probability about 3.7e-4 per input when the bound holds with equality.  The
-combined error ``sqrt(se_lhs**2 + se_rhs**2)`` needs independent sides, and
-has them: the two sides of a check come from disjoint substreams of each
-batch.  Checks share estimates, so verdicts correlate across checks.
+probability about 3.7e-4 per input when the bound holds with equality.
+
+The combined error ``sqrt(se_lhs**2 + se_rhs**2)`` is exact for independent
+sides.  Here the two sides of a check share a batch's rows, and the error is
+conservative exactly where their per-batch estimates correlate
+non-negatively; ``scripts/calibrate_bounds.py`` measures that correlation,
+and each family's false-fail and detection rates, against the former design
+with one substream per statistic.  sigma2 divides both sides of every
+check (the quadratic identity scales the upper index back by it), and the
+upper indices are normalized by the same batch's sigma2, so no verdict
+depends on the variance estimate.  Checks share estimates, so verdicts
+correlate across checks.
 """
 
 from __future__ import annotations
@@ -37,8 +48,9 @@ from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model, make_quadratic_normal
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
 from .subspace import (DEFAULT_SLOPE_WINDOW, c_as_from_gradients,
-                       estimate_c_gas, scores)
-from .variance import estimate_variance, upper_sobol
+                       design_slopes, estimate_c_gas, scores)
+from .variance import PickFreeze, upper_from_design
+from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
 N_BATCHES = 10
 SE_MULTIPLE = 5.0
@@ -49,8 +61,10 @@ class BoundCheck:
     """Two estimated sides of a bound with per-input verdicts.
 
     ``slack = rhs - lhs``; input i passes when ``slack[i] >= -tolerance[i]``
-    with tolerance five combined standard errors.  ``skipped_reason`` marks a
-    check whose hypotheses the model does not meet.
+    with tolerance five combined batch-means standard errors of the two
+    sides, which read the same batches (conservative where their per-batch
+    estimates correlate non-negatively).  ``skipped_reason`` marks a check
+    whose hypotheses the model does not meet.
     """
 
     name: str
@@ -98,20 +112,35 @@ class BatchStatistics:
 def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
                      gradients: bool = False, h: float = 1e-3,
                      slope_window: float = DEFAULT_SLOPE_WINDOW) -> BatchStatistics:
-    """Statistics of ``N_BATCHES`` replicate batches of size n.  Batch b
-    draws on ``rng.substream(100 + b)``, whose substreams give 0 the upper
-    indices, 1 the slope matrix (if ``gas``), 2 sigma2 and 3 the gradients
-    (if ``gradients``).  Only vectors and d x d matrices outlive a batch."""
+    """Statistics of ``N_BATCHES`` replicate batches of size n.
+
+    Batch b draws one :class:`~sensyn.variance.PickFreeze` design on
+    substream 0 of ``rng.substream(100 + b)``; sigma2 is the variance of its
+    f(z) and the upper indices reduce its freeze columns.  With ``gas`` the
+    slope matrix keeps the design's pairs that clear the slope window and
+    redraws the others on substream 1, which on a stochastic model draws the
+    whole slope matrix instead (:func:`~sensyn.subspace.design_slopes`).
+    With ``gradients`` the forward differences start from the design's z
+    and f(z), on substream 3.  A noise-free batch costs n*(d+1) rows, plus
+    n*d for gradients and two per replaced slope pair.  Only vectors and
+    d x d matrices outlive a batch.
+    """
     upper, sigma2, c_gas, v, c_as = [], [], [], [], []
     for b in range(N_BATCHES):
         batch = rng.substream(100 + b)
-        upper.append(upper_sobol(model, n, batch.substream(0)))
+        design = PickFreeze(model, n, batch.substream(0))
+        slopes = (design_slopes(model, design.z, design.fz, batch.substream(1),
+                                slope_window) if gas else None)
+        up, s2 = upper_from_design(design, on_column=slopes)
+        upper.append(up)
+        sigma2.append(s2)
         if gas:
             c_gas.append(estimate_c_gas(model, n, 1, batch.substream(1),
-                                        slope_window=slope_window))
-        sigma2.append(estimate_variance(model, n, batch.substream(2)))
+                                        slope_window=slope_window)
+                         if slopes is None else slopes.matrix())
         if gradients:
-            g = gradient_matrix(model, n, h, batch.substream(3))
+            g = gradient_matrix(model, n, h, batch.substream(3),
+                                base=(design.z, design.fz))
             v.append(dgsm_from_gradients(g))
             c_as.append(c_as_from_gradients(g))
     return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,

@@ -162,13 +162,16 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _check_against_model(cfg: RunConfig, model) -> None:
-    """Reject a rank or tail probability no check could use, before any
-    sampling."""
+    """Reject a rank, tail probability or slope window no estimator or check
+    could use, before any sampling."""
     if cfg.m_override is not None and not 1 <= cfg.m_override <= model.d:
         raise InputDomainError(f"--m must lie in 1..{model.d} for model "
                                f"{model.label!r}, got {cfg.m_override}")
     if not 0.0 < cfg.epsilon < 0.5:
         raise InputDomainError(f"--epsilon must lie in (0, 0.5), got {cfg.epsilon:g}")
+    if not 0.0 <= cfg.slope_window < 0.9:
+        raise InputDomainError(
+            f"--slope-window must lie in [0, 0.9), got {cfg.slope_window:g}")
 
 
 def cmd_analyze(cfg: RunConfig, model) -> int:

@@ -5,7 +5,8 @@ The sampling side of every estimator in this package flows through
 and the inverse CDFs of the marginal distributions, so that any quantity is a
 pure function of the seed and the stream layout, independent of evaluation
 order.  A stream builds its Philox bit generator on its first draw, so a
-stream that only derives substreams never builds one.
+stream that only derives substreams never builds one, and keys it directly
+with ``(seed, stream_id)``, so building one draws no OS entropy.
 
 The normal quantile is Wichura's AS241 rational approximation and the normal
 CDF is the stdlib ``math.erfc``, both in plain numpy/Python, so no code path
@@ -34,6 +35,30 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+class _PhiloxKey:
+    """The seed sequence of one stream's Philox: its 128-bit key is the two
+    words ``(seed, stream_id)``.  Philox(key=...) would first build an
+    OS-entropy ``SeedSequence()`` only to discard it."""
+
+    def __init__(self, seed: int, stream_id: int):
+        self._words = np.array([seed, stream_id], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return self._words.copy()
+
+
+def _philox(seed: int, stream_id: int):
+    """The Philox bit generator keyed with ``(seed, stream_id)``.
+    :class:`_PhiloxKey` becomes a numpy ``ISeedSequence`` here, on the first
+    draw, so that importing this module does not import numpy.random."""
+    interface = np.random.bit_generator.ISeedSequence
+    if not issubclass(_PhiloxKey, interface):
+        interface.register(_PhiloxKey)
+    return np.random.Philox(_PhiloxKey(seed, stream_id))
 
 
 class RngStream:
@@ -72,8 +97,7 @@ class RngStream:
         if n < 0:
             raise InputDomainError("draw count must be nonnegative")
         if self._bits is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._bits = np.random.Philox(key=key)
+            self._bits = _philox(self.seed, self.stream_id)
         raw = self._bits.random_raw(n)
         # top 53 bits, centered on half-steps: values in (0, 1) exclusive
         return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53

@@ -11,8 +11,8 @@ from .errors import DegenerateSpectrumError, InputDomainError
 from .linalg import normalized_cumsum, select_m, sym_eig
 from .models import Model
 from .randkit import RngStream
-from .subspace import (DEFAULT_SLOPE_WINDOW, DesignSlopes, SubspaceResult,
-                       c_as_from_gradients, estimate_c_gas)
+from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
+                       c_as_from_gradients, design_slopes, estimate_c_gas)
 from .variance import PickFreeze, sobol_from_design, upper_sobol
 
 METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
@@ -115,8 +115,7 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     base = c_gas = None
 
     if "sobol" in methods:
-        share_gas = ("gas" in methods and m1 == n and m2 == 1
-                     and model.noise_scale == 0.0)
+        share_gas = "gas" in methods and m1 == n and m2 == 1
         est, base, c_gas = _shared_design(model, n, root, seed, share_gas,
                                           slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
@@ -149,12 +148,13 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 def _shared_design(model: Model, n: int, root: RngStream, seed: int,
                    share_gas: bool, slope_window: float):
     """Sobol' estimates, the design's base points and outputs, and (when
-    ``share_gas``) the slope matrix read off the same design."""
+    ``share_gas`` and the model is noise-free) the slope matrix read off the
+    same design."""
     design = PickFreeze(model, n, root.substream(1), three_point=True)
     slopes = None
     if share_gas:
-        slopes = DesignSlopes(model, design.z, design.fz, root.substream(3),
-                              slope_window=slope_window)
+        slopes = design_slopes(model, design.z, design.fz, root.substream(3),
+                               slope_window)
     est = sobol_from_design(design, seed=seed, on_column=slopes)
     return est, (design.z, design.fz), None if slopes is None else slopes.matrix()
 

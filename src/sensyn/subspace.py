@@ -239,6 +239,17 @@ class DesignSlopes:
         return _mean_outer(self.slopes)
 
 
+def design_slopes(model: Model, z: np.ndarray, fz: np.ndarray, rng: RngStream,
+                  slope_window: float = DEFAULT_SLOPE_WINDOW) -> DesignSlopes | None:
+    """The :class:`DesignSlopes` of a pick-freeze design with base points
+    ``z`` and outputs ``fz``, or ``None`` for a stochastic model, whose
+    slope matrix needs its own draws (:func:`estimate_c_gas` on ``rng``) so
+    that its common-mode noise cancels."""
+    if model.noise_scale > 0.0:
+        return None
+    return DesignSlopes(model, z, fz, rng, slope_window=slope_window)
+
+
 def c_as_from_gradients(g: np.ndarray) -> np.ndarray:
     """Gradient outer-product matrix from precomputed gradient samples."""
     return _mean_outer(np.asarray(g, dtype=np.float64))

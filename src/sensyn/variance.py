@@ -108,6 +108,20 @@ def _upper(fz: np.ndarray, fv: np.ndarray, sigma2: float) -> float:
     return np.mean((fz - fv) ** 2) / (2.0 * sigma2)
 
 
+def upper_from_design(design: PickFreeze, sigma2: float | None = None,
+                      on_column=None) -> tuple[np.ndarray, float]:
+    """Upper indices of a design, and the variance that normalizes them
+    (that of f(z) unless supplied).  ``on_column(i, v_i, f(v_i, z_-i))``,
+    if given, sees every freeze column after its index is reduced."""
+    sigma2 = _checked_variance(design.fz, sigma2, "upper Sobol' indices")
+    out = np.empty(design.model.d)
+    for i, v, fv in design.columns():
+        out[i] = _upper(design.fz, fv, sigma2)
+        if on_column is not None:
+            on_column(i, v, fv)
+    return out, sigma2
+
+
 def upper_sobol(model: Model, n: int, rng: RngStream,
                 sigma2: float | None = None) -> np.ndarray:
     """Pick-freeze estimate of the upper (total-effect) Sobol' indices.
@@ -117,12 +131,7 @@ def upper_sobol(model: Model, n: int, rng: RngStream,
     estimate (taken from the base evaluations unless supplied).  Estimates
     are nonnegative by construction and are not clipped from above.
     """
-    design = PickFreeze(model, n, rng)
-    sigma2 = _checked_variance(design.fz, sigma2, "upper Sobol' indices")
-    out = np.empty(model.d)
-    for i, _, fv in design.columns():
-        out[i] = _upper(design.fz, fv, sigma2)
-    return out
+    return upper_from_design(PickFreeze(model, n, rng), sigma2)[0]
 
 
 def sobol_from_design(design: PickFreeze, sigma2: float | None = None,

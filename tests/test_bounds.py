@@ -7,12 +7,13 @@ import io
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, Model, RngStream, bounds, cli,
+from sensyn import (InputDomainError, Model, RngStream, Uniform, bounds, cli,
                     check_dgsm_bounds, check_gas_bound_general,
                     check_gas_bound_uniform, check_quadratic_identity,
                     make_example1, make_example2, make_example4, make_linear,
-                    make_quadratic_normal)
-from sensyn.bounds import N_BATCHES, batch_statistics, quadratic_identity
+                    make_quadratic_normal, subspace, variance)
+from sensyn.bounds import (N_BATCHES, batch_statistics, gas_bound_general,
+                           gas_bound_uniform, quadratic_identity)
 
 
 def scaled(model, factor):
@@ -179,25 +180,49 @@ class TestScalingInvariance:
         np.testing.assert_array_equal(base.passed, big.passed)
 
 
-COUNTED = ("upper_sobol", "estimate_c_gas", "gradient_matrix", "estimate_variance")
+COUNTED = ("estimate_c_gas", "gradient_matrix")
+STANDALONE = ("upper_sobol", "estimate_variance")
+
+
+def count_engine_calls(monkeypatch):
+    """Count the batch engine's pick-freeze designs, its calls of the counted
+    estimators, and any call of the standalone variance estimators."""
+    calls = dict.fromkeys(("PickFreeze",) + COUNTED + STANDALONE, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for name in COUNTED:
+        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    for name in STANDALONE:
+        wrapper = counting(name, getattr(variance, name))
+        monkeypatch.setattr(variance, name, wrapper)
+        monkeypatch.setattr(bounds, name, wrapper, raising=False)
+    monkeypatch.setattr(variance.PickFreeze, "__init__",
+                        counting("PickFreeze", variance.PickFreeze.__init__))
+    return calls
 
 
 def run_bounds(argv, tmp_path, monkeypatch):
-    """Run ``sensyn bounds`` in-process; return the calls of each counted
-    estimator, the model rows evaluated, and the spectra each slope score
-    read, as ``(m, id(spectrum))`` in call order."""
-    calls = dict.fromkeys(COUNTED, 0)
-    for name in COUNTED:
-        def counted(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(bounds, name, counted)
+    """Run ``sensyn bounds`` in-process; return the engine's calls
+    (:func:`count_engine_calls`), the model rows evaluated, the slope pairs
+    replaced, and the spectra each slope score read, as ``(m, id(spectrum))``
+    in call order."""
+    calls = count_engine_calls(monkeypatch)
     read = []
 
     def recording_scores(spec, m, _fn=bounds.scores):
         read.append((m, id(spec)))
         return _fn(spec, m)
     monkeypatch.setattr(bounds, "scores", recording_scores)
+    replaced = [0]
+
+    def counting_pairs(dist, gap, n, rng, _fn=subspace.separated_pairs):
+        replaced[0] += n
+        return _fn(dist, gap, n, rng)
+    monkeypatch.setattr(subspace, "separated_pairs", counting_pairs)
     rows = [0]
 
     def counting_evaluate(self, z, *args, _fn=Model.evaluate, **kwargs):
@@ -207,37 +232,55 @@ def run_bounds(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["bounds", *argv, "--out", "b.json"]) == 0
-    return calls, rows[0], read
+    return calls, rows[0], replaced[0], read
+
+
+def engine_calls(designs, c_gas, gradients):
+    return {"PickFreeze": designs, "estimate_c_gas": c_gas,
+            "gradient_matrix": gradients, "upper_sobol": 0, "estimate_variance": 0}
 
 
 class TestBatchEngine:
     def test_example4_estimates_each_statistic_once_per_batch(self, tmp_path,
                                                                monkeypatch):
-        calls, rows, _ = run_bounds(["--model", "example4", "--n", "10000",
-                                     "--seed", "0"], tmp_path, monkeypatch)
-        assert calls == dict.fromkeys(COUNTED, N_BATCHES)
-        # per batch of 1,000 rows: 5,000 upper, 5,000 + redraws slope,
-        # 1,000 variance, 5,000 gradients (376,147 rows with one loop per check)
-        assert rows == 182_920
+        calls, rows, replaced, _ = run_bounds(
+            ["--model", "example4", "--n", "10000", "--seed", "0"],
+            tmp_path, monkeypatch)
+        # one design per batch; sigma2, the upper indices, the slope pairs and
+        # the gradient base all come from it
+        assert calls == engine_calls(N_BATCHES, 0, N_BATCHES)
+        # per batch of n = 1,000 rows and d = 4: n(d+1) design rows, n*d
+        # gradient rows, and two rows per replaced slope pair (182,920 rows
+        # with one substream per statistic, 376,147 with one loop per check)
+        n, d = 1_000, 4
+        assert rows == N_BATCHES * (n * (d + 1) + n * d) + 2 * replaced
+        assert (rows, replaced) == (136_648, 23_324)
 
     def test_quadratic_shares_one_loop_between_identity_and_dgsm(self, tmp_path,
                                                                  monkeypatch):
-        calls, _, _ = run_bounds(["--model", "quadratic", "--A", "diag:2,0",
-                                  "--b", "0,1", "--n", "2000"], tmp_path, monkeypatch)
-        assert calls == dict.fromkeys(COUNTED, N_BATCHES)
+        calls, _, _, _ = run_bounds(["--model", "quadratic", "--A", "diag:2,0",
+                                     "--b", "0,1", "--n", "2000"],
+                                    tmp_path, monkeypatch)
+        assert calls == engine_calls(N_BATCHES, 0, N_BATCHES)
 
     def test_discontinuous_model_draws_no_gradients(self, tmp_path, monkeypatch):
-        calls, _, _ = run_bounds(["--model", "example2", "--n", "2000"],
-                                 tmp_path, monkeypatch)
-        assert calls == {"upper_sobol": N_BATCHES, "estimate_c_gas": N_BATCHES,
-                         "gradient_matrix": 0, "estimate_variance": N_BATCHES}
+        calls, _, _, _ = run_bounds(["--model", "example2", "--n", "2000"],
+                                    tmp_path, monkeypatch)
+        assert calls == engine_calls(N_BATCHES, 0, 0)
+
+    def test_noisy_model_draws_its_own_slope_matrix(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        stats = batch_statistics(make_example1(noise_scale=1.0), 200,
+                                 RngStream(4), gas=True)
+        assert calls == engine_calls(N_BATCHES, N_BATCHES, 0)
+        assert len(stats.c_gas) == N_BATCHES
 
     def test_uniform_checks_read_the_same_spectra(self, tmp_path, monkeypatch):
         counted = []
         monkeypatch.setattr(bounds, "sym_eig",
                             lambda c, _fn=bounds.sym_eig: counted.append(1) or _fn(c))
-        _, _, read = run_bounds(["--model", "example4", "--n", "2000"],
-                                tmp_path, monkeypatch)
+        _, _, _, read = run_bounds(["--model", "example4", "--n", "2000"],
+                                   tmp_path, monkeypatch)
         # m = 1 then m = d read the slope spectra; the derivative checks follow
         first, second = read[:N_BATCHES], read[N_BATCHES:2 * N_BATCHES]
         assert [m for m, _ in first + second] == [1] * N_BATCHES + [4] * N_BATCHES
@@ -245,6 +288,52 @@ class TestBatchEngine:
         assert [spec for _, spec in second] == [spec for _, spec in first]
         # one slope and one gradient decomposition per batch
         assert len(counted) == 2 * N_BATCHES
+
+
+def all_checks(stats):
+    """Every check ``sensyn bounds`` runs on these statistics' model."""
+    model = stats.model
+    if model.family == "quadratic_normal":
+        checks = [quadratic_identity(stats)]
+    elif bounds.is_unit_cube(model):
+        checks = [gas_bound_uniform(stats, 1), gas_bound_uniform(stats, model.d)]
+    else:
+        checks = [gas_bound_general(stats, 0.01, model.d)]
+    return checks + bounds.dgsm_bounds(stats)
+
+
+class TestSharedDesign:
+    @pytest.mark.parametrize("model, n", [
+        (make_example4(), 1_000),
+        (make_quadratic_normal([[2.0, 0.5], [0.5, -1.0]], [0.2, -0.4]), 1_000),
+        (make_example2(), 500)], ids=["example4", "quadratic", "example2"])
+    def test_sigma2_scaling_leaves_every_verdict_unchanged(self, model, n,
+                                                           monkeypatch):
+        def run():
+            stats = batch_statistics(model, n, RngStream(9), gas=True,
+                                     gradients=model.differentiable)
+            return [c for c in all_checks(stats) if c.skipped_reason is None]
+        base = run()
+        monkeypatch.setattr(variance, "_checked_variance",
+                            lambda *args, _fn=variance._checked_variance:
+                            1.7 * _fn(*args))
+        biased = run()
+        assert [c.name for c in biased] == [c.name for c in base]
+        for b, c in zip(base, biased):
+            np.testing.assert_array_equal(c.passed, b.passed)
+            np.testing.assert_allclose(c.slack / c.tolerance,
+                                       b.slack / b.tolerance, rtol=1e-9)
+
+    def test_inactive_input_passes_with_both_sides_zero(self):
+        stats = batch_statistics(make_linear([1.0, 2.0, 0.0]), 1_000,
+                                 RngStream(3), gas=True, gradients=True)
+        checks = {c.name: c for c in all_checks(stats)}
+        assert all(c.all_passed for c in checks.values())
+        for name in ("gas_bound_uniform(m=1)", "gas_bound_uniform(m=3)",
+                     "linear_dgsm_equality", "dgsm_bound_unit_cube",
+                     "dgsm_bound_general"):
+            c = checks[name]
+            assert (c.lhs[2], c.rhs[2], c.tolerance[2]) == (0.0, 0.0, 0.0), name
 
 
 class TestDetection:
@@ -258,3 +347,16 @@ class TestDetection:
         assert quadratic_identity(stats).all_passed
         biased = dataclasses.replace(stats, c_gas=[1.2 * c for c in stats.c_gas])
         assert not quadratic_identity(biased).all_passed
+
+    def test_uniform_bound_fails_without_the_spill_term(self, monkeypatch):
+        # the second input sits off the leading slope eigenvector, so its
+        # score over m = 1 is near 0 and only lambda_2 covers its index
+        model = Model(label="off_axis", family="off_axis",
+                      marginals=(Uniform(0.0, 1.0), Uniform(0.0, 1.0)),
+                      eval_fn=lambda x: 5.0 * x[:, 0] + 4.0 * (x[:, 1] - 0.5) ** 2)
+        stats = batch_statistics(model, 1_000, RngStream(3), gas=True)
+        assert gas_bound_uniform(stats, 1).all_passed
+        monkeypatch.setattr(bounds, "_spilled_scores", bounds.scores)
+        dropped = gas_bound_uniform(stats, 1)
+        assert not dropped.all_passed
+        assert list(dropped.passed) == [True, False]

@@ -183,8 +183,13 @@ class TestExitCodes:
         ["analyze", "--model", "example1", "--methods", "gas", "--m", "0"],
         ["bounds", "--model", "example2", "--n", "100000", "--epsilon", "0.7"],
         ["bounds", "--model", "example2", "--epsilon", "0"],
+        ["bounds", "--model", "example4", "--n", "2000", "--slope-window", "0.95"],
+        ["analyze", "--model", "example1", "--noise", "1", "--slope-window", "0.9"],
+        ["convergence", "--model", "example4", "--slope-window", "-0.1"],
+        ["bounds", "--model", "example4", "--slope-window", "nan"],
     ], ids=["bounds-m", "analyze-m", "analyze-m-zero", "bounds-epsilon",
-            "bounds-epsilon-zero"])
+            "bounds-epsilon-zero", "bounds-slope-window", "analyze-slope-window",
+            "convergence-slope-window", "bounds-slope-window-nan"])
     def test_rank_and_epsilon_fail_before_sampling(self, argv, tmp_path,
                                                    monkeypatch, capsys):
         rows = []

@@ -255,6 +255,17 @@ class TestBitIdentity:
         assert child.uniforms(6).tobytes() == child_expected.tobytes()
         assert root.uniforms(6).tobytes() == expected[1].tobytes()
 
+    def test_draws_seed_no_entropy(self, monkeypatch):
+        [expected] = former_uniforms(3, 9, (5,))
+
+        # an entropy-seeded SeedSequence() asks the OS for 128 random bits
+        def entropy(*args):
+            raise AssertionError("a draw built an OS-entropy SeedSequence")
+        monkeypatch.setattr(np.random.bit_generator, "randbits", entropy)
+        root = RngStream(3, 9)
+        assert root.uniforms(5).tobytes() == expected.tobytes()
+        assert root.substream(2).standard_normals(4).shape == (4,)
+
     def test_normal_inv_cdf_random_points(self):
         u = np.random.default_rng(20241).random(10**6)
         u = u[u > 0.0]
