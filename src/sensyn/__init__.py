@@ -21,8 +21,8 @@ from .models import (AnalyticAnova, Model, analytic_anova, builtin_names,
 from .randkit import (Normal, RngStream, Uniform, cheeger_constant,
                       cheeger_constant_grid, inverse_cdf, normal_cdf,
                       normal_inv_cdf, sample)
-from .report import (ConvergenceTable, SensitivityReport, build_report,
-                     convergence_study, normalize, rank)
+from .report import (ConvergenceTable, SensitivityReport, SubspaceSummary,
+                     build_report, convergence_study, normalize, rank)
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult, c_as_from_gradients,
                        estimate_c_as, estimate_c_gas, scores, subspace_analysis)
 from .variance import (SobolEstimate, estimate_sobol, estimate_variance,

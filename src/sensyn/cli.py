@@ -52,10 +52,13 @@ class RunConfig:
     slope_window: float = DEFAULT_SLOPE_WINDOW
 
     def __post_init__(self):
-        if not self.methods:
-            raise InputDomainError("method list must be nonempty")
         if self.m1 is not None and self.n != self.m1 * self.m2:
             raise InputDomainError("when m1 and m2 are given, n must equal m1*m2")
+        if min(self.sizes) < 2:
+            raise InputDomainError(
+                f"every --sizes entry must be at least 2, got {min(self.sizes)}")
+        if self.n_seeds < 1:
+            raise InputDomainError(f"--seeds must be at least 1, got {self.n_seeds}")
 
 
 def _parse_methods(spec: str) -> tuple[str, ...]:
@@ -176,10 +179,9 @@ def _check_against_model(cfg: RunConfig, model) -> None:
 
 def cmd_analyze(cfg: RunConfig, model) -> int:
     report = build_report(
-        model, seed=cfg.seed, methods=cfg.methods, n=cfg.n,
-        m1=cfg.m1 if cfg.m1 is not None else cfg.n, m2=cfg.m2, h=cfg.h,
-        threshold=cfg.threshold, m_override=cfg.m_override,
-        slope_window=cfg.slope_window)
+        model, seed=cfg.seed, methods=cfg.methods, n=cfg.n, m1=cfg.m1,
+        m2=cfg.m2, h=cfg.h, threshold=cfg.threshold,
+        m_override=cfg.m_override, slope_window=cfg.slope_window)
     out = Path(cfg.out if cfg.out else f"{cfg.model_name}_report.{cfg.fmt}")
     if cfg.fmt == "json":
         output.write_text(out, output.dumps_json(output.report_to_dict(report)) + "\n")
@@ -222,8 +224,6 @@ def cmd_bounds(cfg: RunConfig, model) -> int:
 
 
 def cmd_convergence(cfg: RunConfig, model) -> int:
-    if not cfg.sizes:
-        raise InputDomainError("need a nonempty --sizes list")
     oracle = analytic_anova(model)
     if oracle is not None:
         reference = rank(oracle.upper)
@@ -236,7 +236,7 @@ def cmd_convergence(cfg: RunConfig, model) -> int:
         if wanted:
             tables.append(convergence_study(
                 model, method, cfg.sizes, cfg.n_seeds, reference,
-                base_seed=cfg.seed, slope_window=cfg.slope_window, h=cfg.h))
+                base_seed=cfg.seed, slope_window=cfg.slope_window))
     if not tables:
         raise InputDomainError("convergence needs the sobol and/or gas methods")
     out = Path(cfg.out if cfg.out else f"{cfg.model_name}_convergence.json")
@@ -260,7 +260,11 @@ def cmd_plot(args) -> int:
         return 1
     builder = {"bars": svgplot.bars_chart, "spectrum": svgplot.spectrum_chart,
                "eigvec": svgplot.eigvec_chart}[args.kind]
-    svg = builder(report)
+    try:
+        svg = builder(report)
+    except SensynError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out if args.out else path.with_suffix(f".{args.kind}.svg"))
     output.write_text(out, svg)
     print(f"wrote {out}")

@@ -9,12 +9,14 @@ accident.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from .bounds import BoundCheck
 from .errors import InputDomainError
-from .report import ConvergenceTable, SensitivityReport
+from .report import (SUBSPACE_METHODS, ConvergenceTable, SensitivityReport,
+                     SubspaceSummary)
 
 
 def format_float(x: float) -> str:
@@ -70,131 +72,98 @@ def write_text(path, text: str) -> None:
 
 
 def _opt(value):
-    if value is None:
-        return None
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return value
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _report_schema() -> tuple:
+    """(section, key, method, field name, annotation) of every report value
+    in output order: the ``SensitivityReport`` fields as declared, with
+    ``subspaces`` expanded in place into each method's ``scores`` fields and
+    then each method's ``spectra`` fields, keyed ``<method>_<field>`` and
+    ``m_<method>``.  ``method`` is ``None`` for a field of the report itself."""
+    slots = []
+    for f in fields(SensitivityReport):
+        if f.name != "subspaces":
+            slots.append((f.metadata["section"], f.metadata["key"] or f.name,
+                          None, f.name, f.type))
+            continue
+        for section in ("scores", "spectra"):
+            slots.extend((section, f"m_{method}" if g.name == "m"
+                           else f"{method}_{g.name}", method, g.name, g.type)
+                         for method in SUBSPACE_METHODS
+                         for g in fields(SubspaceSummary)
+                         if g.metadata["section"] == section)
+    return tuple(slots)
+
+
+_SCHEMA = _report_schema()
+
+
+def _walk(report: SensitivityReport):
+    """(section, key, value) of every report value in output order; the
+    values of a method the report did not compute are ``None``."""
+    for section, key, method, name, _ in _SCHEMA:
+        owner = report if method is None else report.subspaces.get(method)
+        yield section, key, None if owner is None else getattr(owner, name)
 
 
 def report_to_dict(report: SensitivityReport) -> dict:
     """JSON layout of a report: metadata, per-method scores, spectra."""
-    meta = {
-        "model": report.model_label,
-        "d": report.d,
-        "seed": report.seed,
-        "n": report.n,
-        "m1": report.m1,
-        "m2": report.m2,
-        "h": report.h,
-        "noise_scale": report.noise_scale,
-        "threshold": report.threshold,
-        "methods": list(report.methods),
-    }
-    scores = {
-        "sigma2_hat": _opt(report.sigma2_hat),
-        "sobol_lower": _opt(report.sobol_lower),
-        "sobol_upper": _opt(report.sobol_upper),
-        "dgsm_raw": _opt(report.dgsm_raw),
-        "dgsm_normalized": _opt(report.dgsm_normalized),
-        "as_scores_m": _opt(report.as_scores_m),
-        "as_scores_full": _opt(report.as_scores_full),
-        "as_scores_m_normalized": _opt(report.as_scores_m_normalized),
-        "as_scores_full_normalized": _opt(report.as_scores_full_normalized),
-        "gas_scores_m": _opt(report.gas_scores_m),
-        "gas_scores_full": _opt(report.gas_scores_full),
-        "gas_scores_m_normalized": _opt(report.gas_scores_m_normalized),
-        "gas_scores_full_normalized": _opt(report.gas_scores_full_normalized),
-    }
-    spectra = {
-        "as_eigenvalues": _opt(report.as_eigenvalues),
-        "as_cumulative": _opt(report.as_cumulative),
-        "as_first_eigenvector": _opt(report.as_first_eigenvector),
-        "m_as": _opt(report.m_as),
-        "gas_eigenvalues": _opt(report.gas_eigenvalues),
-        "gas_cumulative": _opt(report.gas_cumulative),
-        "gas_first_eigenvector": _opt(report.gas_first_eigenvector),
-        "m_gas": _opt(report.m_gas),
-        "u1_alignment": _opt(report.u1_alignment),
-        "reference_direction": _opt(report.reference_direction),
-    }
-    return {"meta": meta, "scores": scores, "spectra": spectra}
+    out: dict = {"meta": {}, "scores": {}, "spectra": {}}
+    for section, key, value in _walk(report):
+        out[section][key] = _opt(value)
+    return out
+
+
+_SCALARS = {"str": str, "int": int, "float": float}
+
+
+def _parse(value, annotation: str):
+    """A JSON value as the report field declared ``annotation`` holds it."""
+    if value is None:
+        return None
+    if "ndarray" in annotation:
+        return np.asarray(value, dtype=np.float64)
+    if annotation.startswith("tuple"):
+        return tuple(value)
+    return _SCALARS[annotation.removesuffix(" | None")](value)
 
 
 def report_from_dict(data: dict) -> SensitivityReport:
-    meta = data["meta"]
-    scores = data["scores"]
-    spectra = data["spectra"]
-
-    def arr(value):
-        return None if value is None else np.asarray(value, dtype=np.float64)
-
-    return SensitivityReport(
-        model_label=meta["model"], d=int(meta["d"]), seed=int(meta["seed"]),
-        n=int(meta["n"]), m1=int(meta["m1"]), m2=int(meta["m2"]),
-        h=float(meta["h"]), noise_scale=float(meta["noise_scale"]),
-        threshold=float(meta["threshold"]), methods=tuple(meta["methods"]),
-        sigma2_hat=scores["sigma2_hat"],
-        sobol_lower=arr(scores["sobol_lower"]),
-        sobol_upper=arr(scores["sobol_upper"]),
-        dgsm_raw=arr(scores["dgsm_raw"]),
-        dgsm_normalized=arr(scores["dgsm_normalized"]),
-        as_eigenvalues=arr(spectra["as_eigenvalues"]),
-        as_cumulative=arr(spectra["as_cumulative"]),
-        as_first_eigenvector=arr(spectra["as_first_eigenvector"]),
-        m_as=None if spectra["m_as"] is None else int(spectra["m_as"]),
-        as_scores_m=arr(scores["as_scores_m"]),
-        as_scores_full=arr(scores["as_scores_full"]),
-        as_scores_m_normalized=arr(scores["as_scores_m_normalized"]),
-        as_scores_full_normalized=arr(scores["as_scores_full_normalized"]),
-        gas_eigenvalues=arr(spectra["gas_eigenvalues"]),
-        gas_cumulative=arr(spectra["gas_cumulative"]),
-        gas_first_eigenvector=arr(spectra["gas_first_eigenvector"]),
-        m_gas=None if spectra["m_gas"] is None else int(spectra["m_gas"]),
-        gas_scores_m=arr(scores["gas_scores_m"]),
-        gas_scores_full=arr(scores["gas_scores_full"]),
-        gas_scores_m_normalized=arr(scores["gas_scores_m_normalized"]),
-        gas_scores_full_normalized=arr(scores["gas_scores_full_normalized"]),
-        u1_alignment=spectra["u1_alignment"],
-        reference_direction=arr(spectra["reference_direction"]),
-    )
+    """Inverse of ``report_to_dict``."""
+    values: dict = {}
+    summaries: dict = {method: {} for method in SUBSPACE_METHODS}
+    for section, key, method, name, annotation in _SCHEMA:
+        target = values if method is None else summaries[method]
+        target[name] = _parse(data[section][key], annotation)
+    return SensitivityReport(**values, subspaces={
+        method: SubspaceSummary(**summary)
+        for method, summary in summaries.items() if summary["m"] is not None})
 
 
-# CSV layout: one row per input; first the index and the analytic variance
-# share when available, then one column per method value (raw), then one per
-# normalized method value.
-_RAW_COLUMNS = (
-    ("sobol_lower", "sobol_lower"),
-    ("sobol_upper", "sobol_upper"),
-    ("dgsm", "dgsm_raw"),
-    ("as_m", "as_scores_m"),
-    ("as_full", "as_scores_full"),
-    ("gas_m", "gas_scores_m"),
-    ("gas_full", "gas_scores_full"),
-)
-_NORM_COLUMNS = (
-    ("dgsm_norm", "dgsm_normalized"),
-    ("as_m_norm", "as_scores_m_normalized"),
-    ("as_full_norm", "as_scores_full_normalized"),
-    ("gas_m_norm", "gas_scores_m_normalized"),
-    ("gas_full_norm", "gas_scores_full_normalized"),
-)
+def _csv_column(key: str) -> str:
+    """CSV column of a ``scores`` key: ``dgsm_raw`` -> ``dgsm``,
+    ``<method>_scores_m_normalized`` -> ``<method>_m_norm``."""
+    return (key.removesuffix("_raw").replace("_scores_", "_")
+            .replace("_normalized", "_norm"))
 
 
 def report_to_csv(report: SensitivityReport, sigma2_share=None) -> str:
-    """Fixed-layout CSV of per-input scores (raw then normalized columns)."""
-    header = ["input_index", "sigma2_share"]
-    columns = []
-    for name, attr in _RAW_COLUMNS + _NORM_COLUMNS:
-        values = getattr(report, attr)
-        if values is not None:
-            header.append(name)
-            columns.append(np.asarray(values))
+    """Fixed-layout CSV of per-input scores: one row per input; first the
+    index and the analytic variance share when available, then the per-input
+    vectors of the ``scores`` section in JSON order, raw ones first and
+    normalized ones second."""
+    vectors = [(key, value) for section, key, value in _walk(report)
+               if section == "scores" and np.ndim(value) == 1]
+    columns = sorted(vectors, key=lambda kv: kv[0].endswith("_normalized"))
+    header = ["input_index", "sigma2_share"] + [_csv_column(k) for k, _ in columns]
     lines = [",".join(header)]
     for i in range(report.d):
         share = "" if sigma2_share is None else format_float(float(sigma2_share[i]))
         row = [str(i + 1), share]
-        row.extend(format_float(float(col[i])) for col in columns)
+        row.extend(format_float(float(col[i])) for _, col in columns)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
 from .variance import PickFreeze, sobol_from_design, upper_sobol
 
 METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
+SUBSPACE_METHODS = ("as", "gas")
 
 
 def normalize(scores) -> np.ndarray | None:
@@ -37,48 +38,67 @@ def rank(scores) -> np.ndarray:
     return np.argsort(-scores, kind="stable") + 1
 
 
+def _in(section: str, default=MISSING, key: str | None = None):
+    """A report field written to JSON ``section`` under ``key`` (default:
+    the field's own name)."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+@dataclass(frozen=True)
+class SubspaceSummary:
+    """Eigen-summary of one AS or GAS matrix: its spectrum, normalized
+    cumulative eigenvalue sums, leading eigenvector u1, selected rank m, and
+    the activity scores at m and at d, raw and sum-normalized (``None`` when
+    the scores sum to zero)."""
+
+    eigenvalues: np.ndarray = _in("spectra")
+    cumulative: np.ndarray = _in("spectra")
+    first_eigenvector: np.ndarray = _in("spectra")
+    m: int = _in("spectra")
+    scores_m: np.ndarray = _in("scores")
+    scores_full: np.ndarray = _in("scores")
+    scores_m_normalized: np.ndarray | None = _in("scores")
+    scores_full_normalized: np.ndarray | None = _in("scores")
+
+    @classmethod
+    def from_result(cls, result: SubspaceResult) -> SubspaceSummary:
+        spec = result.spectrum
+        sel = result.scores()
+        full = result.scores(result.d)
+        return cls(spec.eigenvalues, normalized_cumsum(spec),
+                   spec.eigenvectors[:, 0], result.m_selected, sel, full,
+                   normalize(sel), normalize(full))
+
+
 @dataclass(frozen=True)
 class SensitivityReport:
     """Everything one analysis run produced, ready for serialization.
 
     Sobol' indices are kept raw (lower and upper are compared on a common
     scale); all other measures also carry sum-normalized versions for
-    display.
+    display.  ``subspaces`` maps each computed subspace method of
+    ``SUBSPACE_METHODS`` to its summary.  Each field's metadata names the
+    JSON section that holds it, so the serializers walk the fields.
     """
 
-    model_label: str
-    d: int
-    seed: int
-    n: int
-    m1: int
-    m2: int
-    h: float
-    noise_scale: float
-    threshold: float
-    methods: tuple[str, ...]
-    sigma2_hat: float | None = None
-    sobol_lower: np.ndarray | None = None
-    sobol_upper: np.ndarray | None = None
-    dgsm_raw: np.ndarray | None = None
-    dgsm_normalized: np.ndarray | None = None
-    as_eigenvalues: np.ndarray | None = None
-    as_cumulative: np.ndarray | None = None
-    as_first_eigenvector: np.ndarray | None = None
-    m_as: int | None = None
-    as_scores_m: np.ndarray | None = None
-    as_scores_full: np.ndarray | None = None
-    as_scores_m_normalized: np.ndarray | None = None
-    as_scores_full_normalized: np.ndarray | None = None
-    gas_eigenvalues: np.ndarray | None = None
-    gas_cumulative: np.ndarray | None = None
-    gas_first_eigenvector: np.ndarray | None = None
-    m_gas: int | None = None
-    gas_scores_m: np.ndarray | None = None
-    gas_scores_full: np.ndarray | None = None
-    gas_scores_m_normalized: np.ndarray | None = None
-    gas_scores_full_normalized: np.ndarray | None = None
-    u1_alignment: float | None = None
-    reference_direction: np.ndarray | None = None
+    model_label: str = _in("meta", key="model")
+    d: int = _in("meta")
+    seed: int = _in("meta")
+    n: int = _in("meta")
+    m1: int = _in("meta")
+    m2: int = _in("meta")
+    h: float = _in("meta")
+    noise_scale: float = _in("meta")
+    threshold: float = _in("meta")
+    methods: tuple[str, ...] = _in("meta")
+    sigma2_hat: float | None = _in("scores", None)
+    sobol_lower: np.ndarray | None = _in("scores", None)
+    sobol_upper: np.ndarray | None = _in("scores", None)
+    dgsm_raw: np.ndarray | None = _in("scores", None)
+    dgsm_normalized: np.ndarray | None = _in("scores", None)
+    subspaces: dict[str, SubspaceSummary] = field(default_factory=dict)
+    u1_alignment: float | None = _in("spectra", None)
+    reference_direction: np.ndarray | None = _in("spectra", None)
 
 
 def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
@@ -112,6 +132,7 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         m1 = n
     root = RngStream(seed)
     fields: dict = {}
+    subspaces: dict = {}
     base = c_gas = None
 
     if "sobol" in methods:
@@ -127,22 +148,25 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
             v = dgsm_from_gradients(g)
             fields.update(dgsm_raw=v, dgsm_normalized=normalize(v))
         if "as" in methods:
-            result = _decompose("AS", c_as_from_gradients(g), model, n,
-                                threshold, m_override)
-            _fill_subspace(fields, "as", result, model)
+            subspaces["as"] = _decompose("AS", c_as_from_gradients(g), model, n,
+                                         threshold, m_override)
     base = None  # the design's arrays go before the slope matrix draws its own
 
     if "gas" in methods:
         if c_gas is None:
             c_gas = estimate_c_gas(model, m1, m2, root.substream(3),
                                    slope_window=slope_window)
-        result = _decompose("GAS", c_gas, model, m1 * m2, threshold, m_override)
-        _fill_subspace(fields, "gas", result, model)
+        gas = subspaces["gas"] = _decompose("GAS", c_gas, model, m1 * m2,
+                                            threshold, m_override)
+        if model.reference_direction is not None:
+            fields["u1_alignment"] = float(
+                abs(gas.first_eigenvector @ model.reference_direction))
 
     return SensitivityReport(
         model_label=model.label, d=model.d, seed=seed, n=n, m1=m1, m2=m2, h=h,
         noise_scale=model.noise_scale, threshold=threshold, methods=methods,
-        reference_direction=model.reference_direction, **fields)
+        subspaces=subspaces, reference_direction=model.reference_direction,
+        **fields)
 
 
 def _shared_design(model: Model, n: int, root: RngStream, seed: int,
@@ -160,7 +184,7 @@ def _shared_design(model: Model, n: int, root: RngStream, seed: int,
 
 
 def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,
-               threshold: float, m_override: int | None) -> SubspaceResult:
+               threshold: float, m_override: int | None) -> SubspaceSummary:
     if not np.any(matrix):
         raise DegenerateSpectrumError(
             f"{kind} matrix of model {model.label!r} is all zero at n={n}: "
@@ -168,26 +192,8 @@ def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,
             f"use a larger n (--n) or drop the {kind.lower()!r} method")
     spec = sym_eig(matrix)
     m_sel = select_m(spec, threshold) if m_override is None else m_override
-    return SubspaceResult(kind=kind, matrix=matrix, spectrum=spec,
-                          m_selected=m_sel)
-
-
-def _fill_subspace(fields: dict, prefix: str, result: SubspaceResult,
-                   model: Model) -> None:
-    spec = result.spectrum
-    sel = result.scores()
-    full = result.scores(result.d)
-    fields[f"{prefix}_eigenvalues"] = spec.eigenvalues
-    fields[f"{prefix}_cumulative"] = normalized_cumsum(spec)
-    fields[f"{prefix}_first_eigenvector"] = spec.eigenvectors[:, 0]
-    fields[f"m_{prefix}"] = result.m_selected
-    fields[f"{prefix}_scores_m"] = sel
-    fields[f"{prefix}_scores_full"] = full
-    fields[f"{prefix}_scores_m_normalized"] = normalize(sel)
-    fields[f"{prefix}_scores_full_normalized"] = normalize(full)
-    if prefix == "gas" and model.reference_direction is not None:
-        u1 = spec.eigenvectors[:, 0]
-        fields["u1_alignment"] = float(abs(u1 @ model.reference_direction))
+    return SubspaceSummary.from_result(SubspaceResult(
+        kind=kind, matrix=matrix, spectrum=spec, m_selected=m_sel))
 
 
 @dataclass(frozen=True)
@@ -208,8 +214,7 @@ class ConvergenceTable:
 
 def convergence_study(model: Model, method: str, sizes, n_seeds: int,
                       reference, *, base_seed: int = 0,
-                      slope_window: float = DEFAULT_SLOPE_WINDOW,
-                      h: float = 1e-3) -> ConvergenceTable:
+                      slope_window: float = DEFAULT_SLOPE_WINDOW) -> ConvergenceTable:
     """Fraction of seeds whose ranking matches a reference, per sample size.
 
     ``method`` is ``"upper_sobol"`` (pick-freeze indices) or ``"gas_scores"``
@@ -222,6 +227,10 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
         raise InputDomainError("need at least one sample size")
     if any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise InputDomainError("sizes must be strictly increasing")
+    if sizes[0] < 2:
+        raise InputDomainError(f"every sample size must be at least 2, got {sizes[0]}")
+    if n_seeds < 1:
+        raise InputDomainError(f"need at least one seed, got {n_seeds}")
     if method not in ("upper_sobol", "gas_scores"):
         raise InputDomainError("method must be 'upper_sobol' or 'gas_scores'")
     reference = np.asarray(reference, dtype=int)

@@ -119,11 +119,10 @@ def bars_chart(report: SensitivityReport) -> str:
     d = report.d
     left = [("lower Sobol'", report.sobol_lower),
             ("upper Sobol'", report.sobol_upper)]
-    right = [("DGSM", report.dgsm_normalized),
-             (f"AS m={report.m_as}", report.as_scores_m_normalized),
-             ("AS m=d", report.as_scores_full_normalized),
-             (f"GAS m={report.m_gas}", report.gas_scores_m_normalized),
-             ("GAS m=d", report.gas_scores_full_normalized)]
+    right = [("DGSM", report.dgsm_normalized)]
+    for method, summary in report.subspaces.items():
+        right += [(f"{method.upper()} m={summary.m}", summary.scores_m_normalized),
+                  (f"{method.upper()} m=d", summary.scores_full_normalized)]
     left = [(n, v) for n, v in left if v is not None]
     right = [(n, v) for n, v in right if v is not None]
     if not left and not right:
@@ -161,9 +160,8 @@ def bars_chart(report: SensitivityReport) -> str:
 
 def spectrum_chart(report: SensitivityReport) -> str:
     """Normalized cumulative eigenvalue sums of the available spectra."""
-    series = [(name, values) for name, values in
-              (("AS", report.as_cumulative), ("GAS", report.gas_cumulative))
-              if values is not None]
+    series = [(method.upper(), summary.cumulative)
+              for method, summary in report.subspaces.items()]
     if not series:
         raise InputDomainError("report holds no spectra to plot")
     canvas = Canvas()
@@ -194,11 +192,10 @@ def spectrum_chart(report: SensitivityReport) -> str:
 def eigvec_chart(report: SensitivityReport) -> str:
     """Components of the leading eigenvectors, with the reference direction
     overlaid when the model declares one."""
-    series = [(name, values) for name, values in
-              (("AS u1", report.as_first_eigenvector),
-               ("GAS u1", report.gas_first_eigenvector),
-               ("reference", report.reference_direction))
-              if values is not None]
+    series = [(f"{method.upper()} u1", summary.first_eigenvector)
+              for method, summary in report.subspaces.items()]
+    if report.reference_direction is not None:
+        series.append(("reference", report.reference_direction))
     if not series:
         raise InputDomainError("report holds no eigenvectors to plot")
     canvas = Canvas()

@@ -205,6 +205,27 @@ class TestExitCodes:
         assert rows == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("extra", [
+        ["--sizes", "10,100", "--seeds", "-2"],
+        ["--sizes", "10,100", "--seeds", "0"],
+        ["--sizes", "1,100", "--seeds", "2"],
+    ], ids=["negative-seeds", "zero-seeds", "size-1"])
+    def test_convergence_without_cells_fails_before_sampling(
+            self, extra, tmp_path, monkeypatch, capsys):
+        rows = []
+        evaluate = Model.evaluate
+
+        def counted(self, z, rng=None, noise=None):
+            rows.append(len(np.atleast_2d(z)))
+            return evaluate(self, z, rng=rng, noise=noise)
+
+        monkeypatch.setattr(Model, "evaluate", counted)
+        assert main(["convergence", "--model", "example4", *extra,
+                     "--out", str(tmp_path / "c.json")]) == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert rows == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main([])
@@ -298,6 +319,18 @@ class TestPlotCommand:
         bad.write_text("{not json")
         assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 1
         assert "cannot parse" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind, what", [("spectrum", "spectra"),
+                                            ("eigvec", "eigenvectors")])
+    def test_report_without_the_series(self, tmp_path, capsys, kind, what):
+        report = tmp_path / "s.json"
+        assert main(["analyze", "--model", "example4", "--methods", "sobol",
+                     "--n", "200", "--out", str(report)]) == 0
+        out = tmp_path / "s.svg"
+        assert main(["plot", str(report), "--kind", kind, "--out", str(out)]) == 1
+        assert f"error: report holds no {what} to plot" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproducibility:

@@ -45,16 +45,29 @@ class TestJson:
         assert (dumps_json(report_to_dict(again))
                 == dumps_json(report_to_dict(example4_report)))
 
-    def test_report_roundtrip(self, example4_report):
-        text = dumps_json(report_to_dict(example4_report))
+    @pytest.mark.parametrize("make_model, methods", [
+        (make_example4, ("sobol",)),
+        (make_example4, ("dgsm", "as")),
+        (make_example2, ("gas",)),
+        (make_example4, ("sobol", "dgsm", "as", "gas")),
+    ], ids=["sobol", "dgsm-as", "gas-example2", "all"])
+    def test_report_roundtrip(self, make_model, methods):
+        report = build_report(make_model(), seed=7, n=1_000, methods=methods)
+        text = dumps_json(report_to_dict(report))
         back = report_from_dict(json.loads(text))
-        assert back.model_label == example4_report.model_label
-        assert back.seed == example4_report.seed
-        assert back.sigma2_hat == example4_report.sigma2_hat
-        np.testing.assert_array_equal(back.sobol_upper,
-                                      example4_report.sobol_upper)
-        np.testing.assert_array_equal(back.gas_eigenvalues,
-                                      example4_report.gas_eigenvalues)
+        assert back.model_label == report.model_label
+        assert back.seed == report.seed
+        assert back.methods == report.methods
+        assert back.sigma2_hat == report.sigma2_hat
+        np.testing.assert_array_equal(back.sobol_upper, report.sobol_upper)
+        assert list(back.subspaces) == list(report.subspaces)
+        for method, summary in report.subspaces.items():
+            np.testing.assert_array_equal(back.subspaces[method].eigenvalues,
+                                          summary.eigenvalues)
+            assert back.subspaces[method].m == summary.m
+        assert back.u1_alignment == report.u1_alignment
+        np.testing.assert_array_equal(back.reference_direction,
+                                      report.reference_direction)
         # serializing the parsed report reproduces the bytes
         assert dumps_json(report_to_dict(back)) == text
 
@@ -76,6 +89,10 @@ class TestCsv:
         assert header[:2] == ["input_index", "sigma2_share"]
         # all four methods present: 7 raw + 5 normalized score columns
         assert len(header) == 2 + 7 + 5
+        assert header == ["input_index", "sigma2_share", "sobol_lower",
+                          "sobol_upper", "dgsm", "as_m", "as_full", "gas_m",
+                          "gas_full", "dgsm_norm", "as_m_norm", "as_full_norm",
+                          "gas_m_norm", "gas_full_norm"]
         assert len(lines) == 1 + example4_report.d
         for line in lines[1:]:
             assert len(line.split(",")) == len(header)
@@ -85,6 +102,13 @@ class TestCsv:
         header = report_to_csv(report).split("\n")[0].split(",")
         assert header == ["input_index", "sigma2_share", "sobol_lower",
                           "sobol_upper"]
+
+    def test_dgsm_as_columns(self):
+        report = build_report(make_example4(), seed=1, n=300,
+                              methods=("dgsm", "as"))
+        header = report_to_csv(report).split("\n")[0].split(",")
+        assert header == ["input_index", "sigma2_share", "dgsm", "as_m",
+                          "as_full", "dgsm_norm", "as_m_norm", "as_full_norm"]
 
     def test_sigma2_share_column(self, example4_report):
         text = report_to_csv(example4_report, sigma2_share=[0.1, 0.2, 0.3, 0.4])

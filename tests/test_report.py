@@ -78,15 +78,17 @@ class TestBuildReport:
         assert report.sigma2_hat > 0.0
         assert report.sobol_upper.shape == (4,)
         assert report.dgsm_normalized.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 1 <= report.m_as <= 4 and 1 <= report.m_gas <= 4
-        np.testing.assert_allclose(report.gas_scores_full,
-                                   np.diag(np.zeros((4, 4))) + report.gas_scores_full)
+        gas = report.subspaces["gas"]
+        assert 1 <= report.subspaces["as"].m <= 4 and 1 <= gas.m <= 4
+        np.testing.assert_allclose(gas.scores_full,
+                                   np.diag(np.zeros((4, 4))) + gas.scores_full)
         assert report.u1_alignment is None
 
     def test_subset_of_methods(self):
         report = build_report(make_example4(), seed=3, n=500, methods=("gas",))
         assert report.sobol_upper is None
-        assert report.gas_scores_m is not None
+        assert list(report.subspaces) == ["gas"]
+        assert report.subspaces["gas"].scores_m is not None
 
     def test_unknown_method(self):
         with pytest.raises(InputDomainError):
@@ -104,13 +106,14 @@ class TestBuildReport:
     def test_m_override(self):
         report = build_report(make_example4(), seed=3, n=500,
                               methods=("gas",), m_override=2)
-        assert report.m_gas == 2
+        assert report.subspaces["gas"].m == 2
 
     def test_deterministic(self):
         a = build_report(make_example4(), seed=5, n=1_000)
         b = build_report(make_example4(), seed=5, n=1_000)
         np.testing.assert_array_equal(a.sobol_upper, b.sobol_upper)
-        np.testing.assert_array_equal(a.gas_scores_full, b.gas_scores_full)
+        np.testing.assert_array_equal(a.subspaces["gas"].scores_full,
+                                      b.subspaces["gas"].scores_full)
         np.testing.assert_array_equal(a.dgsm_raw, b.dgsm_raw)
 
 
@@ -334,10 +337,14 @@ class TestAffineInvariance:
             np.testing.assert_allclose(getattr(moved, field), getattr(base, field),
                                        rtol=0.0, atol=1e-12 * shift)
         tol = 1e-10 * shift
-        for field in ("dgsm_raw", "as_eigenvalues", "as_scores_full",
-                      "gas_eigenvalues", "gas_scores_full"):
-            want = a * a * getattr(base, field)
-            np.testing.assert_allclose(getattr(moved, field), want, rtol=tol,
+        pairs = [(base.dgsm_raw, moved.dgsm_raw)]
+        pairs += [(getattr(base.subspaces[method], name),
+                   getattr(moved.subspaces[method], name))
+                  for method in ("as", "gas")
+                  for name in ("eigenvalues", "scores_full")]
+        for was, now in pairs:
+            want = a * a * was
+            np.testing.assert_allclose(now, want, rtol=tol,
                                        atol=tol * np.max(np.abs(want)))
 
 
@@ -396,6 +403,9 @@ class TestConvergenceStudy:
             convergence_study(model, "upper_sobol", (100, 100), 3, reference)
         with pytest.raises(InputDomainError):
             convergence_study(model, "median", (10,), 3, reference)
+        for sizes, n_seeds in (((10, 100), 0), ((10, 100), -2), ((1, 100), 3)):
+            with pytest.raises(InputDomainError, match="at least"):
+                convergence_study(model, "upper_sobol", sizes, n_seeds, reference)
 
     def test_table_shape(self):
         model = make_linear([1.0, 5.0])
