@@ -10,6 +10,8 @@ import pytest
 
 from sensyn import Model, Uniform, cli
 from sensyn.cli import main
+from sensyn.models import indicator_upper_sobol, make_builtin
+from sensyn.report import rank
 
 
 def run_cli(args, tmp_path):
@@ -187,9 +189,15 @@ class TestExitCodes:
         ["analyze", "--model", "example1", "--noise", "1", "--slope-window", "0.9"],
         ["convergence", "--model", "example4", "--slope-window", "-0.1"],
         ["bounds", "--model", "example4", "--slope-window", "nan"],
+        ["analyze", "--model", "example4", "--n", "300000", "--h", "0"],
+        ["analyze", "--model", "example4", "--methods", "dgsm", "--n", "200",
+         "--h", "nan"],
+        ["bounds", "--model", "example4", "--n", "2000", "--h=-0.001"],
+        ["analyze", "--model", "example1", "--methods", "as", "--h", "inf"],
     ], ids=["bounds-m", "analyze-m", "analyze-m-zero", "bounds-epsilon",
             "bounds-epsilon-zero", "bounds-slope-window", "analyze-slope-window",
-            "convergence-slope-window", "bounds-slope-window-nan"])
+            "convergence-slope-window", "bounds-slope-window-nan", "analyze-h-zero",
+            "analyze-h-nan", "bounds-h-negative", "analyze-h-inf"])
     def test_rank_and_epsilon_fail_before_sampling(self, argv, tmp_path,
                                                    monkeypatch, capsys):
         rows = []
@@ -297,6 +305,25 @@ class TestConvergenceCommand:
             assert table["full_match_fraction"][-1] == 1.0
         assert (tmp_path / "conv.svg").exists()
 
+    def test_example2_reference_is_closed_form(self, tmp_path, monkeypatch):
+        rows = []
+        evaluate = Model.evaluate
+
+        def counted(self, z, rng=None, noise=None):
+            rows.append(len(np.atleast_2d(z)))
+            return evaluate(self, z, rng=rng, noise=noise)
+
+        monkeypatch.setattr(Model, "evaluate", counted)
+        out = tmp_path / "conv.json"
+        assert main(["convergence", "--model", "example2", "--sizes", "10,100",
+                     "--seeds", "1", "--out", str(out)]) == 0
+        # the cells alone: no 100,000-point reference draw
+        assert 0 < sum(rows) < 100_000
+        theta = make_builtin("example2").reference_direction
+        expected = rank(indicator_upper_sobol(theta)).tolist()
+        tables = json.loads(out.read_text())["tables"]
+        assert tables and all(t["meta"]["reference"] == expected for t in tables)
+
 
 class TestPlotCommand:
     @pytest.fixture()
@@ -355,20 +382,22 @@ class TestReproducibility:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_thread_count_invariance(self, tmp_path):
-        outputs = []
-        for threads, name in (("1", "t1"), ("4", "t4")):
-            out = tmp_path / f"{name}.json"
-            env = dict(os.environ)
-            env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "sensyn.cli", "analyze", "--model",
-                 "example1", "--methods", "all", "--n", "2000", "--seed",
-                 "13", "--out", str(out)],
-                env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        # 50,000 rows: the largest matrix-vector product any built-in makes
+        for n in ("2000", "50000"):
+            outputs = []
+            for threads in ("1", "4"):
+                out = tmp_path / f"n{n}-t{threads}.json"
+                env = dict(os.environ)
+                env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "sensyn.cli", "analyze", "--model",
+                     "example1", "--methods", "all", "--n", n, "--seed",
+                     "13", "--out", str(out)],
+                    env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], n
 
     def test_eigensolver_thread_count_invariance(self):
         # inputs are built elementwise, so only sym_eig could bring in BLAS
