@@ -12,8 +12,10 @@ from .linalg import normalized_cumsum, select_m, sym_eig
 from .models import Model
 from .randkit import RngStream
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
-                       c_as_from_gradients, design_slopes, estimate_c_gas)
-from .variance import PickFreeze, sobol_from_design, upper_sobol
+                       c_as_from_gradients, design_slopes, estimate_c_gas,
+                       slope_vectors)
+from .variance import PickFreeze, prefix_upper, sobol_from_design
+from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
 METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
 SUBSPACE_METHODS = ("as", "gas")
@@ -221,6 +223,18 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
     (full-rank slope scores with one freeze vector per base point).  Both a
     full-permutation match and a softer top-3 match are recorded; tiny-sample
     rankings of near-tied inputs make the full match a harsh yardstick.
+
+    Seed k draws one design at the largest size on substream k of
+    ``RngStream(base_seed)``, and every size reduces the first ``size`` rows
+    of it.  The rows are i.i.d., so each size's estimate has the law of one
+    drawn at that size alone (the sizes' estimates of one seed are
+    correlated), and a seed costs the rows of its largest size only.  For
+    ``upper_sobol`` that design is a :class:`PickFreeze`, and each size's
+    scores are those of ``upper_sobol(model, size, stream)`` on the same
+    stream (:func:`prefix_upper`); for ``gas_scores`` it is the slope
+    vectors of :func:`slope_vectors`, and each size's scores are the mean of
+    its prefix's squared slopes, the diagonal of the slope matrix of those
+    rows.
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
@@ -238,29 +252,32 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
         raise InputDomainError("reference must be a permutation of 1..d")
 
     root = RngStream(base_seed)
+    values = np.empty((n_seeds, len(sizes), model.d))
+    for seed_idx in range(n_seeds):
+        cell = root.substream(seed_idx)
+        if method == "upper_sobol":
+            values[seed_idx] = prefix_upper(PickFreeze(model, sizes[-1], cell),
+                                            sizes)
+        else:
+            slopes, = slope_vectors(model, sizes[-1], 1, cell, slope_window)
+            for si, size in enumerate(sizes):
+                prefix = slopes[:size]
+                values[seed_idx, si] = np.mean(prefix * prefix, axis=0)
+
     ranks: dict = {}
     score_vectors: dict = {}
-    mean_scores = np.zeros((len(sizes), model.d))
     full = np.zeros(len(sizes))
     top3 = np.zeros(len(sizes))
     k = min(3, model.d)
     for si, size in enumerate(sizes):
         for seed_idx in range(n_seeds):
-            cell = root.substream(si).substream(seed_idx)
-            if method == "upper_sobol":
-                values = upper_sobol(model, size, cell)
-            else:
-                matrix = estimate_c_gas(model, size, 1, cell,
-                                        slope_window=slope_window)
-                values = np.diag(matrix)
-            perm = rank(values)
+            perm = rank(values[seed_idx, si])
             ranks[(size, seed_idx)] = perm
-            score_vectors[(size, seed_idx)] = values
-            mean_scores[si] += values
+            score_vectors[(size, seed_idx)] = values[seed_idx, si]
             full[si] += float(np.array_equal(perm, reference))
             top3[si] += float(np.array_equal(perm[:k], reference[:k]))
     return ConvergenceTable(
         model_label=model.label, method=method, sizes=sizes, n_seeds=n_seeds,
         reference=reference, ranks=ranks, score_vectors=score_vectors,
-        mean_scores=mean_scores / n_seeds,
+        mean_scores=values.mean(axis=0),
         full_match_fraction=full / n_seeds, top3_match_fraction=top3 / n_seeds)

@@ -172,18 +172,22 @@ def _slope_column(model: Model, z: np.ndarray, i: int, b: np.ndarray,
     return (fb - fa) / (b - a)
 
 
-def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
-                   slope_window: float = DEFAULT_SLOPE_WINDOW) -> np.ndarray:
-    """Monte Carlo estimate of the finite-slope sensitivity matrix.
+def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
+                  slope_window: float = DEFAULT_SLOPE_WINDOW):
+    """Yield, for each of ``m2`` fresh freeze vectors, the (m1, d) array of
+    slope vectors at the ``m1`` base points drawn on ``rng``.
 
-    Averages ``m1 * m2`` outer products of slope vectors: ``m1`` base points,
-    each paired with ``m2`` fresh freeze vectors.  One base evaluation is
-    shared by the d quotients of a replicate (d+1 calls).  A (base, freeze)
-    coordinate pair closer than the separation floor is replaced by one
-    draw of :func:`separated_pairs`, which costs one extra evaluated row and,
-    per (freeze vector, input) with any such pair, one extra model call and
-    one ``uniforms`` call; there is no rejection loop.  Stochastic models
-    draw one noise variate per base point, shared by all of its evaluations.
+    Row r of every array belongs to base point r, and the rows of one array
+    are i.i.d., so any prefix of them is a sample of the same law.  One base
+    evaluation is shared by the d quotients of a freeze vector (d+1 calls).
+    A (base, freeze) coordinate pair closer than the separation floor is
+    replaced by one draw of :func:`separated_pairs`, which costs one extra
+    evaluated row and, per (freeze vector, input) with any such pair, one
+    extra model call and one ``uniforms`` call; there is no rejection loop.
+    Stochastic models draw one noise variate per base point, shared by all
+    of its evaluations.  Substreams of ``rng``: 0 the base, 1 the freeze
+    vectors (child j), 2 the noise and 3 the replacements (child j, then
+    child i per input).
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
@@ -195,16 +199,28 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
         eps = rng.substream(_NOISE).standard_normals(m1)
     fz = model.evaluate(z, noise=eps)
 
-    acc = np.zeros((model.d, model.d))
     freeze_root = rng.substream(_FREEZE)
     redraw_root = rng.substream(_REDRAW)
-    slopes = np.empty((m1, model.d))
     for j in range(m2):
         v = sample_inputs(model, m1, freeze_root.substream(j))
         redraw_j = redraw_root.substream(j)
+        slopes = np.empty((m1, model.d))
         for i in range(model.d):
             slopes[:, i] = _slope_column(model, z, i, v[:, i], fz, gaps[i],
                                          redraw_j.substream(i), noise=eps)
+        yield slopes
+
+
+def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
+                   slope_window: float = DEFAULT_SLOPE_WINDOW) -> np.ndarray:
+    """Monte Carlo estimate of the finite-slope sensitivity matrix.
+
+    Averages ``m1 * m2`` outer products of slope vectors: ``m1`` base points,
+    each paired with ``m2`` fresh freeze vectors (:func:`slope_vectors`,
+    which states the cost).
+    """
+    acc = np.zeros((model.d, model.d))
+    for slopes in slope_vectors(model, m1, m2, rng, slope_window):
         acc += _mean_outer(slopes)
     return acc / m2
 

@@ -134,6 +134,23 @@ def upper_sobol(model: Model, n: int, rng: RngStream,
     return upper_from_design(PickFreeze(model, n, rng), sigma2)[0]
 
 
+def prefix_upper(design: PickFreeze, sizes) -> np.ndarray:
+    """Upper indices of each prefix of a design: row k of the
+    (len(sizes), d) result reduces the first ``sizes[k]`` rows, normalized
+    by their own variance.  ``sizes`` increase, the last at most
+    ``design.n``.  A design's rows are drawn in order, so on a design of
+    :func:`upper_sobol` row k is what that function gives at ``sizes[k]``
+    on the same stream, up to rounding where the model's output at a row
+    depends on the batch length (a BLAS matrix-vector product's does)."""
+    sigma2 = [_checked_variance(design.fz[:s], None, "upper Sobol' indices")
+              for s in sizes]
+    out = np.empty((len(sizes), design.model.d))
+    for i, _, fv in design.columns():
+        for k, s in enumerate(sizes):
+            out[k, i] = _upper(design.fz[:s], fv[:s], sigma2[k])
+    return out
+
+
 def sobol_from_design(design: PickFreeze, sigma2: float | None = None,
                       seed: int | None = None, on_column=None) -> SobolEstimate:
     """Upper and lower indices, and the variance of f(z), from one design

@@ -28,6 +28,14 @@ def nan_rows_model() -> Model:
                  marginals=(Uniform(0.0, 1.0),) * 3, eval_fn=f)
 
 
+def row_local_noisy_model() -> Model:
+    """Noisy interaction model whose rows are computed by elementwise
+    arithmetic only, so a row's output does not depend on the batch."""
+    return Model(label="row_local", family="custom",
+                 marginals=(Uniform(0.0, 1.0),) * 3, noise_scale=0.5,
+                 eval_fn=lambda x: x[:, 0] + 2.0 * x[:, 1] * x[:, 2])
+
+
 def broadcast_model() -> Model:
     """Returns an (n, d) array instead of one value per row."""
     return Model(label="broadcast", family="custom",
@@ -406,6 +414,65 @@ class TestConvergenceStudy:
         for sizes, n_seeds in (((10, 100), 0), ((10, 100), -2), ((1, 100), 3)):
             with pytest.raises(InputDomainError, match="at least"):
                 convergence_study(model, "upper_sobol", sizes, n_seeds, reference)
+
+    @pytest.mark.parametrize("name", ["row_local", "example1_noisy", "linear"])
+    def test_upper_sobol_sizes_read_one_design_per_seed(self, name):
+        model = (row_local_noisy_model() if name == "row_local"
+                 else MODELS[name]())
+        sizes, n_seeds = (10, 37, 400), 3
+        table = convergence_study(model, "upper_sobol", sizes, n_seeds,
+                                  np.arange(1, model.d + 1), base_seed=5)
+        for size in sizes:
+            for k in range(n_seeds):
+                expected = upper_sobol(model, size, RngStream(5).substream(k))
+                if name == "row_local":
+                    np.testing.assert_array_equal(
+                        table.score_vectors[(size, k)], expected)
+                else:
+                    # BLAS computes z @ c on the last rows of a short batch
+                    # in another order, so f(z) agrees only to rounding
+                    np.testing.assert_allclose(
+                        table.score_vectors[(size, k)], expected, rtol=1e-12)
+
+    def test_gas_scores_sizes_read_one_design_per_seed(self):
+        model = make_example1(noise_scale=1.0)
+        reference = np.arange(1, model.d + 1)
+        table = convergence_study(model, "gas_scores", (10, 100, 400), 3,
+                                  reference, base_seed=5)
+        fewer = convergence_study(model, "gas_scores", (100, 400), 3,
+                                  reference, base_seed=5)
+        for k in range(3):
+            largest = estimate_c_gas(model, 400, 1, RngStream(5).substream(k))
+            np.testing.assert_allclose(table.score_vectors[(400, k)],
+                                       np.diag(largest), rtol=1e-12)
+            np.testing.assert_array_equal(table.score_vectors[(100, k)],
+                                          fewer.score_vectors[(100, k)])
+            slopes, = subspace.slope_vectors(model, 400, 1,
+                                             RngStream(5).substream(k))
+            for size in (10, 100):
+                np.testing.assert_allclose(
+                    table.score_vectors[(size, k)],
+                    np.diag(_mean_outer(slopes[:size])), rtol=1e-12)
+
+    def test_rows_are_those_of_the_largest_size(self, monkeypatch):
+        model = make_example1(noise_scale=1.0)
+        rows = counting_rows(monkeypatch)
+        replaced = [0]
+
+        def counted_pairs(dist, gap, n, rng):
+            replaced[0] += n
+            return separated_pairs(dist, gap, n, rng)
+
+        monkeypatch.setattr(subspace, "separated_pairs", counted_pairs)
+        sizes, n_seeds, d = (10, 100, 1000), 4, model.d
+        reference = np.arange(1, d + 1)
+        convergence_study(model, "upper_sobol", sizes, n_seeds, reference)
+        assert rows[0] == n_seeds * 1000 * (d + 1)
+        rows[0] = 0
+        convergence_study(model, "gas_scores", sizes, n_seeds, reference)
+        # a replaced slope pair costs one more base row
+        assert rows[0] == n_seeds * 1000 * (d + 1) + replaced[0]
+        assert 0 < replaced[0] < n_seeds * 1000 * d
 
     def test_table_shape(self):
         model = make_linear([1.0, 5.0])

@@ -76,7 +76,9 @@ class TestUpperSobol:
 
 class TestLowerSobol:
     def test_linear_equals_upper(self):
-        est = lower_sobol(make_linear([1.0, 2.0]), 20_000, RngStream(6))
+        # Owen's estimator of S2 = 0.8 has a standard error of 0.011 at
+        # n = 20,000, so at this n the tolerance is 4 standard errors
+        est = lower_sobol(make_linear([1.0, 2.0]), 400_000, RngStream(6))
         np.testing.assert_allclose(est, [0.2, 0.8], atol=0.01)
 
     def test_example1_small_index(self):
@@ -121,10 +123,15 @@ class TestCombined:
         assert a.sigma2_hat == b.sigma2_hat
 
     def test_error_shrinks_with_sample_size(self):
+        # over 500 seeds per size the ratio of the two spreads, near
+        # sqrt(2), itself spreads by about 0.065, so 1.2 and 1.7 lie 3.3 and
+        # 4.4 of those from sqrt(2); the two sizes take disjoint seeds,
+        # since a design's first rows are those of a smaller design
         model = make_example4()
+        n_seeds = 500
         small = np.array([upper_sobol(model, 1_000, RngStream(s))[0]
-                          for s in range(20)])
-        large = np.array([upper_sobol(model, 2_000, RngStream(100 + s))[0]
-                          for s in range(20)])
+                          for s in range(n_seeds)])
+        large = np.array([upper_sobol(model, 2_000, RngStream(n_seeds + s))[0]
+                          for s in range(n_seeds)])
         ratio = small.std(ddof=1) / large.std(ddof=1)
         assert 1.2 <= ratio <= 1.7
