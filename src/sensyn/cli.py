@@ -1,5 +1,14 @@
 """Command-line front end: analyses, bound checks, convergence studies, plots.
 
+Each subcommand declares only the flags it reads.  ``analyze``, ``bounds``
+and ``convergence`` share ``--model`` with the six model flags, ``--seed``,
+``--out`` and ``--slope-window``; ``analyze`` adds ``--methods``, ``--n``,
+``--m1``, ``--m2``, ``--h``, ``--m``, ``--threshold`` and ``--format``;
+``bounds`` adds ``--n``, ``--h``, ``--m``, ``--threshold`` and
+``--epsilon``; ``convergence`` adds ``--methods``, ``--sizes`` and
+``--seeds``.  A flag the command does not declare, or an abbreviated one,
+is an argparse usage error.
+
 Exit codes: 0 on success, 1 on a runtime/estimation failure, 2 on a usage
 error.  The seed defaults to the ``SENSYN_SEED`` environment variable, then
 to 0; with a fixed seed every command writes byte-identical output files.
@@ -11,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -29,60 +37,24 @@ from .errors import InputDomainError, SensynError
 from .models import (analytic_anova, builtin_names, indicator_upper_sobol,
                      make_builtin)
 from .randkit import RngStream
-from .report import build_report, convergence_study, rank
+from .report import METHOD_NAMES, build_report, convergence_study, rank
 from .subspace import DEFAULT_SLOPE_WINDOW
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
-_METHOD_ALIASES = {
-    "sobol": "sobol", "dgsm": "dgsm", "as": "as", "gas": "gas",
-    "activity": "as", "gas_scores": "gas", "upper_sobol": "sobol",
-}
 
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    model_name: str
-    model_params: dict = field(default_factory=dict)
-    methods: tuple[str, ...] = ("sobol", "dgsm", "as", "gas")
-    n: int = 10_000
-    m1: int | None = None
-    m2: int = 1
-    h: float = 1e-3
-    m_override: int | None = None
-    threshold: float = 0.9
-    epsilon: float = 0.01
-    seed: int = 0
-    sizes: tuple[int, ...] = (10, 100, 1000, 10_000)
-    n_seeds: int = 20
-    out: str | None = None
-    fmt: str = "json"
-    slope_window: float = DEFAULT_SLOPE_WINDOW
-
-    def __post_init__(self):
-        if self.m1 is not None and self.n != self.m1 * self.m2:
-            raise InputDomainError("when m1 and m2 are given, n must equal m1*m2")
-        if min(self.sizes) < 2:
-            raise InputDomainError(
-                f"every --sizes entry must be at least 2, got {min(self.sizes)}")
-        if self.n_seeds < 1:
-            raise InputDomainError(f"--seeds must be at least 1, got {self.n_seeds}")
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise InputDomainError(message)
 
 
 def _parse_methods(spec: str) -> tuple[str, ...]:
     if spec == "all":
-        return ("sobol", "dgsm", "as", "gas")
-    out = []
-    for token in spec.split(","):
-        token = token.strip().lower()
-        if token not in _METHOD_ALIASES:
-            raise InputDomainError(
-                f"unknown method {token!r}; choose from sobol,dgsm,as,gas or 'all'")
-        name = _METHOD_ALIASES[token]
-        if name not in out:
-            out.append(name)
-    return tuple(out)
+        return METHOD_NAMES
+    methods = tuple(dict.fromkeys(t.strip().lower() for t in spec.split(",")))
+    for name in methods:
+        _require(name in METHOD_NAMES,
+                 f"unknown method {name!r}; choose from sobol,dgsm,as,gas or 'all'")
+    return methods
 
 
 def _parse_matrix(spec: str) -> np.ndarray:
@@ -98,14 +70,6 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
-def _model_from_config(cfg: RunConfig):
-    name = cfg.model_name
-    if name not in set(builtin_names()) | {"quadratic"}:
-        raise InputDomainError(
-            f"unknown model {name!r}; choose from {builtin_names()}")
-    return make_builtin(name, **cfg.model_params)
-
-
 # the model flags (argparse dest and spelling) and the built-ins that take them
 _MODEL_FLAGS = {
     "noise": ("--noise", ("example1",)),
@@ -117,13 +81,12 @@ _MODEL_FLAGS = {
 }
 
 
-def _collect_model_params(args) -> dict:
-    if args.model in set(builtin_names()) | {"quadratic"}:
-        ignored = [flag for dest, (flag, models) in _MODEL_FLAGS.items()
-                   if getattr(args, dest) is not None and args.model not in models]
-        if ignored:
-            raise InputDomainError(
-                f"model {args.model!r} does not take {', '.join(ignored)}")
+def _model_from_args(args):
+    _require(args.model in set(builtin_names()) | {"quadratic"},
+             f"unknown model {args.model!r}; choose from {builtin_names()}")
+    ignored = [flag for dest, (flag, models) in _MODEL_FLAGS.items()
+               if getattr(args, dest) is not None and args.model not in models]
+    _require(not ignored, f"model {args.model!r} does not take {', '.join(ignored)}")
     params = {}
     if args.model == "example1" and args.noise is not None:
         params["noise_scale"] = args.noise
@@ -135,66 +98,76 @@ def _collect_model_params(args) -> dict:
         if args.c12 is not None:
             params["c12"] = args.c12
     if args.model == "linear":
-        if not args.c:
-            raise InputDomainError("linear model requires --c coefficients")
+        _require(args.c, "linear model requires --c coefficients")
         params["coefficients"] = [float(v) for v in args.c.split(",")]
     if args.model in ("quadratic", "quadratic_normal"):
-        if args.a_matrix is None or args.b_vector is None:
-            raise InputDomainError("quadratic model requires --A and --b")
+        _require(args.a_matrix is not None and args.b_vector is not None,
+                 "quadratic model requires --A and --b")
         params["a_matrix"] = _parse_matrix(args.a_matrix)
         params["b"] = [float(v) for v in args.b_vector.split(",")]
-    return params
+    return make_builtin(args.model, **params)
 
 
-def _config_from_args(args) -> RunConfig:
-    methods = _parse_methods(args.methods)
-    m_override = None
-    if args.m is not None and args.m != "auto":
-        m_override = int(args.m)
-    n = args.n
-    m1 = args.m1
-    if m1 is not None and n is None:
-        n = m1 * args.m2
-    if n is None:
-        n = 10_000
-    if args.sizes is None:
-        sizes = (10, 100, 1000, 10_000)
-    else:
-        tokens = [t for t in args.sizes.split(",") if t.strip()]
-        if not tokens:
-            raise InputDomainError("need a nonempty --sizes list")
-        sizes = tuple(int(t) for t in tokens)
-    return RunConfig(
-        model_name=args.model, model_params=_collect_model_params(args),
-        methods=methods, n=n, m1=m1, m2=args.m2, h=args.h,
-        m_override=m_override, threshold=args.threshold,
-        epsilon=args.epsilon, seed=args.seed, sizes=sizes,
-        n_seeds=args.seeds, out=args.out, fmt=args.format,
-        slope_window=args.slope_window)
+# Each _check_* turns one command's flags into the values its cmd_* reads and
+# rejects, before any sampling, a value no estimator or check could use.
+def _check_shared(args) -> None:
+    _require(0 <= args.seed < 2**64,
+             f"--seed must fit in an unsigned 64-bit word, got {args.seed}")
+    _require(0.0 <= args.slope_window < 0.9,
+             f"--slope-window must lie in [0, 0.9), got {args.slope_window:g}")
 
 
-def _check_against_model(cfg: RunConfig, model) -> None:
-    """Reject a rank, tail probability, slope window or increment no
-    estimator or check could use, before any sampling."""
-    if cfg.m_override is not None and not 1 <= cfg.m_override <= model.d:
-        raise InputDomainError(f"--m must lie in 1..{model.d} for model "
-                               f"{model.label!r}, got {cfg.m_override}")
-    if not 0.0 < cfg.epsilon < 0.5:
-        raise InputDomainError(f"--epsilon must lie in (0, 0.5), got {cfg.epsilon:g}")
-    if not 0.0 <= cfg.slope_window < 0.9:
-        raise InputDomainError(
-            f"--slope-window must lie in [0, 0.9), got {cfg.slope_window:g}")
-    if not 0.0 < cfg.h < math.inf:
-        raise InputDomainError(f"--h must lie in (0, inf), got {cfg.h:g}")
+def _check_sampling(args, model) -> None:
+    """``--n``, ``--h``, ``--m`` and ``--threshold``, read by analyze and bounds."""
+    if args.n is None:
+        args.n = 10_000
+    _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
+    _require(0.0 < args.h < math.inf, f"--h must lie in (0, inf), got {args.h:g}")
+    args.m = None if args.m in (None, "auto") else int(args.m)
+    _require(args.m is None or 1 <= args.m <= model.d,
+             f"--m must lie in 1..{model.d} for model {model.label!r}, got {args.m}")
+    _require(0.0 <= args.threshold < 1.0,
+             f"--threshold must lie in [0, 1), got {args.threshold:g}")
 
 
-def cmd_analyze(cfg: RunConfig, model) -> int:
+def _check_analyze(args, model) -> None:
+    args.methods = _parse_methods(args.methods)
+    _require(args.m1 is None or args.m1 >= 1, f"--m1 must be at least 1, got {args.m1}")
+    _require(args.m2 >= 1, f"--m2 must be at least 1, got {args.m2}")
+    if args.n is None and args.m1 is not None:
+        args.n = args.m1 * args.m2
+    _check_sampling(args, model)
+    _require(args.m1 is None or args.n == args.m1 * args.m2,
+             "when m1 and m2 are given, n must equal m1*m2")
+
+
+def _check_bounds(args, model) -> None:
+    _check_sampling(args, model)
+    _require(0.0 < args.epsilon < 0.5,
+             f"--epsilon must lie in (0, 0.5), got {args.epsilon:g}")
+
+
+def _check_convergence(args, model) -> None:
+    args.methods = _parse_methods(args.methods)
+    _require("sobol" in args.methods or "gas" in args.methods,
+             "convergence needs the sobol and/or gas methods")
+    sizes = tuple(int(t) for t in args.sizes.split(",") if t.strip())
+    _require(sizes, "need a nonempty --sizes list")
+    _require(min(sizes) >= 2,
+             f"every --sizes entry must be at least 2, got {min(sizes)}")
+    _require(all(a < b for a, b in zip(sizes, sizes[1:])),
+             f"--sizes must be strictly increasing, got {args.sizes}")
+    args.sizes = sizes
+    _require(args.seeds >= 1, f"--seeds must be at least 1, got {args.seeds}")
+
+
+def cmd_analyze(args, model) -> int:
     report = build_report(
-        model, seed=cfg.seed, methods=cfg.methods, n=cfg.n, m1=cfg.m1,
-        m2=cfg.m2, h=cfg.h, threshold=cfg.threshold,
-        m_override=cfg.m_override, slope_window=cfg.slope_window)
-    out = Path(cfg.out if cfg.out else f"{cfg.model_name}_report.{cfg.fmt}")
-    if cfg.fmt == "json":
+        model, seed=args.seed, methods=args.methods, n=args.n, m1=args.m1,
+        m2=args.m2, h=args.h, threshold=args.threshold, m_override=args.m,
+        slope_window=args.slope_window)
+    out = Path(args.out if args.out else f"{args.model}_report.{args.format}")
+    if args.format == "json":
         output.write_text(out, output.dumps_json(output.report_to_dict(report)) + "\n")
     else:
         oracle = analytic_anova(model)
@@ -206,27 +179,27 @@ def cmd_analyze(cfg: RunConfig, model) -> int:
     return 0
 
 
-def cmd_bounds(cfg: RunConfig, model) -> int:
-    n_batch = max(cfg.n // bounds_mod.N_BATCHES, 2)
+def cmd_bounds(args, model) -> int:
+    n_batch = max(args.n // bounds_mod.N_BATCHES, 2)
     quadratic = model.family == "quadratic_normal"
     unit_cube = bounds_mod.is_unit_cube(model)
     bounded = model.output_range is not None
     stats = bounds_mod.batch_statistics(
-        model, n_batch, RngStream(cfg.seed), gas=quadratic or unit_cube or bounded,
-        gradients=model.differentiable, h=cfg.h, slope_window=cfg.slope_window)
+        model, n_batch, RngStream(args.seed), gas=quadratic or unit_cube or bounded,
+        gradients=model.differentiable, h=args.h, slope_window=args.slope_window)
     checks = [bounds_mod.quadratic_identity(stats)] if quadratic else []
     if unit_cube:
-        for m in (cfg.m_override,) if cfg.m_override else (1, model.d):
+        for m in (args.m,) if args.m else (1, model.d):
             checks.append(bounds_mod.gas_bound_uniform(stats, m))
     if bounded:
-        checks.append(bounds_mod.gas_bound_general(stats, cfg.epsilon, model.d))
-    checks.extend(bounds_mod.dgsm_bounds(stats, threshold=cfg.threshold))
+        checks.append(bounds_mod.gas_bound_general(stats, args.epsilon, model.d))
+    checks.extend(bounds_mod.dgsm_bounds(stats, threshold=args.threshold))
     payload = {
-        "meta": {"model": model.label, "seed": cfg.seed, "n_per_batch": n_batch,
-                 "epsilon": cfg.epsilon},
+        "meta": {"model": model.label, "seed": args.seed, "n_per_batch": n_batch,
+                 "epsilon": args.epsilon},
         "bounds": [output.bound_check_to_dict(c) for c in checks],
     }
-    out = Path(cfg.out if cfg.out else f"{cfg.model_name}_bounds.json")
+    out = Path(args.out if args.out else f"{args.model}_bounds.json")
     output.write_text(out, output.dumps_json(payload) + "\n")
     done = [c for c in checks if c.skipped_reason is None]
     print(f"wrote {out} ({sum(c.all_passed for c in done)}/{len(done)} checks passed,"
@@ -234,23 +207,17 @@ def cmd_bounds(cfg: RunConfig, model) -> int:
     return 0 if all(c.all_passed for c in done) else 1
 
 
-def cmd_convergence(cfg: RunConfig, model) -> int:
+def cmd_convergence(args, model) -> int:
     oracle = analytic_anova(model)
     if oracle is not None:
         reference = rank(oracle.upper)
     else:  # every other built-in is example2, whose ridge gives exact indices
         reference = rank(indicator_upper_sobol(model.reference_direction))
-    tables = []
-    for method in ("upper_sobol", "gas_scores"):
-        wanted = ("sobol" in cfg.methods and method == "upper_sobol") or \
-                 ("gas" in cfg.methods and method == "gas_scores")
-        if wanted:
-            tables.append(convergence_study(
-                model, method, cfg.sizes, cfg.n_seeds, reference,
-                base_seed=cfg.seed, slope_window=cfg.slope_window))
-    if not tables:
-        raise InputDomainError("convergence needs the sobol and/or gas methods")
-    out = Path(cfg.out if cfg.out else f"{cfg.model_name}_convergence.json")
+    tables = [convergence_study(model, method, args.sizes, args.seeds, reference,
+                                base_seed=args.seed, slope_window=args.slope_window)
+              for name, method in (("sobol", "upper_sobol"), ("gas", "gas_scores"))
+              if name in args.methods]
+    out = Path(args.out if args.out else f"{args.model}_convergence.json")
     payload = {"tables": [output.convergence_to_dict(t) for t in tables]}
     output.write_text(out, output.dumps_json(payload) + "\n")
     svg_path = out.with_suffix(".svg")
@@ -282,88 +249,92 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--model", required=True, help="built-in model name")
-    parser.add_argument("--noise", "-k", type=float, default=None,
+def _parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--model", required=True, help="built-in model name")
+    shared.add_argument("--noise", "-k", type=float, default=None,
                         help="noise scale for example1 (default 0)")
-    parser.add_argument("--theta", default=None,
+    shared.add_argument("--theta", default=None,
                         help="comma list overriding example2's ridge direction")
-    parser.add_argument("--c", default=None, help="comma list of coefficients")
-    parser.add_argument("--c12", type=float, default=None,
+    shared.add_argument("--c", default=None, help="comma list of coefficients")
+    shared.add_argument("--c12", type=float, default=None,
                         help="interaction coefficient for example4")
-    parser.add_argument("--A", dest="a_matrix", default=None,
+    shared.add_argument("--A", dest="a_matrix", default=None,
                         help="quadratic matrix: 'diag:2,0' or 'a,b;c,d'")
-    parser.add_argument("--b", dest="b_vector", default=None,
+    shared.add_argument("--b", dest="b_vector", default=None,
                         help="comma list: quadratic linear term")
-    parser.add_argument("--methods", default="all",
-                        help="comma list from sobol,dgsm,as,gas or 'all'")
-    parser.add_argument("--n", type=int, default=None, help="sample size")
-    parser.add_argument("--m1", type=int, default=None,
-                        help="outer sample count of the slope matrix")
-    parser.add_argument("--m2", type=int, default=1,
-                        help="freeze vectors per outer sample")
-    parser.add_argument("--h", type=float, default=1e-3,
-                        help="forward-difference increment")
-    parser.add_argument("--m", default=None,
-                        help="subspace rank: integer or 'auto'")
-    parser.add_argument("--threshold", type=float, default=0.9,
-                        help="cumulative-eigenvalue cutoff for the auto rank")
-    parser.add_argument("--epsilon", type=float, default=0.01,
-                        help="tail probability of the bounded-model bound")
-    parser.add_argument("--slope-window", type=float, default=DEFAULT_SLOPE_WINDOW,
+    shared.add_argument("--seed", type=int, default=None, help="RNG seed")
+    shared.add_argument("--out", default=None, help="output path")
+    shared.add_argument("--slope-window", type=float, default=DEFAULT_SLOPE_WINDOW,
                         help="minimum pair separation, as a fraction of the "
                              "marginal scale, in slope-matrix sampling")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--sizes", default=None,
-                        help="comma list of sample sizes for convergence")
-    parser.add_argument("--seeds", type=int, default=20,
-                        help="seed count for convergence")
-    parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--format", choices=formats, default="json")
 
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--n", type=int, default=None,
+                          help="sample size (default 10000)")
+    sampling.add_argument("--h", type=float, default=1e-3,
+                          help="forward-difference increment")
+    sampling.add_argument("--m", default=None, help="subspace rank: integer or 'auto'")
+    sampling.add_argument("--threshold", type=float, default=0.9,
+                          help="cumulative-eigenvalue cutoff for the auto rank")
 
-def main(argv=None) -> int:
+    methods = argparse.ArgumentParser(add_help=False)
+    methods.add_argument("--methods", default="all",
+                         help="comma list from sobol,dgsm,as,gas or 'all'")
+
     parser = argparse.ArgumentParser(
         prog="sensyn",
         description="Global sensitivity analysis on built-in benchmark models")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: convergence would otherwise read --n as --noise
+    analyze = sub.add_parser("analyze", parents=[shared, methods, sampling],
+                             allow_abbrev=False, help="estimate sensitivity measures")
+    analyze.add_argument("--m1", type=int, default=None,
+                         help="outer sample count of the slope matrix")
+    analyze.add_argument("--m2", type=int, default=1,
+                         help="freeze vectors per outer sample")
+    analyze.add_argument("--format", choices=("json", "csv"), default="json")
+    bounds = sub.add_parser("bounds", parents=[shared, sampling], allow_abbrev=False,
+                            help="verify the measure inequalities")
+    bounds.add_argument("--epsilon", type=float, default=0.01,
+                        help="tail probability of the bounded-model bound")
+    convergence = sub.add_parser("convergence", parents=[shared, methods],
+                                 allow_abbrev=False,
+                                 help="ranking agreement vs sample size")
+    convergence.add_argument("--sizes", default="10,100,1000,10000",
+                             help="comma list of increasing sample sizes")
+    convergence.add_argument("--seeds", type=int, default=20, help="seed count")
 
-    # each command accepts only the formats it writes (svg comes from plot)
-    for name, help_text, formats in (
-            ("analyze", "estimate sensitivity measures", ("json", "csv")),
-            ("bounds", "verify the measure inequalities", ("json",)),
-            ("convergence", "ranking agreement vs sample size", ("json",))):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, formats)
-
-    plot = sub.add_parser("plot", help="render a saved report as SVG")
+    plot = sub.add_parser("plot", allow_abbrev=False,
+                          help="render a saved report as SVG")
     plot.add_argument("report", help="path of a JSON report")
     plot.add_argument("--kind", choices=("bars", "spectrum", "eigvec"),
                       default="bars")
     plot.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "plot":
         return cmd_plot(args)
+    check, run = {"analyze": (_check_analyze, cmd_analyze),
+                  "bounds": (_check_bounds, cmd_bounds),
+                  "convergence": (_check_convergence, cmd_convergence)}[args.command]
 
     # configuration / model construction problems are usage errors
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        cfg = _config_from_args(args)
-        model = _model_from_config(cfg)
-        _check_against_model(cfg, model)
+        _check_shared(args)
+        model = _model_from_args(args)
+        check(args, model)
     except (InputDomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if args.command == "analyze":
-            return cmd_analyze(cfg, model)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, model)
-        return cmd_convergence(cfg, model)
+        return run(args, model)
     except SensynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-

@@ -1,9 +1,11 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,32 @@ from sensyn import Model, Uniform, cli
 from sensyn.cli import main
 from sensyn.models import indicator_upper_sobol, make_builtin
 from sensyn.report import rank
+
+
+def _load_bench_workloads():
+    """``bench/workloads.py``, loaded by path (``bench`` is no package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up there
+    return module
+
+
+workloads = _load_bench_workloads()
+
+
+@pytest.fixture()
+def model_rows(monkeypatch):
+    """The row count of every ``Model.evaluate`` call the test makes."""
+    rows = []
+    evaluate = Model.evaluate
+
+    def counted(self, z, rng=None, noise=None):
+        rows.append(len(np.atleast_2d(z)))
+        return evaluate(self, z, rng=rng, noise=noise)
+
+    monkeypatch.setattr(Model, "evaluate", counted)
+    return rows
 
 
 def run_cli(args, tmp_path):
@@ -194,23 +222,21 @@ class TestExitCodes:
          "--h", "nan"],
         ["bounds", "--model", "example4", "--n", "2000", "--h=-0.001"],
         ["analyze", "--model", "example1", "--methods", "as", "--h", "inf"],
+        ["bounds", "--model", "example4", "--n", "100000", "--threshold", "-1"],
+        ["bounds", "--model", "example2", "--threshold", "1"],
+        ["analyze", "--model", "example4", "--n", "300000", "--threshold", "nan"],
+        ["analyze", "--model", "example1", "--methods", "sobol", "--threshold", "1.5"],
     ], ids=["bounds-m", "analyze-m", "analyze-m-zero", "bounds-epsilon",
             "bounds-epsilon-zero", "bounds-slope-window", "analyze-slope-window",
             "convergence-slope-window", "bounds-slope-window-nan", "analyze-h-zero",
-            "analyze-h-nan", "bounds-h-negative", "analyze-h-inf"])
+            "analyze-h-nan", "bounds-h-negative", "analyze-h-inf",
+            "bounds-threshold-negative", "bounds-threshold-one", "analyze-threshold-nan",
+            "analyze-threshold-above-one"])
     def test_rank_and_epsilon_fail_before_sampling(self, argv, tmp_path,
-                                                   monkeypatch, capsys):
-        rows = []
-        evaluate = Model.evaluate
-
-        def counted(self, z, rng=None, noise=None):
-            rows.append(len(np.atleast_2d(z)))
-            return evaluate(self, z, rng=rng, noise=noise)
-
-        monkeypatch.setattr(Model, "evaluate", counted)
+                                                   model_rows, capsys):
         assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
         assert "must lie in" in capsys.readouterr().err
-        assert rows == []
+        assert model_rows == []
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("extra", [
@@ -219,25 +245,87 @@ class TestExitCodes:
         ["--sizes", "1,100", "--seeds", "2"],
     ], ids=["negative-seeds", "zero-seeds", "size-1"])
     def test_convergence_without_cells_fails_before_sampling(
-            self, extra, tmp_path, monkeypatch, capsys):
-        rows = []
-        evaluate = Model.evaluate
-
-        def counted(self, z, rng=None, noise=None):
-            rows.append(len(np.atleast_2d(z)))
-            return evaluate(self, z, rng=rng, noise=noise)
-
-        monkeypatch.setattr(Model, "evaluate", counted)
+            self, extra, tmp_path, model_rows, capsys):
         assert main(["convergence", "--model", "example4", *extra,
                      "--out", str(tmp_path / "c.json")]) == 2
         assert "must be at least" in capsys.readouterr().err
-        assert rows == []
+        assert model_rows == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convergence", "--model", "example4", "--methods", "dgsm"],
+         "convergence needs the sobol and/or gas methods"),
+        (["convergence", "--model", "example1", "--methods", "as,dgsm"],
+         "convergence needs the sobol and/or gas methods"),
+        (["convergence", "--model", "example4", "--sizes", "100,10"],
+         "--sizes must be strictly increasing, got 100,10"),
+        (["convergence", "--model", "example4", "--sizes", "10,10"],
+         "--sizes must be strictly increasing, got 10,10"),
+        (["analyze", "--model", "example4", "--n", "0"], "--n must be at least 1"),
+        (["analyze", "--model", "example4", "--methods", "gas", "--n", "-5"],
+         "--n must be at least 1"),
+        (["bounds", "--model", "example4", "--n", "0"], "--n must be at least 1"),
+        (["analyze", "--model", "example4", "--m1", "0"], "--m1 must be at least 1"),
+        (["analyze", "--model", "example4", "--methods", "gas", "--m2", "0"],
+         "--m2 must be at least 1"),
+        (["analyze", "--model", "example4", "--seed", "-1"],
+         "--seed must fit in an unsigned 64-bit word"),
+        (["bounds", "--model", "example4", "--seed", str(2**64)],
+         "--seed must fit in an unsigned 64-bit word"),
+        (["convergence", "--model", "example4", "--seed", "-1"],
+         "--seed must fit in an unsigned 64-bit word"),
+    ], ids=["convergence-dgsm", "convergence-as-dgsm", "sizes-decreasing",
+            "sizes-repeated", "analyze-n-zero", "analyze-n-negative", "bounds-n-zero",
+            "m1-zero", "m2-zero", "analyze-seed-negative", "bounds-seed-too-large",
+            "convergence-seed-negative"])
+    def test_value_no_estimator_takes_fails_before_sampling(
+            self, argv, message, tmp_path, model_rows, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert model_rows == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "example4", "--sizes", "5", "--seeds", "3",
+         "--epsilon", "0.3", "--n", "200"],
+        ["convergence", "--model", "example4", "--sizes", "10,100", "--seeds", "2",
+         "--epsilon", "0.2", "--threshold", "0.5", "--m", "2", "--h", "0.1"],
+        ["bounds", "--model", "example4", "--n", "200", "--methods", "sobol",
+         "--sizes", "5"],
+        ["analyze", "--model", "example4", "--epsilon", "0.3"],
+        ["bounds", "--model", "example4", "--m1", "10", "--m2", "1"],
+        ["convergence", "--model", "example4", "--h", "0.1"],
+        # not an abbreviation of --noise
+        ["convergence", "--model", "example1", "--n", "100"],
+        ["analyze", "--model", "example4", "--thresh", "0.5"],
+    ], ids=["analyze-convergence-flags", "convergence-sampling-flags",
+            "bounds-foreign-flags", "analyze-epsilon", "bounds-m1-m2",
+            "convergence-h", "convergence-n", "abbreviated-threshold"])
+    def test_flag_the_command_does_not_declare_is_usage_error(self, argv, tmp_path,
+                                                              capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(tmp_path / "x.json")])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestBenchmarkCommands:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(workloads.WHY))
+    def test_every_benchmark_command_passes_the_usage_checks(self, name, seed,
+                                                             monkeypatch):
+        # stub out what runs after parsing and checking, so nothing samples
+        for command in ("cmd_analyze", "cmd_bounds", "cmd_convergence"):
+            monkeypatch.setattr(cli, command, lambda args, model: 0)
+        monkeypatch.setattr(cli, "cmd_plot", lambda args: 0)
+        for command in workloads.commands(name, seed):
+            assert main(command.argv) == 0, command.argv
 
 
 class TestBoundsCommand:
@@ -305,20 +393,12 @@ class TestConvergenceCommand:
             assert table["full_match_fraction"][-1] == 1.0
         assert (tmp_path / "conv.svg").exists()
 
-    def test_example2_reference_is_closed_form(self, tmp_path, monkeypatch):
-        rows = []
-        evaluate = Model.evaluate
-
-        def counted(self, z, rng=None, noise=None):
-            rows.append(len(np.atleast_2d(z)))
-            return evaluate(self, z, rng=rng, noise=noise)
-
-        monkeypatch.setattr(Model, "evaluate", counted)
+    def test_example2_reference_is_closed_form(self, tmp_path, model_rows):
         out = tmp_path / "conv.json"
         assert main(["convergence", "--model", "example2", "--sizes", "10,100",
                      "--seeds", "1", "--out", str(out)]) == 0
         # the cells alone: no 100,000-point reference draw
-        assert 0 < sum(rows) < 100_000
+        assert 0 < sum(model_rows) < 100_000
         theta = make_builtin("example2").reference_direction
         expected = rank(indicator_upper_sobol(theta)).tolist()
         tables = json.loads(out.read_text())["tables"]
