@@ -7,7 +7,7 @@ and ``convergence`` share ``--model`` with the six model flags, ``--seed``,
 ``bounds`` adds ``--n``, ``--h``, ``--m``, ``--threshold`` and
 ``--epsilon``; ``convergence`` adds ``--methods``, ``--sizes`` and
 ``--seeds``.  A flag the command does not declare, or an abbreviated one,
-is an argparse usage error.
+is an argparse usage error that prints the command's own usage.
 
 Exit codes: 0 on success, 1 on a runtime/estimation failure, 2 on a usage
 error.  The seed defaults to the ``SENSYN_SEED`` environment variable, then
@@ -143,6 +143,10 @@ def _check_analyze(args, model) -> None:
 
 def _check_bounds(args, model) -> None:
     _check_sampling(args, model)
+    min_n = 2 * bounds_mod.N_BATCHES
+    _require(args.n >= min_n,
+             f"--n must be at least {min_n} for bounds ({bounds_mod.N_BATCHES} "
+             f"batches of at least 2 rows), got {args.n}")
     _require(0.0 < args.epsilon < 0.5,
              f"--epsilon must lie in (0, 0.5), got {args.epsilon:g}")
 
@@ -180,7 +184,7 @@ def cmd_analyze(args, model) -> int:
 
 
 def cmd_bounds(args, model) -> int:
-    n_batch = max(args.n // bounds_mod.N_BATCHES, 2)
+    n_batch = args.n // bounds_mod.N_BATCHES
     quadratic = model.family == "quadratic_normal"
     unit_cube = bounds_mod.is_unit_cube(model)
     bounded = model.output_range is not None
@@ -249,7 +253,8 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--model", required=True, help="built-in model name")
     shared.add_argument("--noise", "-k", type=float, default=None,
@@ -311,11 +316,15 @@ def _parser() -> argparse.ArgumentParser:
     plot.add_argument("--kind", choices=("bars", "spectrum", "eigvec"),
                       default="bars")
     plot.add_argument("--out", default=None)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # reported by the subcommand, whose usage lists the flags it takes
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command == "plot":
         return cmd_plot(args)
     check, run = {"analyze": (_check_analyze, cmd_analyze),

@@ -99,8 +99,13 @@ class RngStream:
         if self._bits is None:
             self._bits = _philox(self.seed, self.stream_id)
         raw = self._bits.random_raw(n)
-        # top 53 bits, centered on half-steps: values in (0, 1) exclusive
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        # top 53 bits, centered on half-steps: values in (0, 1) exclusive,
+        # built in place with no array beyond the raw words and the result
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
 
     def standard_normals(self, n: int) -> np.ndarray:
         """Draw ``n`` N(0,1) variates via the package's inverse CDF."""

@@ -145,31 +145,36 @@ def _slope_column(model: Model, z: np.ndarray, i: int, b: np.ndarray,
     place.  Without ``fb`` the whole column f(b, z_-i) is evaluated after the
     replacement; with ``fb`` = f(b, z_-i) already evaluated at the first
     draws, only the replaced pairs' rows are.  Either way each replaced
-    pair's base point costs one more row.  ``noise`` holds the common-mode
-    noise variates of the rows; ``z`` is unchanged on return.
+    pair's base point costs one more row.  The replaced rows of ``z`` are
+    gathered once into one buffer, whose column i holds first the new ``b``
+    (only with ``fb``) and then the new base coordinate.  ``noise`` holds
+    the common-mode noise variates of the rows; ``z`` is unchanged on
+    return.
     """
     a = z[:, i].copy()
-    bad = np.abs(b - a) < gap
-    nb = int(bad.sum())
-    if nb:
-        a_bad, b[bad] = separated_pairs(model.marginals[i], gap, nb, rng)
-    if fb is None:
+    idx = np.flatnonzero(np.abs(b - a) < gap)
+    if idx.size:
+        a_bad, b_bad = separated_pairs(model.marginals[i], gap, idx.size, rng)
+        b[idx] = b_bad
+    fresh = fb is None
+    if fresh:
         z[:, i] = b
         fb = model.evaluate(z, noise=noise)
         z[:, i] = a
-    elif nb:
-        zb = z[bad]
-        zb[:, i] = b[bad]
-        fb = fb.copy()
-        fb[bad] = model.evaluate(zb, noise=None if noise is None else noise[bad])
-    fa = fz
-    if nb:
-        a[bad] = a_bad
-        za = z[bad]
-        za[:, i] = a_bad
-        fa = fz.copy()
-        fa[bad] = model.evaluate(za, noise=None if noise is None else noise[bad])
-    return (fb - fa) / (b - a)
+    diff = fb - fz
+    if idx.size:
+        rows = z.take(idx, axis=0)
+        eps = None if noise is None else noise[idx]
+        if fresh:
+            fb_bad = fb[idx]
+        else:
+            rows[:, i] = b_bad
+            fb_bad = model.evaluate(rows, noise=eps)
+        rows[:, i] = a_bad
+        diff[idx] = fb_bad - model.evaluate(rows, noise=eps)
+        a[idx] = a_bad
+    diff /= b - a
+    return diff
 
 
 def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,

@@ -42,16 +42,6 @@ def model_rows(monkeypatch):
     return rows
 
 
-def run_cli(args, tmp_path):
-    """Invoke the CLI in-process from a working directory."""
-    cwd = os.getcwd()
-    os.chdir(tmp_path)
-    try:
-        return main(args)
-    finally:
-        os.chdir(cwd)
-
-
 class TestAnalyze:
     def test_example4_json(self, tmp_path):
         out = tmp_path / "r.json"
@@ -265,6 +255,10 @@ class TestExitCodes:
         (["analyze", "--model", "example4", "--methods", "gas", "--n", "-5"],
          "--n must be at least 1"),
         (["bounds", "--model", "example4", "--n", "0"], "--n must be at least 1"),
+        (["bounds", "--model", "example4", "--n", "5"],
+         "--n must be at least 20 for bounds (10 batches of at least 2 rows), got 5"),
+        (["bounds", "--model", "example4", "--n", "19"],
+         "--n must be at least 20 for bounds (10 batches of at least 2 rows), got 19"),
         (["analyze", "--model", "example4", "--m1", "0"], "--m1 must be at least 1"),
         (["analyze", "--model", "example4", "--methods", "gas", "--m2", "0"],
          "--m2 must be at least 1"),
@@ -276,6 +270,7 @@ class TestExitCodes:
          "--seed must fit in an unsigned 64-bit word"),
     ], ids=["convergence-dgsm", "convergence-as-dgsm", "sizes-decreasing",
             "sizes-repeated", "analyze-n-zero", "analyze-n-negative", "bounds-n-zero",
+            "bounds-n-5", "bounds-n-19",
             "m1-zero", "m2-zero", "analyze-seed-negative", "bounds-seed-too-large",
             "convergence-seed-negative"])
     def test_value_no_estimator_takes_fails_before_sampling(
@@ -306,7 +301,9 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main([*argv, "--out", str(tmp_path / "x.json")])
         assert err.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"usage: sensyn {argv[0]} ")
+        assert f"sensyn {argv[0]}: error: unrecognized arguments" in stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand_exits_two(self):
@@ -329,6 +326,13 @@ class TestBenchmarkCommands:
 
 
 class TestBoundsCommand:
+    def test_smallest_n_runs_two_rows_per_batch(self, tmp_path):
+        out = tmp_path / "b.json"
+        code = main(["bounds", "--model", "example4", "--n", "20",
+                     "--seed", "2", "--out", str(out)])
+        assert code in (0, 1)  # verdicts of 2-row batches may go either way
+        assert json.loads(out.read_text())["meta"]["n_per_batch"] == 2
+
     def test_example4_bounds(self, tmp_path):
         out = tmp_path / "b.json"
         code = main(["bounds", "--model", "example4", "--n", "5000",

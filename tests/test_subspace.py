@@ -15,7 +15,9 @@ from sensyn import (InputDomainError, Model, Normal, RngStream,
                     make_example1, make_example2, make_linear,
                     make_quadratic_normal, rank, scores, subspace_analysis,
                     sym_eig)
-from sensyn.subspace import separated_pairs
+from sensyn import subspace
+from sensyn.models import sample_inputs
+from sensyn.subspace import DesignSlopes, separated_pairs, slope_vectors
 
 
 def _gap(dist, window):
@@ -204,6 +206,116 @@ class TestSlopeMatrix:
         # at this window every block has pairs to redraw
         assert eval_calls == 1 + 2 * m2 * d
         assert uniforms_calls == d + m2 * d + m2 * d
+
+
+def _mask_slope_column(model, z, i, b, fz, gap, rng, *, noise=None, fb=None):
+    """Reference: the slope column gathered with boolean masks, two row
+    copies per replaced block."""
+    a = z[:, i].copy()
+    bad = np.abs(b - a) < gap
+    nb = int(bad.sum())
+    if nb:
+        a_bad, b[bad] = separated_pairs(model.marginals[i], gap, nb, rng)
+    if fb is None:
+        z[:, i] = b
+        fb = model.evaluate(z, noise=noise)
+        z[:, i] = a
+    elif nb:
+        zb = z[bad]
+        zb[:, i] = b[bad]
+        fb = fb.copy()
+        fb[bad] = model.evaluate(zb, noise=None if noise is None else noise[bad])
+    fa = fz
+    if nb:
+        a[bad] = a_bad
+        za = z[bad]
+        za[:, i] = a_bad
+        fa = fz.copy()
+        fa[bad] = model.evaluate(za, noise=None if noise is None else noise[bad])
+    return (fb - fa) / (b - a)
+
+
+class TestSlopeColumnGather:
+    """The index-gathered slope column against the boolean-mask reference:
+    the same calls, rows and bytes."""
+
+    MARGINALS = {"uniform": (Uniform(0.0, 1.0), Uniform(-2.0, 3.0),
+                             Uniform(0.0, 1.0), Uniform(1.0, 1.5)),
+                 "normal": (Normal(0.0, 1.0), Normal(1.0, 2.0),
+                            Normal(-1.0, 0.5), Normal(0.0, 1.0))}
+    WINDOWS = (0.0, 0.35, 0.89)
+
+    @staticmethod
+    def _model(marginals, noise_scale=0.0):
+        calls = []
+
+        def fn(x):
+            calls.append(len(x))
+            return np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2] ** 2 + np.abs(x[:, 3])
+
+        model = Model(label="gather", family="custom", marginals=marginals,
+                      eval_fn=fn, noise_scale=noise_scale)
+        return model, calls
+
+    @staticmethod
+    def _design(model, n, seed):
+        root = RngStream(seed)
+        z = sample_inputs(model, n, root.substream(0))
+        v = sample_inputs(model, n, root.substream(1))
+        fz = model.evaluate(z)
+        fv = []
+        for i in range(model.d):
+            zi = z.copy()
+            zi[:, i] = v[:, i]
+            fv.append(model.evaluate(zi))
+        return z, fz, v, fv
+
+    def _design_slopes(self, model, calls, z, fz, v, fv, window):
+        slopes = DesignSlopes(model, z, fz, RngStream(5), slope_window=window)
+        per_input = []
+        for i in range(model.d):
+            calls.clear()
+            slopes(i, v[:, i].copy(), fv[i])
+            per_input.append(list(calls))
+        return slopes.slopes, per_input
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("law", sorted(MARGINALS))
+    def test_design_slopes_match_mask_reference(self, law, window, monkeypatch):
+        model, calls = self._model(self.MARGINALS[law])
+        z, fz, v, fv = self._design(model, 3000, 17)
+        z0, fz0 = z.copy(), fz.copy()
+        got, got_calls = self._design_slopes(model, calls, z, fz, v, fv, window)
+        assert z.tobytes() == z0.tobytes() and fz.tobytes() == fz0.tobytes()
+        for i, dist in enumerate(model.marginals):
+            gap = max(window, 1e-12) * dist.scale
+            nb = int(np.sum(np.abs(v[:, i] - z[:, i]) < gap))
+            # f(b, z_-i) then f(a, z_-i) on the nb replaced rows, or nothing
+            assert got_calls[i] == ([nb, nb] if nb else [])
+        if window == 0.0:
+            assert got_calls == [[]] * model.d
+        if window == 0.89:  # P(|a - b| < gap) is 0.99 (uniform), 0.47 (normal)
+            share = {"uniform": 0.95, "normal": 0.4}[law]
+            assert min(c[0] for c in got_calls) > share * len(z)
+
+        monkeypatch.setattr(subspace, "_slope_column", _mask_slope_column)
+        want, want_calls = self._design_slopes(model, calls, z, fz, v, fv, window)
+        assert got_calls == want_calls
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.5])
+    @pytest.mark.parametrize("law", sorted(MARGINALS))
+    def test_slope_vectors_match_mask_reference(self, law, noise_scale, window,
+                                                monkeypatch):
+        model, calls = self._model(self.MARGINALS[law], noise_scale)
+        got = list(slope_vectors(model, 800, 2, RngStream(23), window))
+        got_calls = list(calls)
+        calls.clear()
+        monkeypatch.setattr(subspace, "_slope_column", _mask_slope_column)
+        want = list(slope_vectors(model, 800, 2, RngStream(23), window))
+        assert got_calls == calls
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
 class TestPairDraw:
