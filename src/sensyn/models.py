@@ -199,7 +199,14 @@ def make_example2(direction=None) -> Model:
 
 def make_example4(c=(1.0, 1.0, 1.0, 1.0), c12: float = 50.0) -> Model:
     """Four uniform(0,1) inputs: centered linear terms plus the strongly
-    nonlinear interaction c12*(x1-1/2)*(x2-1/2)**5."""
+    nonlinear interaction c12*(x1-1/2)*(x2-1/2)**5.
+
+    The fifth power is written as products, not ``** 5``: numpy's ``pow``
+    has no fast path for a negative base, and its SIMD kernels round
+    differently at different CPU dispatch levels.  Each IEEE product is
+    correctly rounded, so the term has the same bits on every CPU and is
+    exactly odd in x2-1/2.
+    """
     c = _finite("c", c)
     if c.shape != (4,):
         raise InputDomainError("expected exactly four linear coefficients")
@@ -207,7 +214,9 @@ def make_example4(c=(1.0, 1.0, 1.0, 1.0), c12: float = 50.0) -> Model:
 
     def f(x):
         y = x - 0.5
-        return y @ c + c12 * y[:, 0] * y[:, 1] ** 5
+        y2 = y[:, 1]
+        sq = y2 * y2
+        return y @ c + c12 * y[:, 0] * (sq * sq * y2)
 
     return Model(
         label="example4",

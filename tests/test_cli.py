@@ -132,9 +132,10 @@ class TestExitCodes:
             assert "model 'bad'" in err and message in err
 
     def test_degenerate_spectrum_names_method(self, tmp_path, capsys):
-        # every forward difference of the indicator is zero at this n
+        # with h = 1e-12 every forward difference of the indicator is zero:
+        # one straddles the jump only where |theta . z| < 1e-12
         code = main(["analyze", "--model", "example2", "--n", "100", "--seed", "1",
-                     "--out", str(tmp_path / "x.json")])
+                     "--h", "1e-12", "--out", str(tmp_path / "x.json")])
         assert code == 1
         err = capsys.readouterr().err
         assert "AS matrix of model 'example2' is all zero at n=100" in err
@@ -502,6 +503,49 @@ class TestReproducibility:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_simd_dispatch_invariance(self, tmp_path):
+        # numpy picks its SIMD kernels at run time; a kernel that rounds
+        # differently from the baseline one would change the output bytes.
+        # Known gap: normal quantiles take np.log, whose AVX-512 kernel
+        # differs from libm in the last bit for ~2 in 10**4 tail arguments;
+        # larger normal-input runs can show it (README, Start-up)
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__
+        if not __cpu_dispatch__:
+            pytest.skip("this numpy dispatches no SIMD kernels at run time")
+        commands = [
+            ["analyze", "--model", "example1"],
+            ["analyze", "--model", "example2"],
+            ["analyze", "--model", "example4"],
+            ["analyze", "--model", "linear", "--c", "1,-2,3"],
+            ["analyze", "--model", "quadratic", "--A", "2,1;1,-1", "--b", "0,1"],
+            ["bounds", "--model", "example4"],
+        ]
+        script = (
+            "import json, os, sys\n"
+            "import sensyn.cli as cli\n"
+            "os.chdir(sys.argv[1])\n"
+            "for k, args in enumerate(json.loads(sys.argv[2])):\n"
+            "    assert cli.main(args + ['--n', '2000', '--out', f'{k}.json']) == 0, args\n")
+        outputs = []
+        for disabled in (None, " ".join(__cpu_dispatch__)):
+            env = dict(os.environ)
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            run_dir = tmp_path / ("baseline" if disabled else "default")
+            run_dir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(run_dir), json.dumps(commands)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(run_dir / f"{k}.json").read_bytes()
+                            for k in range(len(commands))])
+        for args, default, baseline in zip(commands, *outputs):
+            assert default == baseline, args
 
 
 class TestStartup:

@@ -1,6 +1,8 @@
 """Built-in models, their marginals, and the analytic ANOVA oracles."""
 
 import importlib
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,6 +33,29 @@ class TestEvaluation:
         model = make_example4()
         # 0.5 + 0.5 - 0.5 - 0.5 + 50 * 0.5 * 0.5**5
         assert model.evaluate(np.array([1.0, 1.0, 0.0, 0.0])) == pytest.approx(0.78125)
+
+    def test_example4_interaction_exactly_odd(self):
+        # x = k / 2**52 makes both x2 - 1/2 and (1 - x2) - 1/2 exact, so the
+        # reflection of x2 about 1/2 negates its centered value exactly
+        k = np.random.default_rng(15).integers(0, 2**52, size=(100_000, 4))
+        x = k * 2.0**-52
+        mirrored = x.copy()
+        mirrored[:, 1] = 1.0 - x[:, 1]
+        np.testing.assert_array_equal(mirrored[:, 1] - 0.5, -(x[:, 1] - 0.5))
+        term = make_example4(c=(0.0, 0.0, 0.0, 0.0))  # c12 * y1 * y2**5 alone
+        np.testing.assert_array_equal(term.evaluate(mirrored), -term.evaluate(x))
+
+    def test_example4_exact_on_dyadic_grid(self):
+        # on a grid of eighths every product and sum is exact in binary64
+        c, c12 = (1.0, -2.0, 0.5, 3.0), 50.0
+        grid = np.array(list(product(np.arange(9) / 8.0, repeat=4)))
+        got = make_example4(c=c, c12=c12).evaluate(grid)
+        half = Fraction(1, 2)
+        for x, value in zip(grid, got):
+            y = [Fraction(v) - half for v in x]
+            exact = (sum(Fraction(ci) * yi for ci, yi in zip(c, y))
+                     + Fraction(c12) * y[0] * y[1] ** 5)
+            assert Fraction(float(value)) == exact
 
     def test_quadratic_form(self):
         model = make_quadratic_normal(np.diag([2.0, 0.0]), [0.0, 1.0])

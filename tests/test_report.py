@@ -370,11 +370,12 @@ class TestBadModelOutput:
 
 
 class TestDegenerateSpectrum:
-    # no forward difference of the indicator straddles its jump at this n
+    # with h = 1e-12 a forward difference straddles the indicator's jump only
+    # where |theta . z| < 1e-12, so every difference is zero whatever the draw
     def test_all_zero_as_matrix_names_method(self):
         with pytest.raises(DegenerateSpectrumError,
                            match=r"AS matrix of model 'example2' is all zero at n=100"):
-            build_report(make_example2(), seed=1, n=100, methods=("as",))
+            build_report(make_example2(), seed=1, n=100, methods=("as",), h=1e-12)
 
     def test_all_zero_gas_matrix_names_method(self):
         constant = make_linear([0.0, 0.0])
