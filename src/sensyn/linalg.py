@@ -11,7 +11,6 @@ or on its thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,15 +101,12 @@ class _Round:
     pairs: tuple         # (p then q, q then p): the entries the round annihilates
 
 
-@lru_cache(maxsize=16)
-def _round_robin(d: int) -> tuple[_Round, ...]:
+def _round_robin(d: int) -> list[_Round]:
     """One sweep's rounds, by the circle method.
 
     Seat 0 stays while the other seats move on by one each round, so every
     pair p < q meets exactly once in ``m - 1`` rounds, ``m = d`` rounded up to
     even; for odd ``d`` the index paired with the phantom ``d`` sits out.
-    The schedule depends on ``d`` alone, so it is built once per ``d`` and
-    its arrays are read-only.
     """
     m = d + d % 2
     seats = list(range(m))
@@ -126,14 +122,10 @@ def _round_robin(d: int) -> tuple[_Round, ...]:
         lead = np.zeros((d, 1))
         lead[p] = 1.0
         lead[q] = -1.0
-        rnd = _Round(index, partner, partner[:, None], lead,
-                     (np.concatenate((p, q)), np.concatenate((q, p))))
-        for arr in (rnd.partner, rnd.column, rnd.lead, *rnd.pairs):
-            arr.setflags(write=False)
-        rounds.append(rnd)
+        rounds.append(_Round(index, partner, partner[:, None], lead,
+                             (np.concatenate((p, q)), np.concatenate((q, p)))))
         seats = [seats[0], seats[-1]] + seats[1:-1]
-    index.setflags(write=False)
-    return tuple(rounds)
+    return rounds
 
 
 def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round) -> None:
@@ -158,11 +150,6 @@ def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round) -> None:
     c = 1.0 / np.sqrt(t * t + 1.0)
     ss = -t * c
     tt = ss / (1.0 + c)
-    # one dense copy per round, so the six row products below multiply arrays
-    # of one shape instead of broadcasting a column
-    d = len(a)
-    ss = np.repeat(ss, d, axis=1)
-    tt = np.repeat(tt, d, axis=1)
 
     # row i becomes row_i + ss_i * (row_partner - tt_i * row_i): for p this is
     # row_p - s * (row_q + tau * row_p), for q row_q + s * (row_p - tau * row_q),

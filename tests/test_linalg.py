@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import sensyn.linalg
 from sensyn import (DegenerateSpectrumError, EigenNotConvergedError,
                     InputDomainError, SensynError, SpectralDecomposition,
                     normalized_cumsum, select_m, sym_eig)
@@ -156,73 +155,6 @@ class TestSymEig:
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(InputDomainError):
             sym_eig(np.ones((2, 3)))
-
-
-def reference_rotate_round(a, vt, rnd):
-    """The round rotation with (d, 1) angle columns broadcast over each row
-    product: the arithmetic ``_rotate_round`` must reproduce bit for bit."""
-    i, j = rnd.index, rnd.column
-    apq = a[i, j]
-    app = a[i, i]
-    diff = a[j, j] - app
-    theta = diff / (2.0 * apq)
-    t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    t = np.where(theta == 0.0, rnd.lead, t)
-    tiny = np.abs(apq) < 1e-36 * np.abs(diff)
-    if tiny.any():
-        t[tiny] = apq[tiny] / diff[tiny]
-    t[apq == 0.0] = 0.0
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    ss = -t * c
-    tt = ss / (1.0 + c)
-
-    def rotate_rows(rows):
-        step = rows[rnd.partner]
-        step -= tt * rows
-        step *= ss
-        rows += step
-
-    rotate_rows(vt)
-    rotate_rows(a)
-    at = a.T.copy()
-    rotate_rows(at)
-    at[i, i] = app - t * apq
-    at[rnd.pairs] = 0.0
-    np.add(at, at.T, out=a)
-    a *= 0.5
-
-
-def reference_matrices():
-    rng = np.random.default_rng(15)
-    for d in (1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 64, 99, 100):
-        yield f"psd-{d}", random_psd(rng, d)
-        if d in (5, 34, 99):
-            yield f"symmetric-{d}", random_symmetric(rng, d)
-    yield "zero", np.zeros((6, 6))
-    yield "identity", np.eye(7)
-    c = rng.normal(size=10)
-    yield "ties", np.eye(10) + np.outer(c, c)
-    tiny = np.diag(np.arange(1.0, 9.0))
-    tiny[0, 5] = tiny[5, 0] = tiny[2, 3] = tiny[3, 2] = 1e-300
-    yield "subnormal-off-diagonal", tiny
-
-
-class TestRotationReference:
-    @pytest.mark.parametrize(
-        "a", [pytest.param(a, id=name) for name, a in reference_matrices()])
-    def test_bytes_match_broadcast_rotation(self, monkeypatch, a):
-        got = sym_eig(a)
-        monkeypatch.setattr(sensyn.linalg, "_rotate_round", reference_rotate_round)
-        want = sym_eig(a)
-        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
-
-    def test_schedule_is_cached_and_read_only(self):
-        rounds = _round_robin(9)
-        assert _round_robin(9) is rounds
-        for rnd in rounds:
-            for arr in (rnd.index, rnd.partner, rnd.column, rnd.lead, *rnd.pairs):
-                assert not arr.flags.writeable
 
 
 def spectrum_of(values):
