@@ -22,8 +22,8 @@ _EXPORTS = {name: module for module, names in {
                "check_gas_bound_uniform", "check_quadratic_identity"),
     "dgsm": ("dgsm", "dgsm_from_gradients", "gradient_matrix"),
     "errors": ("DegenerateSpectrumError", "EigenNotConvergedError",
-               "InputDomainError", "ModelOutputError", "SensynError",
-               "ZeroVarianceError"),
+               "EmptySlopeWindowError", "InputDomainError", "ModelOutputError",
+               "SensynError", "ZeroVarianceError"),
     "linalg": ("SpectralDecomposition", "normalized_cumsum", "select_m", "sym_eig"),
     "models": ("AnalyticAnova", "Model", "analytic_anova", "builtin_names",
                "indicator_upper_sobol", "make_builtin", "make_example1",

@@ -48,7 +48,7 @@ from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model, make_quadratic_normal
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
 from .subspace import (DEFAULT_SLOPE_WINDOW, c_as_from_gradients,
-                       design_slopes, estimate_c_gas, scores)
+                       design_slopes, estimate_c_gas, psd_spectrum, scores)
 from .variance import PickFreeze, upper_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
@@ -102,7 +102,7 @@ class BatchStatistics:
 
     @cached_property
     def gas_spectra(self) -> list[SpectralDecomposition]:
-        return [sym_eig(c) for c in self.c_gas]
+        return [psd_spectrum(c) for c in self.c_gas]
 
     @cached_property
     def as_spectra(self) -> list[SpectralDecomposition]:
@@ -118,12 +118,13 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     substream 0 of ``rng.substream(100 + b)``; sigma2 is the variance of its
     f(z) and the upper indices reduce its freeze columns.  With ``gas`` the
     slope matrix keeps the design's pairs that clear the slope window and
-    redraws the others on substream 1, which on a stochastic model draws the
-    whole slope matrix instead (:func:`~sensyn.subspace.design_slopes`).
-    With ``gradients`` the forward differences start from the design's z
-    and f(z), on substream 3.  A noise-free batch costs n*(d+1) rows, plus
-    n*d for gradients and two per replaced slope pair.  Only vectors and
-    d x d matrices outlive a batch.
+    redraws the partners of the others on substream 1, which on a
+    stochastic model draws the whole slope matrix instead
+    (:func:`~sensyn.subspace.design_slopes`).  With ``gradients`` the
+    forward differences start from the design's z and f(z), on substream 3.
+    A noise-free batch costs n*(d+1) rows, plus n*d for gradients and one
+    per redrawn slope partner.  Only vectors and d x d matrices outlive a
+    batch.
     """
     upper, sigma2, c_gas, v, c_as = [], [], [], [], []
     for b in range(N_BATCHES):

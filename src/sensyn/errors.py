@@ -23,3 +23,8 @@ class EigenNotConvergedError(SensynError, ArithmeticError):
 
 class ModelOutputError(SensynError, ValueError):
     """A model's evaluation map returned mis-shaped or non-finite output."""
+
+
+class EmptySlopeWindowError(SensynError, ArithmeticError):
+    """No sampled base point has an admissible slope partner for some pair
+    of inputs, so a slope-matrix entry has no weight."""

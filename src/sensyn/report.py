@@ -13,7 +13,7 @@ from .models import Model
 from .randkit import RngStream
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
                        c_as_from_gradients, design_slopes, estimate_c_gas,
-                       slope_vectors)
+                       psd_spectrum, slope_vectors)
 from .variance import PickFreeze, prefix_upper, sobol_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
@@ -117,12 +117,12 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     from the design alone, the lower indices take it as two of their three
     points, and the gradients (``dgsm``, ``as``) use its z and f(z) as their
     base.  The slope matrix (``gas``) keeps each design pair (z_i, v_i) that
-    clears the slope window and replaces the others, but only when
-    ``m1 == n``, ``m2 == 1`` and the model is noise-free; a stochastic model
-    needs its common-mode noise, so then, as without ``sobol``, the slope
-    matrix draws its own samples on substream 3 and the gradients theirs on
-    substream 2.  For example4 at n = 10,000 this takes the report from
-    283,023 model rows to 140,000 plus two per replaced pair.
+    clears the slope window and redraws the partner of the others, but only
+    when ``m1 == n``, ``m2 == 1`` and the model is noise-free; a stochastic
+    model needs its common-mode noise, so then, as without ``sobol``, the
+    slope matrix draws its own samples on substream 3 and the gradients
+    theirs on substream 2.  For example4 at n = 10,000 this takes the report
+    from 283,023 model rows to 140,000 plus one per redrawn partner.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
@@ -192,7 +192,7 @@ def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,
             f"{kind} matrix of model {model.label!r} is all zero at n={n}: "
             f"every sampled {'gradient' if kind == 'AS' else 'slope'} vanished; "
             f"use a larger n (--n) or drop the {kind.lower()!r} method")
-    spec = sym_eig(matrix)
+    spec = sym_eig(matrix) if kind == "AS" else psd_spectrum(matrix)
     m_sel = select_m(spec, threshold) if m_override is None else m_override
     return SubspaceSummary.from_result(SubspaceResult(
         kind=kind, matrix=matrix, spectrum=spec, m_selected=m_sel))
@@ -232,9 +232,9 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
     ``upper_sobol`` that design is a :class:`PickFreeze`, and each size's
     scores are those of ``upper_sobol(model, size, stream)`` on the same
     stream (:func:`prefix_upper`); for ``gas_scores`` it is the slope
-    vectors of :func:`slope_vectors`, and each size's scores are the mean of
-    its prefix's squared slopes, the diagonal of the slope matrix of those
-    rows.
+    sample of :func:`slope_vectors`, and each size's scores are the weighted
+    mean of its prefix's squared slopes, the diagonal of the slope matrix of
+    those rows (:meth:`~sensyn.subspace.SlopeSample.diagonal`).
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
@@ -259,10 +259,9 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
             values[seed_idx] = prefix_upper(PickFreeze(model, sizes[-1], cell),
                                             sizes)
         else:
-            slopes, = slope_vectors(model, sizes[-1], 1, cell, slope_window)
+            sample, = slope_vectors(model, sizes[-1], 1, cell, slope_window)
             for si, size in enumerate(sizes):
-                prefix = slopes[:size]
-                values[seed_idx, si] = np.mean(prefix * prefix, axis=0)
+                values[seed_idx, si] = sample.diagonal(size)
 
     ranks: dict = {}
     score_vectors: dict = {}

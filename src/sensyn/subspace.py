@@ -1,12 +1,12 @@
 """Gradient and finite-slope sensitivity matrices and their scores.
 
-Two symmetric PSD matrices are estimated here:
+Two symmetric matrices are estimated here:
 
 * the gradient outer-product matrix (AS), averaging ``grad f grad f'`` over
   sampled points, with forward-difference gradients; and
-* the finite-slope matrix (GAS), averaging outer products of difference
-  quotients ``(f(v_i, z_-i) - f(z)) / (v_i - z_i)`` where one coordinate at a
-  time is replaced by a fresh draw.
+* the finite-slope matrix (GAS), a weighted mean of outer products of
+  difference quotients ``(f(v_i, z_-i) - f(z)) / (v_i - z_i)`` where one
+  coordinate at a time is replaced by a fresh draw.
 
 Scores attribute subspace energy back to inputs: the score of input i over
 the leading m eigenpairs is ``sum_j<=m lambda_j * u_ij**2``; at m = d it
@@ -15,20 +15,26 @@ reproduces the matrix diagonal.
 Two implementation choices make the slope matrix usable beyond smooth
 noise-free models:
 
-* ``slope_window``: the (base, freeze) coordinate pair of each quotient is
-  drawn from the product law conditioned on a minimum separation (a fixed
-  fraction of the marginal's scale).  Raw quotients have heavy tails whenever
-  the integrand does not smooth out as the pair coincides (discontinuous
-  response, evaluation noise); a separation floor bounds the quotient
-  denominators while leaving multilinear slopes untouched and quadratic
-  second moments exactly unbiased under normal marginals (the pair midpoint
-  is independent of the pair gap).  A first draw that clears the floor is
-  kept, so the base evaluation f(z) stays shared; each pair that does not is
-  replaced by one closed-form draw from the conditioned law
-  (:func:`separated_pairs`).  The cost is therefore fixed: one extra
-  evaluated row per replaced pair, and no redraw rounds.  When the freeze
-  outputs come from a pick-freeze design (:class:`DesignSlopes`) they were
-  evaluated at the first draw, so a replaced pair costs two rows there.
+* ``slope_window``: each quotient's (base, partner) coordinate pair follows
+  the product law conditioned on a minimum separation (a fixed fraction of
+  the marginal's scale), independently for each input.  Raw quotients have
+  heavy tails whenever the integrand does not smooth out as the pair
+  coincides (discontinuous response, evaluation noise); a separation floor
+  bounds the quotient denominators while leaving multilinear slopes
+  untouched and quadratic second moments, off the diagonal too, exactly
+  unbiased under normal marginals (the pair sum is independent of the pair
+  gap).  Every base coordinate is kept, so the base evaluation f(z) stays
+  shared by the d quotients of a row; a first partner inside the window is
+  redrawn from the law of the partner given its base and the separation
+  (one uniform, a closed-form inverse CDF), and input i's quotients are
+  weighted by ``w_i = P(separated | z_i)``, with each matrix entry
+  self-normalized (:class:`SlopeSample`; importance sampling, Owen 2013,
+  *Monte Carlo theory, methods and examples*, ch. 9).  A redrawn partner
+  costs no extra row where its column is evaluated after the redraw
+  (:func:`slope_vectors`) and one row where the column was evaluated at
+  the first draw (:class:`DesignSlopes`); there are no redraw rounds.  The
+  weighted matrix need not be PSD; :func:`psd_spectrum` clamps the
+  spectrum the scores read.
 * evaluation noise is drawn once per replicate and shared by the replicate's
   evaluations, so common-mode noise cancels inside each difference quotient.
   This is what keeps the slope matrix stable on stochastic models while
@@ -37,13 +43,12 @@ noise-free models:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dgsm import gradient_matrix
-from .errors import InputDomainError
+from .errors import EmptySlopeWindowError, InputDomainError
 from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
 from .randkit import (InputDistribution, Normal, RngStream, Uniform, normal_cdf,
@@ -51,6 +56,8 @@ from .randkit import (InputDistribution, Normal, RngStream, Uniform, normal_cdf,
 
 DEFAULT_SLOPE_WINDOW = 0.35
 _COINCIDENT_TOL = 1e-12
+_CHUNK = 4096
+_WEIGHT_BLOCK = 16384  # coordinates per weight chunk: cache-sized temporaries
 
 _BASE, _FREEZE, _NOISE, _REDRAW = 0, 1, 2, 3
 
@@ -82,7 +89,7 @@ def scores(spec: SpectralDecomposition, m: int) -> np.ndarray:
     return (u * u) @ spec.eigenvalues[:m]
 
 
-def _mean_outer(d_mat: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def _mean_outer(d_mat: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
     """(1/n) * sum of row outer products, accumulated in a fixed order.
 
     Chunked einsum keeps the reduction off multithreaded BLAS paths so the
@@ -96,33 +103,67 @@ def _mean_outer(d_mat: np.ndarray, chunk: int = 4096) -> np.ndarray:
     return acc / n
 
 
-def separated_pairs(dist: InputDistribution, gap: float, n: int,
-                    rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n`` i.i.d. pairs ``(a, b)`` from the product law of ``dist``
-    conditioned on ``|a - b| >= gap``, from one ``uniforms(3 * n)`` call.
-
-    Uniform(lo, lo + L): the pair gap g has density proportional to
-    ``L - g`` on [gap, L], and given g the lower point is uniform on
-    [lo, lo + L - g].  Normal(mu, sigma): ``a + b`` and ``a - b`` are
-    independent, so the sum keeps its N(2 mu, 2 sigma**2) law and the
-    difference is N(0, 2 sigma**2) truncated to ``|a - b| >= gap``.  The
-    third uniform decides which of ``a`` and ``b`` is the larger.  ``gap``
-    must be nonnegative and, for a uniform, below its width.
-    """
-    u0, u1, u2 = rng.uniforms(3 * n).reshape(3, n)
+def _separated_mass(dist: InputDistribution, a: np.ndarray,
+                    gap) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities that a draw b of ``dist`` lies below ``a - gap`` and
+    above ``a + gap``, for each base coordinate in ``a``.  ``dist`` may
+    stand for several columns of ``a`` with one law: ``gap`` then holds
+    their gaps."""
     if isinstance(dist, Uniform):
-        slack = (dist.scale - gap) * np.sqrt(u0)  # L - g
-        lower = dist.lower + slack * u1
-        upper = lower + (dist.scale - slack)
-        low_first = u2 < 0.5
-        return np.where(low_first, lower, upper), np.where(low_first, upper, lower)
+        below = np.maximum(a - gap - dist.lower, 0.0)
+        above = np.maximum(dist.upper - gap - a, 0.0)
+        below /= dist.scale
+        above /= dist.scale
+        return below, above
     if isinstance(dist, Normal):
-        spread = math.sqrt(2.0) * dist.sigma
-        total = 2.0 * dist.mu + spread * normal_inv_cdf(u1)
-        diff = -spread * normal_inv_cdf(u0 * normal_cdf(-gap / spread))
-        diff = np.where(u2 < 0.5, diff, -diff)
-        return 0.5 * (total + diff), 0.5 * (total - diff)
+        both = np.empty((2,) + np.shape(a))  # one normal_cdf call for both tails
+        np.subtract(a, dist.mu, out=both[0])
+        both[0] /= dist.sigma  # s
+        g = gap / dist.sigma
+        np.negative(both[0], out=both[1])
+        both -= g  # s - g, -s - g
+        below, above = normal_cdf(both)
+        return below, above
     raise InputDomainError(f"no separated pair law for marginal {dist!r}")
+
+
+def _pair_weights(marginals, gaps: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The weights ``w_i = P(|b - z_i| >= gap_i)`` of the base rows ``z``,
+    in one pass over the block when every input has the same marginal."""
+    if all(dist == marginals[0] for dist in marginals):
+        below, above = _separated_mass(marginals[0], z, gaps)
+        below += above
+        return below
+    w = np.empty(z.shape)
+    for i, dist in enumerate(marginals):
+        below, above = _separated_mass(dist, z[:, i], gaps[i])
+        np.add(below, above, out=w[:, i])
+    return w
+
+
+def _partners(dist: InputDistribution, a: np.ndarray, gap: float,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partners b of the base coordinates ``a``, each from the law of b given
+    a and ``|b - a| >= gap`` by inverting its CDF at one uniform of ``u``,
+    and each base's weight ``P(|b - a| >= gap)``.
+
+    The admissible set is ``b <= a - gap`` (mass ``below``) and
+    ``b >= a + gap`` (mass ``above``); ``u * (below + above)`` is the mass
+    left of b, and on the upper segment ``(1 - u) * (below + above)`` the
+    mass right of it, so each tail keeps its full relative precision.  A
+    uniform base with no admissible partner (``gap`` above half the width,
+    ``a`` central) gets weight 0 and an arbitrary b.
+    """
+    below, above = _separated_mass(dist, a, gap)
+    mass = below + above
+    low = u * mass < below
+    tail = np.where(low, u, 1.0 - u)
+    tail *= mass  # the mass beyond b, on b's side
+    if isinstance(dist, Uniform):
+        x = dist.scale * tail
+        return np.where(low, dist.lower + x, dist.upper - x), mass
+    x = dist.sigma * normal_inv_cdf(tail)
+    return np.where(low, dist.mu + x, dist.mu - x), mass
 
 
 def _slope_gaps(model: Model, slope_window: float) -> np.ndarray:
@@ -140,59 +181,139 @@ def _slope_column(model: Model, z: np.ndarray, i: int, b: np.ndarray,
     """Difference quotients of input i between the base points ``z`` (with
     outputs ``fz``) and the same points with coordinate i set to ``b``.
 
-    Each pair ``(z_i, b)`` closer than ``gap`` is replaced by one
-    :func:`separated_pairs` draw on ``rng``; ``b`` takes the replacements in
-    place.  Without ``fb`` the whole column f(b, z_-i) is evaluated after the
-    replacement; with ``fb`` = f(b, z_-i) already evaluated at the first
-    draws, only the replaced pairs' rows are.  Either way each replaced
-    pair's base point costs one more row.  The replaced rows of ``z`` are
-    gathered once into one buffer, whose column i holds first the new ``b``
-    (only with ``fb``) and then the new base coordinate.  ``noise`` holds
-    the common-mode noise variates of the rows; ``z`` is unchanged on
-    return.
+    Every base coordinate is kept.  Each partner closer than ``gap`` to its
+    base is redrawn from the law of b given the base and the separation
+    (:func:`_partners`, one ``uniforms`` call on ``rng``), and ``b`` takes
+    the redraws in place.  Without ``fb`` the column f(b, z_-i) is
+    evaluated after the redraws; with ``fb`` = f(b, z_-i) already evaluated
+    at the first draws, only the redrawn rows are, gathered once by index.
+    A redrawn pair therefore costs no extra row on the first path and one
+    on the second.  A base with no admissible partner gets no row and a
+    quotient of 0 (its weight is 0).  ``noise`` holds the common-mode noise
+    variates of the rows; ``z`` is unchanged on return.
     """
     a = z[:, i].copy()
     idx = np.flatnonzero(np.abs(b - a) < gap)
+    dead = idx[:0]
     if idx.size:
-        a_bad, b_bad = separated_pairs(model.marginals[i], gap, idx.size, rng)
-        b[idx] = b_bad
-    fresh = fb is None
-    if fresh:
+        b[idx], mass = _partners(model.marginals[i], a[idx], gap,
+                                 rng.uniforms(idx.size))
+        if not mass.all():
+            dead, idx = idx[mass == 0.0], idx[mass > 0.0]
+    if fb is None:
         z[:, i] = b
-        fb = model.evaluate(z, noise=noise)
-        z[:, i] = a
-    diff = fb - fz
-    if idx.size:
-        rows = z.take(idx, axis=0)
-        eps = None if noise is None else noise[idx]
-        if fresh:
-            fb_bad = fb[idx]
+        if dead.size:
+            live = np.ones(len(z), dtype=bool)
+            live[dead] = False
+            fb = fz.copy()
+            fb[live] = model.evaluate(
+                z[live], noise=None if noise is None else noise[live])
         else:
-            rows[:, i] = b_bad
-            fb_bad = model.evaluate(rows, noise=eps)
-        rows[:, i] = a_bad
-        diff[idx] = fb_bad - model.evaluate(rows, noise=eps)
-        a[idx] = a_bad
-    diff /= b - a
+            fb = model.evaluate(z, noise=noise)
+        z[:, i] = a
+        diff = fb - fz
+    else:
+        diff = fb - fz
+        if idx.size:
+            rows = z.take(idx, axis=0)
+            rows[:, i] = b[idx]
+            diff[idx] = model.evaluate(
+                rows, noise=None if noise is None else noise[idx]) - fz[idx]
+    step = b - a
+    diff[dead] = 0.0
+    step[dead] = 1.0
+    diff /= step
     return diff
+
+
+class SlopeSample:
+    """Difference quotients ``slopes[r, i]`` at base points ``z[r]``, with the
+    importance weights of their pairs.
+
+    Quotient i of row r pairs the base coordinate ``z[r, i]`` with a partner
+    drawn from the law of b given that base and the slope window
+    (:func:`_slope_column`), so its pair law differs from the separated
+    product law by the factor ``w_i = P(|b - z_i| >= gap_i)``.  The matrix
+    weights input i's quotients by ``w_i`` and self-normalizes entry by
+    entry: ``sum w_i q_i**2 / sum w_i`` on the diagonal and
+    ``sum w_i w_j q_i q_j / sum w_i w_j`` off it (Owen 2013, *Monte Carlo
+    theory, methods and examples*, ch. 9).  The weights are computed from
+    ``z`` one chunk of about 16,384 coordinates at a time (4,096 rows at
+    d = 4), so no (n, d) weight array is held.
+    """
+
+    def __init__(self, model: Model, z: np.ndarray, slopes: np.ndarray,
+                 slope_window: float):
+        self.model, self.z, self.slopes = model, z, slopes
+        self.slope_window = slope_window
+        self.gaps = _slope_gaps(model, slope_window)
+
+    def _chunks(self, rows: int | None):
+        """``(slopes, weights)`` of the first ``rows`` rows (default: all),
+        one chunk of about ``_WEIGHT_BLOCK`` coordinates at a time, in a
+        fixed order."""
+        stop = len(self.z) if rows is None else rows
+        step = max(1, _WEIGHT_BLOCK // self.z.shape[1])
+        for start in range(0, stop, step):
+            end = min(start + step, stop)
+            yield self.slopes[start:end], _pair_weights(
+                self.model.marginals, self.gaps, self.z[start:end])
+
+    def sums(self, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted sums of the matrix's numerators and denominators
+        over the first ``rows`` rows (default: all)."""
+        d = self.z.shape[1]
+        num, den = np.zeros((d, d)), np.zeros((d, d))
+        num_ii, den_ii = np.zeros(d), np.zeros(d)
+        for q, w in self._chunks(rows):
+            wq = w * q
+            num += np.einsum("ni,nj->ij", wq, wq)
+            den += np.einsum("ni,nj->ij", w, w)
+            num_ii += np.einsum("ni,ni->i", wq, q)
+            den_ii += np.einsum("ni->i", w)
+        np.fill_diagonal(num, num_ii)
+        np.fill_diagonal(den, den_ii)
+        return num, den
+
+    def matrix(self, rows: int | None = None) -> np.ndarray:
+        """The self-normalized slope matrix of the first ``rows`` rows."""
+        num, den = self.sums(rows)
+        return _normalized(num, den, self.slope_window,
+                           len(self.z) if rows is None else rows)
+
+    def diagonal(self, rows: int | None = None) -> np.ndarray:
+        """The diagonal of :meth:`matrix`, which needs only each input's
+        own weights to be nonzero."""
+        num, den = self.sums(rows)
+        return _normalized(np.diag(num), np.diag(den), self.slope_window,
+                           len(self.z) if rows is None else rows)
+
+
+def _normalized(num: np.ndarray, den: np.ndarray, slope_window: float,
+                n: int) -> np.ndarray:
+    if not den.all():
+        raise EmptySlopeWindowError(
+            f"none of {n} base points has an admissible slope partner for "
+            f"some input (or pair of inputs) at slope window {slope_window:g}: "
+            f"use a smaller --slope-window or a larger sample")
+    return num / den
 
 
 def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
                   slope_window: float = DEFAULT_SLOPE_WINDOW):
-    """Yield, for each of ``m2`` fresh freeze vectors, the (m1, d) array of
-    slope vectors at the ``m1`` base points drawn on ``rng``.
+    """Yield, for each of ``m2`` fresh freeze vectors, the
+    :class:`SlopeSample` of the ``m1`` base points drawn on ``rng``.
 
-    Row r of every array belongs to base point r, and the rows of one array
-    are i.i.d., so any prefix of them is a sample of the same law.  One base
-    evaluation is shared by the d quotients of a freeze vector (d+1 calls).
-    A (base, freeze) coordinate pair closer than the separation floor is
-    replaced by one draw of :func:`separated_pairs`, which costs one extra
-    evaluated row and, per (freeze vector, input) with any such pair, one
-    extra model call and one ``uniforms`` call; there is no rejection loop.
-    Stochastic models draw one noise variate per base point, shared by all
-    of its evaluations.  Substreams of ``rng``: 0 the base, 1 the freeze
-    vectors (child j), 2 the noise and 3 the replacements (child j, then
-    child i per input).
+    Row r of every sample belongs to base point r, and the rows of one
+    sample are i.i.d., so any prefix of them is a sample of the same law.
+    One base evaluation is shared by the d quotients of a freeze vector:
+    d+1 calls and m1 * (d+1) rows, whatever the window, because a partner
+    inside the window is redrawn before its column is evaluated (a base
+    with no admissible partner is left out of its column).  Stochastic
+    models draw one noise variate per base point, shared by all of its
+    evaluations.  Substreams of ``rng``: 0 the base, 1 the freeze vectors
+    (child j), 2 the noise and 3 the redraws (child j, then child i per
+    input).
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
@@ -213,31 +334,34 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
         for i in range(model.d):
             slopes[:, i] = _slope_column(model, z, i, v[:, i], fz, gaps[i],
                                          redraw_j.substream(i), noise=eps)
-        yield slopes
+        yield SlopeSample(model, z, slopes, slope_window)
 
 
 def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
                    slope_window: float = DEFAULT_SLOPE_WINDOW) -> np.ndarray:
     """Monte Carlo estimate of the finite-slope sensitivity matrix.
 
-    Averages ``m1 * m2`` outer products of slope vectors: ``m1`` base points,
-    each paired with ``m2`` fresh freeze vectors (:func:`slope_vectors`,
-    which states the cost).
+    Weighs the quotients of ``m1`` base points, each paired with ``m2``
+    fresh freeze vectors (:func:`slope_vectors`, which states the cost), as
+    :class:`SlopeSample` does; the weights depend on the base points only,
+    so every freeze vector shares one set of denominators.
     """
-    acc = np.zeros((model.d, model.d))
-    for slopes in slope_vectors(model, m1, m2, rng, slope_window):
-        acc += _mean_outer(slopes)
-    return acc / m2
+    num = np.zeros((model.d, model.d))
+    for sample in slope_vectors(model, m1, m2, rng, slope_window):
+        part, den = sample.sums()
+        num += part
+    return _normalized(num / m2, den, slope_window, m1)
 
 
-class DesignSlopes:
+class DesignSlopes(SlopeSample):
     """The slope matrix of a noise-free pick-freeze design, gathered one
     freeze column at a time.
 
     Called with ``(i, v_i, f(v_i, z_-i))`` for each input, it keeps every
     first-draw pair ``(z_i, v_i)`` that clears the separation floor with its
-    evaluated output and evaluates two rows for each replaced pair
-    (:func:`_slope_column`); replacements draw on ``rng``.  Common-mode noise
+    evaluated output, and redraws the partner of each other pair, which
+    costs one row (:func:`_slope_column`); redraws draw on ``rng``.  The
+    matrix is weighted as in :class:`SlopeSample`.  Common-mode noise
     cannot be shared with a design whose evaluations drew their own noise,
     so a stochastic model is refused.
     """
@@ -246,18 +370,14 @@ class DesignSlopes:
                  rng: RngStream, slope_window: float = DEFAULT_SLOPE_WINDOW):
         if model.noise_scale > 0.0:
             raise InputDomainError("a design's slopes need a noise-free model")
-        self.model, self.z, self.fz = model, z, fz
-        self.gaps = _slope_gaps(model, slope_window)
+        super().__init__(model, z, np.empty(z.shape), slope_window)
+        self.fz = fz
         self.redraw = rng.substream(_REDRAW)
-        self.slopes = np.empty(z.shape)
 
     def __call__(self, i: int, v: np.ndarray, fv: np.ndarray) -> None:
         self.slopes[:, i] = _slope_column(self.model, self.z, i, v, self.fz,
                                           self.gaps[i], self.redraw.substream(i),
                                           fb=fv)
-
-    def matrix(self) -> np.ndarray:
-        return _mean_outer(self.slopes)
 
 
 def design_slopes(model: Model, z: np.ndarray, fz: np.ndarray, rng: RngStream,
@@ -269,6 +389,28 @@ def design_slopes(model: Model, z: np.ndarray, fz: np.ndarray, rng: RngStream,
     if model.noise_scale > 0.0:
         return None
     return DesignSlopes(model, z, fz, rng, slope_window=slope_window)
+
+
+def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a slope matrix with every eigenvalue below
+    :func:`~sensyn.linalg.sym_eig`'s resolution set to 0.
+
+    The self-normalized entries of :class:`SlopeSample` have different
+    denominators, so the matrix need not be PSD.  Where the true matrix is
+    singular (the linear inputs of example1 and example4) its smallest
+    eigenvalue comes out slightly negative, about 1e-6 to 1e-4 of the
+    largest at n = 50,000 to 1,000, and a rank-one linear map's second
+    eigenvalue is round-off.  Eigenvalues below the solver's stopping
+    tolerance, ``1e-14 * ||C||_F``, are therefore set to 0: for the
+    negative ones this is the spectrum of the nearest PSD matrix in the
+    Frobenius norm.  Scores then stay nondecreasing in m, and at m = d they
+    read that matrix's diagonal, which exceeds the estimated one by at most
+    the clamped mass.
+    """
+    spec = sym_eig(matrix)
+    lam = spec.eigenvalues
+    floor = 1e-14 * np.sqrt(np.sum(lam * lam))
+    return SpectralDecomposition(np.where(lam < floor, 0.0, lam), spec.eigenvectors)
 
 
 def c_as_from_gradients(g: np.ndarray) -> np.ndarray:
@@ -294,6 +436,6 @@ def subspace_analysis(model: Model, kind: str, rng: RngStream, *,
         matrix = estimate_c_gas(model, n, m2, rng, slope_window=slope_window)
     else:
         raise InputDomainError("kind must be 'AS' or 'GAS'")
-    spectrum = sym_eig(matrix)
+    spectrum = sym_eig(matrix) if kind == "AS" else psd_spectrum(matrix)
     return SubspaceResult(kind=kind, matrix=matrix, spectrum=spectrum,
                           m_selected=select_m(spectrum, threshold))

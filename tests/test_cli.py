@@ -507,28 +507,33 @@ class TestReproducibility:
     def test_simd_dispatch_invariance(self, tmp_path):
         # numpy picks its SIMD kernels at run time; a kernel that rounds
         # differently from the baseline one would change the output bytes.
-        # Uniform-input built-ins only: normal quantiles take np.log, whose
-        # AVX-512 kernel differs from libm in the last bit for ~2 in 10**4
-        # tail arguments, so normal-input outputs are not dispatch-free
-        # (README, Start-up)
+        # Normal inputs too: their quantile's tail log is arithmetic, not
+        # numpy's vector log, whose AVX-512 kernel differs in the last bit
+        # for ~2 in 10**4 tail arguments; at 20,000 rows the quadratic draws
+        # enough of them to show it
         try:
             from numpy._core._multiarray_umath import __cpu_dispatch__
         except ImportError:  # numpy < 2
             from numpy.core._multiarray_umath import __cpu_dispatch__
         if not __cpu_dispatch__:
             pytest.skip("this numpy dispatches no SIMD kernels at run time")
+        quadratic = ["--model", "quadratic", "--A=2,0.5,0;0.5,1,0.3;0,0.3,0.5",
+                     "--b=0.2,-0.4,0.1", "--n", "20000"]
         commands = [
-            ["analyze", "--model", "example1"],
-            ["analyze", "--model", "example4"],
-            ["analyze", "--model", "linear", "--c", "1,-2,3"],
-            ["bounds", "--model", "example4"],
+            ["analyze", "--model", "example1", "--n", "2000"],
+            ["analyze", "--model", "example4", "--n", "2000"],
+            ["analyze", "--model", "linear", "--c", "1,-2,3", "--n", "2000"],
+            ["bounds", "--model", "example4", "--n", "2000"],
+            ["analyze", "--model", "example2", "--n", "2000"],
+            ["analyze", *quadratic],
+            ["bounds", *quadratic],
         ]
         script = (
             "import json, os, sys\n"
             "import sensyn.cli as cli\n"
             "os.chdir(sys.argv[1])\n"
             "for k, args in enumerate(json.loads(sys.argv[2])):\n"
-            "    assert cli.main(args + ['--n', '2000', '--out', f'{k}.json']) == 0, args\n")
+            "    assert cli.main(args + ['--out', f'{k}.json']) == 0, args\n")
         outputs = []
         for disabled in (None, " ".join(__cpu_dispatch__)):
             env = dict(os.environ)

@@ -32,7 +32,10 @@ class TestGradientMatrix:
         # crosses zero inside the stencil, towards the sign of theta_i
         model = make_example2()
         theta = model.reference_direction
-        g = gradient_matrix(model, 20_000, 1e-3, RngStream(6))
+        # about 95 spikes at n = 100,000, with a spread of about 18 over
+        # seeds (steps that flip several inputs of one row come together):
+        # 10 is 4.7 spreads, and 8.7 Poisson SDs, below the mean
+        g = gradient_matrix(model, 100_000, 1e-3, RngStream(6))
         spike = np.sign(theta) / 1e-3
         assert np.all((g == 0.0) | (g == spike))
         assert np.count_nonzero(g) > 10
@@ -69,8 +72,10 @@ class TestDgsm:
 
 class TestDgsmBoundsDirect:
     def test_linear_identity(self):
+        # at n = 250,000 the SE of the third input's difference is about
+        # 0.0025, so the band is 4 SE wide
         model = make_linear([1.0, 2.0, 3.0])
-        n = 50_000
+        n = 250_000
         sbar = upper_sobol(model, n, RngStream(4))
         v = dgsm(model, n, 1e-3, RngStream(5))
         sigma2 = estimate_variance(model, n, RngStream(6))

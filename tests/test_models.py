@@ -194,21 +194,13 @@ class TestDesignIsolation:
         rec = Recorder()
         estimate_c_gas(self.model(rec), self.N, 2, RngStream(4), slope_window=0.35)
         base, *rest = rec.batches
-        i, full, redraws = -1, 0, 0
-        for b in rest:
-            if len(b) == self.N:  # f(v_i, z_-i): the whole design, column i swapped
-                i = (i + 1) % 3
-                full += 1
-                assert differs_in_column(b, base, i)
-            else:  # redrawn pairs: base rows, column i replaced
-                redraws += 1
-                others = np.delete(b, i, axis=1)
-                base_others = np.delete(base, i, axis=1)
-                match = (others[:, None, :] == base_others[None]).all(axis=2)
-                assert np.all(match.sum(axis=1) == 1)
-                assert np.all(b[:, i] != base[match.argmax(axis=1), i])
-        assert full == 6 and redraws > 0
-        # the freeze designs v take the redrawn pairs; the base must not
+        # f(b, z_-i) per (freeze vector, input): the whole design, column i
+        # swapped for the partners, those inside the window redrawn first
+        assert len(rest) == 6
+        for k, b in enumerate(rest):
+            assert len(b) == self.N
+            assert differs_in_column(b, base, k % 3)
+        # the freeze designs v take the redrawn partners; the base must not
         self.assert_intact(designs[:1])
 
     @pytest.mark.parametrize("estimator", [

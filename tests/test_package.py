@@ -12,11 +12,13 @@ import sensyn
 
 BLAS = "OPENBLAS_NUM_THREADS"
 
-# the public names of the package, as its former eager namespace exported them
+# the public names of the package: those its former eager namespace exported,
+# and EmptySlopeWindowError
 PUBLIC = {
     "AnalyticAnova", "BoundCheck", "ConvergenceTable",
     "DEFAULT_SLOPE_WINDOW", "DegenerateSpectrumError",
-    "EigenNotConvergedError", "InputDomainError", "Model",
+    "EigenNotConvergedError", "EmptySlopeWindowError", "InputDomainError",
+    "Model",
     "ModelOutputError", "Normal", "RngStream", "SensitivityReport",
     "SensynError", "SobolEstimate", "SpectralDecomposition",
     "SubspaceResult", "SubspaceSummary", "Uniform", "ZeroVarianceError",
@@ -62,7 +64,7 @@ class TestNamespace:
                "assert dict(os.environ) == before, 'environment changed'\n")
 
     def test_public_names(self):
-        assert len(PUBLIC) == 58
+        assert len(PUBLIC) == 59
         assert set(sensyn.__all__) == PUBLIC
         assert PUBLIC <= set(dir(sensyn))
         for name in sensyn.__all__:

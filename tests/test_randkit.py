@@ -198,7 +198,8 @@ def former_uniforms(seed, stream_id, counts):
 
 def former_normal_inv_cdf(u):
     """Reference: AS241 with each branch's numerator and denominator stacked
-    in one (2, n) Horner pass over (2, 1) coefficient columns."""
+    in one (2, n) Horner pass over (2, 1) coefficient columns, and the
+    package's dispatch-free tail logarithm (``TestLog`` checks it)."""
     def stacked(table):
         return tuple(np.array([[a], [b]]) for a, b in zip(*table))
 
@@ -220,7 +221,7 @@ def former_normal_inv_cdf(u):
     tail = np.flatnonzero(np.abs(q) > 0.425)
     if tail.size:
         t = flat[tail]
-        r = np.sqrt(-np.log(np.minimum(t, 1.0 - t)))
+        r = np.sqrt(-randkit._log(np.minimum(t, 1.0 - t)))
         xt = rational(intermediate, r - 1.6)
         far = np.flatnonzero(r > 5.0)
         if far.size:
@@ -284,6 +285,20 @@ class TestBitIdentity:
             assert got.shape == arr.shape
             assert got.tobytes() == former_normal_inv_cdf(arr).tobytes()
         assert normal_inv_cdf(u[:0]).shape == (0,)
+
+
+class TestLog:
+    def test_within_one_ulp_of_libm(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([rng.uniform(1e-12, 0.075, 200_000),
+                            np.geomspace(5e-324, 1.0, 100_001),
+                            rng.uniform(0.0, 1e300, 1000)])
+        ref = np.array([math.log(v) for v in x])
+        got = randkit._log(x)
+        ulp = np.spacing(np.abs(np.where(ref == 0.0, 1.0, ref)))
+        assert np.all(np.abs(got - ref) <= ulp)
+        assert np.mean(got == ref) > 0.95
+        assert randkit._log(np.array([1.0]))[0] == 0.0
 
 
 class TestCheegerConstant:

@@ -14,7 +14,7 @@ from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
                     gradient_matrix, lower_sobol, make_example1,
                     make_example2, make_example4, make_linear, normalize,
                     rank, report, sample_inputs, subspace, upper_sobol)
-from sensyn.subspace import _mean_outer, separated_pairs
+from sensyn.subspace import SlopeSample
 
 
 def nan_rows_model() -> Model:
@@ -180,6 +180,8 @@ def former_gradient_matrix(model, n, h, rng):
 
 
 def former_estimate_c_gas(model, m1, m2, rng, slope_window=0.35):
+    """The fresh slope path with boolean masks and one whole-column call per
+    (freeze vector, input), weighted by :class:`SlopeSample`."""
     d = model.d
     z = sample_inputs(model, m1, rng.substream(0))
     eps = None
@@ -188,32 +190,30 @@ def former_estimate_c_gas(model, m1, m2, rng, slope_window=0.35):
     fz = model.evaluate(z, noise=eps)
     gaps = np.array([max(slope_window * dist.scale, 1e-12 * dist.scale)
                      for dist in model.marginals])
-    acc = np.zeros((d, d))
-    slopes = np.empty((m1, d))
+    num = np.zeros((d, d))
     for j in range(m2):
         v = sample_inputs(model, m1, rng.substream(1).substream(j))
         redraw_j = rng.substream(3).substream(j)
+        slopes = np.empty((m1, d))
         for i, dist in enumerate(model.marginals):
             a = z[:, i].copy()
             b = v[:, i]
             bad = np.abs(b - a) < gaps[i]
             nb = int(bad.sum())
+            live = np.ones(m1, dtype=bool)
             if nb:
-                a_bad, b[bad] = separated_pairs(dist, gaps[i], nb,
-                                                redraw_j.substream(i))
+                b[bad], mass = subspace._partners(
+                    dist, a[bad], gaps[i], redraw_j.substream(i).uniforms(nb))
+                live[np.flatnonzero(bad)[mass == 0.0]] = False
             z[:, i] = b
-            fb = model.evaluate(z, noise=eps)
+            fb = fz.copy()  # a base with no admissible partner: quotient 0
+            fb[live] = model.evaluate(z[live],
+                                      noise=None if eps is None else eps[live])
             z[:, i] = a
-            fa = fz
-            if nb:
-                a[bad] = a_bad
-                za = z[bad]
-                za[:, i] = a_bad
-                fa = fz.copy()
-                fa[bad] = model.evaluate(za, noise=None if eps is None else eps[bad])
-            slopes[:, i] = (fb - fa) / (b - a)
-        acc += _mean_outer(slopes)
-    return acc / m2
+            slopes[:, i] = np.where(live, fb - fz, 0.0) / np.where(live, b - a, 1.0)
+        part, den = SlopeSample(model, z, slopes, slope_window).sums()
+        num += part
+    return num / m2 / den
 
 
 def counting_rows(monkeypatch) -> list:
@@ -227,6 +227,19 @@ def counting_rows(monkeypatch) -> list:
 
     monkeypatch.setattr(Model, "evaluate", counted)
     return rows
+
+
+def counting_partners(monkeypatch) -> list:
+    """Count the slope partners the window makes the estimators redraw."""
+    replaced = [0]
+    partners = subspace._partners
+
+    def counted(dist, a, gap, u):
+        replaced[0] += len(a)
+        return partners(dist, a, gap, u)
+
+    monkeypatch.setattr(subspace, "_partners", counted)
+    return replaced
 
 
 def recorded_matrices(monkeypatch) -> dict:
@@ -250,20 +263,14 @@ MODELS = {"example1": make_example1, "example1_noisy": lambda: make_example1(1.0
 class TestSharedDesign:
     def test_example4_row_count(self, monkeypatch):
         rows = counting_rows(monkeypatch)
-        replaced = [0]
-
-        def counted_pairs(dist, gap, n, rng):
-            replaced[0] += n
-            return separated_pairs(dist, gap, n, rng)
-
-        monkeypatch.setattr(subspace, "separated_pairs", counted_pairs)
+        replaced = counting_partners(monkeypatch)
         n, d = 10_000, 4
         build_report(make_example4(), seed=0, n=n)
         # design f(z), f(v_i, z_-i): n*(d+1); lower estimator's third point
         # f(w), f(z_i, w_-i): n*(d+1); gradients at the design's base: n*d;
-        # slope matrix: two rows per design pair inside the slope window
-        assert rows[0] == n * (d + 1) + n * (d + 1) + n * d + 2 * replaced[0]
-        assert (rows[0], replaced[0]) == (186_278, 23_139)
+        # slope matrix: one row per design pair inside the slope window
+        assert rows[0] == n * (d + 1) + n * (d + 1) + n * d + replaced[0]
+        assert (rows[0], replaced[0]) == (163_139, 23_139)
         # P(|u - u'| < 0.35) = 1 - 0.65**2 for two unit uniforms
         assert replaced[0] / (n * d) == pytest.approx(1 - 0.65**2, abs=0.01)
 
@@ -448,31 +455,27 @@ class TestConvergenceStudy:
                                        np.diag(largest), rtol=1e-12)
             np.testing.assert_array_equal(table.score_vectors[(100, k)],
                                           fewer.score_vectors[(100, k)])
-            slopes, = subspace.slope_vectors(model, 400, 1,
+            sample, = subspace.slope_vectors(model, 400, 1,
                                              RngStream(5).substream(k))
             for size in (10, 100):
+                prefix = SlopeSample(model, sample.z[:size],
+                                     sample.slopes[:size], 0.35)
                 np.testing.assert_allclose(
                     table.score_vectors[(size, k)],
-                    np.diag(_mean_outer(slopes[:size])), rtol=1e-12)
+                    np.diag(prefix.matrix()), rtol=1e-12)
 
     def test_rows_are_those_of_the_largest_size(self, monkeypatch):
         model = make_example1(noise_scale=1.0)
         rows = counting_rows(monkeypatch)
-        replaced = [0]
-
-        def counted_pairs(dist, gap, n, rng):
-            replaced[0] += n
-            return separated_pairs(dist, gap, n, rng)
-
-        monkeypatch.setattr(subspace, "separated_pairs", counted_pairs)
+        replaced = counting_partners(monkeypatch)
         sizes, n_seeds, d = (10, 100, 1000), 4, model.d
         reference = np.arange(1, d + 1)
         convergence_study(model, "upper_sobol", sizes, n_seeds, reference)
         assert rows[0] == n_seeds * 1000 * (d + 1)
         rows[0] = 0
         convergence_study(model, "gas_scores", sizes, n_seeds, reference)
-        # a replaced slope pair costs one more base row
-        assert rows[0] == n_seeds * 1000 * (d + 1) + replaced[0]
+        # a redrawn slope partner is evaluated in its column, at no extra row
+        assert rows[0] == n_seeds * 1000 * (d + 1)
         assert 0 < replaced[0] < n_seeds * 1000 * d
 
     def test_table_shape(self):

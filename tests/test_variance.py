@@ -62,7 +62,9 @@ class TestUpperSobol:
         np.testing.assert_allclose(mean[2:], 0.237, atol=0.02)
 
     def test_linear_analytic(self):
-        est = upper_sobol(make_linear([1.0, 2.0]), 20_000, RngStream(3))
+        # at n = 200,000 the SE of the 0.8 index is about 0.0023, so the
+        # band is over 4 SE wide
+        est = upper_sobol(make_linear([1.0, 2.0]), 200_000, RngStream(3))
         np.testing.assert_allclose(est, [0.2, 0.8], atol=0.01)
 
     def test_additive_indices_sum_to_one(self):
