@@ -157,7 +157,6 @@ _LOG_EVEN = (1.531383769920937332e-01, 2.222219843214978396e-01,
 _LOG_ODD = (1.479819860511658591e-01, 1.818357216161805012e-01,
             2.857142874366239149e-01, 6.666666666666735130e-01)
 _ERFC_ZERO = 40.0  # erfc(a) underflows to 0 well before this
-_CDF_BLOCK = 16384
 
 
 def _exp_neg_square(a):
@@ -222,30 +221,21 @@ def normal_cdf(x):
     ``1/2 + erf(x / sqrt 2) / 2`` for |x| < sqrt 2 and ``erfc(|x| / sqrt 2) / 2``
     (or one minus it) beyond, from Cephes' rationals and an exponential
     built from +, -, *, / and ``np.ldexp`` alone, so the bytes are the same
-    at every numpy SIMD dispatch level.  NaN maps to NaN.  Large arrays go
-    through in cache-sized blocks, which halves their time.
+    at every numpy SIMD dispatch level.  NaN maps to NaN.
     """
     x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    p = np.empty(flat.shape)
-    for start in range(0, flat.size, _CDF_BLOCK):
-        p[start:start + _CDF_BLOCK] = _cdf_block(flat[start:start + _CDF_BLOCK])
-    p = p.reshape(x.shape)
-    return p if p.ndim else float(p)
-
-
-def _cdf_block(x):
     p = np.empty(x.shape)
     if np.isnan(x).any():
         p.fill(np.nan)  # neither branch below writes a NaN's slot
-    a = x * _SQRT1_2
+    flat = p.reshape(-1)  # a view: p's slots
+    a = x.ravel() * _SQRT1_2
     t = np.abs(a)
     inner = np.flatnonzero(t < 1.0)
     if inner.size:
         ai = a[inner]
         q = _rational(_ERF, ai * ai)
         q *= 0.5 * ai
-        p[inner] = q + 0.5
+        flat[inner] = q + 0.5
     outer = np.flatnonzero(t >= 1.0)
     if outer.size:
         to = np.minimum(t[outer], _ERFC_ZERO)
@@ -258,8 +248,8 @@ def _cdf_block(x):
         half = np.ldexp(ratio, k - 1)  # erfc(t) / 2
         upper = np.flatnonzero(a[outer] > 0.0)
         half[upper] = 1.0 - half[upper]
-        p[outer] = half
-    return p
+        flat[outer] = half
+    return p if p.ndim else float(p)
 
 
 def normal_pdf(x):

@@ -57,7 +57,10 @@ from .randkit import (InputDistribution, Normal, RngStream, Uniform, normal_cdf,
 DEFAULT_SLOPE_WINDOW = 0.35
 _COINCIDENT_TOL = 1e-12
 _CHUNK = 4096
-_WEIGHT_BLOCK = 16384  # coordinates per weight chunk: cache-sized temporaries
+# coordinates per weight chunk and pairs per partner-redraw group: a normal
+# block's two tails, 8,192 values, keep normal_cdf's temporaries in cache
+# (37 ns a value on a 2-vCPU Xeon, 55-60 ns from 16,384 values up)
+_BLOCK = 4096
 
 _BASE, _FREEZE, _NOISE, _REDRAW = 0, 1, 2, 3
 
@@ -127,17 +130,26 @@ def _separated_mass(dist: InputDistribution, a: np.ndarray,
     raise InputDomainError(f"no separated pair law for marginal {dist!r}")
 
 
-def _pair_weights(marginals, gaps: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The weights ``w_i = P(|b - z_i| >= gap_i)`` of the base rows ``z``,
-    in one pass over the block when every input has the same marginal."""
-    if all(dist == marginals[0] for dist in marginals):
-        below, above = _separated_mass(marginals[0], z, gaps)
-        below += above
-        return below
-    w = np.empty(z.shape)
+def _runs(marginals) -> list[tuple[InputDistribution, int, int]]:
+    """``(law, start, stop)`` of each maximal run of consecutive inputs with
+    one marginal law."""
+    runs = []
     for i, dist in enumerate(marginals):
-        below, above = _separated_mass(dist, z[:, i], gaps[i])
-        np.add(below, above, out=w[:, i])
+        if runs and runs[-1][0] == dist:
+            runs[-1][2] = i + 1
+        else:
+            runs.append([dist, i, i + 1])
+    return [tuple(run) for run in runs]
+
+
+def _pair_weights(runs, gaps: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The weights ``w_i = P(|b - z_i| >= gap_i)`` of the base rows ``z``,
+    one pass over the block per run of inputs with one marginal law."""
+    w = np.empty(z.shape)
+    for dist, lo, hi in runs:
+        below, above = _separated_mass(dist, z[:, lo:hi], gaps[lo:hi])
+        below += above
+        w[:, lo:hi] = below
     return w
 
 
@@ -174,51 +186,67 @@ def _slope_gaps(model: Model, slope_window: float) -> np.ndarray:
                      for dist in model.marginals])
 
 
-def _slope_column(model: Model, z: np.ndarray, i: int, b: np.ndarray,
-                  fz: np.ndarray, gap: float, rng: RngStream, *,
-                  noise: np.ndarray | None = None,
-                  fb: np.ndarray | None = None) -> np.ndarray:
-    """Difference quotients of input i between the base points ``z`` (with
-    outputs ``fz``) and the same points with coordinate i set to ``b``.
+class _PartnerRedraws:
+    """The partner redraws of one freeze vector or design, input by input.
 
-    Every base coordinate is kept.  Each partner closer than ``gap`` to its
-    base is redrawn from the law of b given the base and the separation
-    (:func:`_partners`, one ``uniforms`` call on ``rng``), and ``b`` takes
-    the redraws in place.  Without ``fb`` the column f(b, z_-i) is
-    evaluated after the redraws; with ``fb`` = f(b, z_-i) already evaluated
-    at the first draws, only the redrawn rows are, gathered once by index.
-    A redrawn pair therefore costs no extra row on the first path and one
-    on the second.  A base with no admissible partner gets no row and a
-    quotient of 0 (its weight is 0).  ``noise`` holds the common-mode noise
-    variates of the rows; ``z`` is unchanged on return.
+    :meth:`add` notes the rows of input i whose first pair lies inside the
+    window; inputs come in order.  The noted inputs are redrawn together,
+    with one :func:`_partners` call, once they hold ``_BLOCK`` pairs or
+    more, before an input with another marginal law, and after the last
+    input: a small design makes one call per run of inputs with one law,
+    and a large one holds little more than one input's pairs.  Input i's
+    uniforms are one ``uniforms`` call on ``rng.substream(i)``.
+    """
+
+    def __init__(self, model: Model, z: np.ndarray, gaps: np.ndarray,
+                 rng: RngStream):
+        self.marginals, self.z, self.gaps, self.rng = model.marginals, z, gaps, rng
+        self.pending = []
+
+    def add(self, i: int, rows: np.ndarray) -> list:
+        """``(i, rows, b, mass)`` for each input redrawn by this call (see
+        :func:`_partners`), in input order; none while the group is open."""
+        self.pending.append((i, rows))
+        size = sum(r.size for _, r in self.pending)
+        if (size < _BLOCK and i + 1 < len(self.marginals)
+                and self.marginals[i + 1] == self.marginals[i]):
+            return []
+        pending, self.pending = self.pending, []
+        counts = [r.size for _, r in pending]
+        b = mass = np.empty(0)
+        if size:
+            cols = np.repeat([j for j, _ in pending], counts)
+            rows = np.concatenate([r for _, r in pending])
+            u = np.concatenate([self.rng.substream(j).uniforms(r.size)
+                                for j, r in pending if r.size])
+            b, mass = _partners(self.marginals[i], self.z[rows, cols],
+                                self.gaps[cols], u)
+        cuts = np.cumsum(counts)[:-1]
+        return [(j, r, b_j, mass_j) for (j, r), b_j, mass_j
+                in zip(pending, np.split(b, cuts), np.split(mass, cuts))]
+
+
+def _slope_column(model: Model, z: np.ndarray, i: int, b: np.ndarray,
+                  fz: np.ndarray, dead: np.ndarray,
+                  noise: np.ndarray | None = None) -> np.ndarray:
+    """Difference quotients of input i between the base points ``z`` (with
+    outputs ``fz``) and the same points with coordinate i set to ``b``,
+    evaluated in one call.  The rows ``dead`` have no admissible partner:
+    they get no row and a quotient of 0.  ``noise`` holds the common-mode
+    noise variates of the rows; ``z`` is unchanged on return.
     """
     a = z[:, i].copy()
-    idx = np.flatnonzero(np.abs(b - a) < gap)
-    dead = idx[:0]
-    if idx.size:
-        b[idx], mass = _partners(model.marginals[i], a[idx], gap,
-                                 rng.uniforms(idx.size))
-        if not mass.all():
-            dead, idx = idx[mass == 0.0], idx[mass > 0.0]
-    if fb is None:
-        z[:, i] = b
-        if dead.size:
-            live = np.ones(len(z), dtype=bool)
-            live[dead] = False
-            fb = fz.copy()
-            fb[live] = model.evaluate(
-                z[live], noise=None if noise is None else noise[live])
-        else:
-            fb = model.evaluate(z, noise=noise)
-        z[:, i] = a
-        diff = fb - fz
+    z[:, i] = b
+    if dead.size:
+        live = np.ones(len(z), dtype=bool)
+        live[dead] = False
+        fb = fz.copy()
+        fb[live] = model.evaluate(z[live],
+                                  noise=None if noise is None else noise[live])
     else:
-        diff = fb - fz
-        if idx.size:
-            rows = z.take(idx, axis=0)
-            rows[:, i] = b[idx]
-            diff[idx] = model.evaluate(
-                rows, noise=None if noise is None else noise[idx]) - fz[idx]
+        fb = model.evaluate(z, noise=noise)
+    z[:, i] = a
+    diff = fb - fz
     step = b - a
     diff[dead] = 0.0
     step[dead] = 1.0
@@ -232,48 +260,54 @@ class SlopeSample:
 
     Quotient i of row r pairs the base coordinate ``z[r, i]`` with a partner
     drawn from the law of b given that base and the slope window
-    (:func:`_slope_column`), so its pair law differs from the separated
-    product law by the factor ``w_i = P(|b - z_i| >= gap_i)``.  The matrix
-    weights input i's quotients by ``w_i`` and self-normalizes entry by
-    entry: ``sum w_i q_i**2 / sum w_i`` on the diagonal and
+    (:func:`_partners`), so its pair law differs from the separated product
+    law by the factor ``w_i = P(|b - z_i| >= gap_i)``.  The matrix weights
+    input i's quotients by ``w_i`` and self-normalizes entry by entry:
+    ``sum w_i q_i**2 / sum w_i`` on the diagonal and
     ``sum w_i w_j q_i q_j / sum w_i w_j`` off it (Owen 2013, *Monte Carlo
-    theory, methods and examples*, ch. 9).  The weights are computed from
-    ``z`` one chunk of about 16,384 coordinates at a time (4,096 rows at
-    d = 4), so no (n, d) weight array is held.
+    theory, methods and examples*, ch. 9).  Unless ``weights`` holds them,
+    the weights are computed from ``z`` one chunk of about 4,096
+    coordinates at a time (1,024 rows at d = 4), so no (n, d) weight array
+    is held.
     """
 
     def __init__(self, model: Model, z: np.ndarray, slopes: np.ndarray,
-                 slope_window: float):
+                 slope_window: float, weights: np.ndarray | None = None):
         self.model, self.z, self.slopes = model, z, slopes
         self.slope_window = slope_window
         self.gaps = _slope_gaps(model, slope_window)
+        self.runs = _runs(model.marginals)
+        self.weights = weights
 
     def _chunks(self, rows: int | None):
         """``(slopes, weights)`` of the first ``rows`` rows (default: all),
-        one chunk of about ``_WEIGHT_BLOCK`` coordinates at a time, in a
+        one chunk of about ``_BLOCK`` coordinates at a time, in a
         fixed order."""
         stop = len(self.z) if rows is None else rows
-        step = max(1, _WEIGHT_BLOCK // self.z.shape[1])
+        step = max(1, _BLOCK // self.z.shape[1])
         for start in range(0, stop, step):
             end = min(start + step, stop)
-            yield self.slopes[start:end], _pair_weights(
-                self.model.marginals, self.gaps, self.z[start:end])
+            w = (_pair_weights(self.runs, self.gaps, self.z[start:end])
+                 if self.weights is None else self.weights[start:end])
+            yield self.slopes[start:end], w
 
-    def sums(self, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted sums of the matrix's numerators and denominators
-        over the first ``rows`` rows (default: all)."""
+    def sums(self, rows: int | None = None, denominators: bool = True):
+        """The weighted sums of the matrix's numerators and (unless
+        ``denominators`` is false) denominators over the first ``rows``
+        rows (default: all)."""
         d = self.z.shape[1]
         num, den = np.zeros((d, d)), np.zeros((d, d))
         num_ii, den_ii = np.zeros(d), np.zeros(d)
         for q, w in self._chunks(rows):
             wq = w * q
             num += np.einsum("ni,nj->ij", wq, wq)
-            den += np.einsum("ni,nj->ij", w, w)
             num_ii += np.einsum("ni,ni->i", wq, q)
-            den_ii += np.einsum("ni->i", w)
+            if denominators:
+                den += np.einsum("ni,nj->ij", w, w)
+                den_ii += np.einsum("ni->i", w)
         np.fill_diagonal(num, num_ii)
         np.fill_diagonal(den, den_ii)
-        return num, den
+        return (num, den) if denominators else num
 
     def matrix(self, rows: int | None = None) -> np.ndarray:
         """The self-normalized slope matrix of the first ``rows`` rows."""
@@ -284,8 +318,12 @@ class SlopeSample:
     def diagonal(self, rows: int | None = None) -> np.ndarray:
         """The diagonal of :meth:`matrix`, which needs only each input's
         own weights to be nonzero."""
-        num, den = self.sums(rows)
-        return _normalized(np.diag(num), np.diag(den), self.slope_window,
+        d = self.z.shape[1]
+        num, den = np.zeros(d), np.zeros(d)
+        for q, w in self._chunks(rows):
+            num += np.einsum("ni,ni->i", w * q, q)
+            den += np.einsum("ni->i", w)
+        return _normalized(num, den, self.slope_window,
                            len(self.z) if rows is None else rows)
 
 
@@ -307,34 +345,44 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
     Row r of every sample belongs to base point r, and the rows of one
     sample are i.i.d., so any prefix of them is a sample of the same law.
     One base evaluation is shared by the d quotients of a freeze vector:
-    d+1 calls and m1 * (d+1) rows, whatever the window, because a partner
-    inside the window is redrawn before its column is evaluated (a base
-    with no admissible partner is left out of its column).  Stochastic
-    models draw one noise variate per base point, shared by all of its
-    evaluations.  Substreams of ``rng``: 0 the base, 1 the freeze vectors
-    (child j), 2 the noise and 3 the redraws (child j, then child i per
-    input).
+    d+1 calls and m1 * (d+1) rows, whatever the window, because the
+    partners inside the window are redrawn, a group of inputs at a time
+    (:class:`_PartnerRedraws`), before their columns are evaluated (a base
+    with no admissible partner is left out of its column).  With ``m2 > 1`` the samples share one array
+    of the base points' weights.  Stochastic models draw one noise variate
+    per base point, shared by all of its evaluations.  Substreams of
+    ``rng``: 0 the base, 1 the freeze vectors (child j), 2 the noise and 3
+    the redraws (child j, then child i per input).
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
     gaps = _slope_gaps(model, slope_window)
+    runs = _runs(model.marginals)
 
     z = sample_inputs(model, m1, rng.substream(_BASE))
     eps = None
     if model.noise_scale > 0.0:
         eps = rng.substream(_NOISE).standard_normals(m1)
     fz = model.evaluate(z, noise=eps)
+    weights = None
+    if m2 > 1:
+        step = max(1, _BLOCK // model.d)
+        weights = np.concatenate([_pair_weights(runs, gaps, z[s:s + step])
+                                  for s in range(0, m1, step)])
 
     freeze_root = rng.substream(_FREEZE)
     redraw_root = rng.substream(_REDRAW)
     for j in range(m2):
         v = sample_inputs(model, m1, freeze_root.substream(j))
-        redraw_j = redraw_root.substream(j)
+        redraws = _PartnerRedraws(model, z, gaps, redraw_root.substream(j))
         slopes = np.empty((m1, model.d))
         for i in range(model.d):
-            slopes[:, i] = _slope_column(model, z, i, v[:, i], fz, gaps[i],
-                                         redraw_j.substream(i), noise=eps)
-        yield SlopeSample(model, z, slopes, slope_window)
+            near = np.flatnonzero(np.abs(v[:, i] - z[:, i]) < gaps[i])
+            for k, rows, b, mass in redraws.add(i, near):
+                v[rows, k] = b
+                slopes[:, k] = _slope_column(model, z, k, v[:, k], fz,
+                                             rows[mass == 0.0], noise=eps)
+        yield SlopeSample(model, z, slopes, slope_window, weights)
 
 
 def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
@@ -344,12 +392,13 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
     Weighs the quotients of ``m1`` base points, each paired with ``m2``
     fresh freeze vectors (:func:`slope_vectors`, which states the cost), as
     :class:`SlopeSample` does; the weights depend on the base points only,
-    so every freeze vector shares one set of denominators.
+    so the denominators are summed once, with the first freeze vector.
     """
-    num = np.zeros((model.d, model.d))
-    for sample in slope_vectors(model, m1, m2, rng, slope_window):
-        part, den = sample.sums()
-        num += part
+    for j, sample in enumerate(slope_vectors(model, m1, m2, rng, slope_window)):
+        if j == 0:
+            num, den = sample.sums()
+        else:
+            num += sample.sums(denominators=False)
     return _normalized(num / m2, den, slope_window, m1)
 
 
@@ -357,13 +406,16 @@ class DesignSlopes(SlopeSample):
     """The slope matrix of a noise-free pick-freeze design, gathered one
     freeze column at a time.
 
-    Called with ``(i, v_i, f(v_i, z_-i))`` for each input, it keeps every
-    first-draw pair ``(z_i, v_i)`` that clears the separation floor with its
-    evaluated output, and redraws the partner of each other pair, which
-    costs one row (:func:`_slope_column`); redraws draw on ``rng``.  The
-    matrix is weighted as in :class:`SlopeSample`.  Common-mode noise
-    cannot be shared with a design whose evaluations drew their own noise,
-    so a stochastic model is refused.
+    Called with ``(i, v_i, f(v_i, z_-i))`` for each input in turn, it
+    keeps the quotient of every first-draw pair ``(z_i, v_i)`` that clears
+    the separation floor and notes the others.  Their partners are redrawn
+    a group of inputs at a time (:class:`_PartnerRedraws`, on ``rng``), and
+    each input's redrawn rows are evaluated in one call: a redrawn pair
+    costs one row, and a base with no admissible partner none (its
+    quotient is 0).  The matrix is
+    weighted as in :class:`SlopeSample`.  Common-mode noise cannot be
+    shared with a design whose evaluations drew their own noise, so a
+    stochastic model is refused.
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,
@@ -372,12 +424,24 @@ class DesignSlopes(SlopeSample):
             raise InputDomainError("a design's slopes need a noise-free model")
         super().__init__(model, z, np.empty(z.shape), slope_window)
         self.fz = fz
-        self.redraw = rng.substream(_REDRAW)
+        self.redraws = _PartnerRedraws(model, z, self.gaps, rng.substream(_REDRAW))
 
     def __call__(self, i: int, v: np.ndarray, fv: np.ndarray) -> None:
-        self.slopes[:, i] = _slope_column(self.model, self.z, i, v, self.fz,
-                                          self.gaps[i], self.redraw.substream(i),
-                                          fb=fv)
+        step = v - self.z[:, i]
+        near = np.flatnonzero(np.abs(step) < self.gaps[i])
+        step[near] = 1.0  # their quotients are set once redrawn
+        np.divide(fv - self.fz, step, out=self.slopes[:, i])
+        for k, rows, b, mass in self.redraws.add(i, near):
+            live = mass > 0.0
+            self.slopes[rows[~live], k] = 0.0
+            if live.any():
+                rows, b = rows[live], b[live]
+                x = self.z.take(rows, axis=0)
+                a = x[:, k].copy()
+                x[:, k] = b
+                diff = self.model.evaluate(x) - self.fz[rows]
+                diff /= b - a
+                self.slopes[rows, k] = diff
 
 
 def design_slopes(model: Model, z: np.ndarray, fz: np.ndarray, rng: RngStream,

@@ -119,11 +119,11 @@ class TestQuadraticIdentity:
         a = np.diag([2.0, 0.0])
         b = [0.0, 1.0]
         med = {}
-        for n in (1_000, 100_000):
+        for n in (1_000, 20_000):  # rows per batch
             residuals = [np.max(check_quadratic_identity(
                 a, b, n, RngStream(500 + s)).lhs) for s in range(10)]
             med[n] = np.median(residuals)
-        assert med[100_000] < med[1_000]
+        assert med[20_000] < med[1_000]
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(InputDomainError):

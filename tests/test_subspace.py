@@ -237,8 +237,8 @@ class TestSlopeMatrix:
 
 
 def _mask_slope_column(model, z, i, b, fz, gap, rng, *, noise=None, fb=None):
-    """Reference: the slope column gathered with boolean masks and row
-    copies."""
+    """Reference: the slope column of input i gathered with boolean masks
+    and row copies, its partners redrawn on ``rng``."""
     a = z[:, i].copy()
     bad = np.abs(b - a) < gap
     nb = int(bad.sum())
@@ -261,9 +261,36 @@ def _mask_slope_column(model, z, i, b, fz, gap, rng, *, noise=None, fb=None):
     return np.where(live, fb - fz, 0.0) / np.where(live, b - a, 1.0)
 
 
+def _mask_design_slopes(model, z, fz, v, fv, window, rng):
+    """Reference: :class:`DesignSlopes`' quotients, one input at a time,
+    input i redrawing on ``rng.substream(3).substream(i)``."""
+    return np.column_stack([
+        _mask_slope_column(model, z, i, v[:, i].copy(), fz, _gap(dist, window),
+                           rng.substream(3).substream(i), fb=fv[i])
+        for i, dist in enumerate(model.marginals)])
+
+
+def _mask_slope_vectors(model, m1, m2, rng, window):
+    """Reference: the quotients of :func:`slope_vectors`, one input at a
+    time, each column evaluated after its own partners are redrawn."""
+    z = sample_inputs(model, m1, rng.substream(0))
+    eps = None
+    if model.noise_scale > 0.0:
+        eps = rng.substream(2).standard_normals(m1)
+    fz = model.evaluate(z, noise=eps)
+    for j in range(m2):
+        v = sample_inputs(model, m1, rng.substream(1).substream(j))
+        redraw = rng.substream(3).substream(j)
+        yield np.column_stack([
+            _mask_slope_column(model, z, i, v[:, i], fz, _gap(dist, window),
+                               redraw.substream(i), noise=eps)
+            for i, dist in enumerate(model.marginals)])
+
+
 class TestSlopeColumnGather:
-    """The index-gathered slope column against the boolean-mask reference:
-    the same calls, rows and bytes."""
+    """The slope quotients with the partners of all inputs redrawn together
+    against the one-input-at-a-time boolean-mask reference: the same rows
+    and bytes."""
 
     MARGINALS = {"uniform": (Uniform(0.0, 1.0), Uniform(-2.0, 3.0),
                              Uniform(0.0, 1.0), Uniform(1.0, 1.5)),
@@ -296,56 +323,52 @@ class TestSlopeColumnGather:
             fv.append(model.evaluate(zi))
         return z, fz, v, fv
 
-    def _design_slopes(self, model, calls, z, fz, v, fv, window):
-        slopes = DesignSlopes(model, z, fz, RngStream(5), slope_window=window)
-        per_input = []
-        for i in range(model.d):
-            calls.clear()
-            slopes(i, v[:, i].copy(), fv[i])
-            per_input.append(list(calls))
-        return slopes.slopes, per_input
-
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("law", sorted(MARGINALS))
-    def test_design_slopes_match_mask_reference(self, law, window, monkeypatch):
+    def test_design_slopes_match_mask_reference(self, law, window):
         model, calls = self._model(self.MARGINALS[law])
         z, fz, v, fv = self._design(model, 3000, 17)
         z0, fz0 = z.copy(), fz.copy()
-        got, got_calls = self._design_slopes(model, calls, z, fz, v, fv, window)
+        slopes = DesignSlopes(model, z, fz, RngStream(5), slope_window=window)
+        calls.clear()
+        for i in range(model.d):
+            slopes(i, v[:, i].copy(), fv[i])
+        got_calls = list(calls)
         assert z.tobytes() == z0.tobytes() and fz.tobytes() == fz0.tobytes()
+        expect = []
         for i, dist in enumerate(model.marginals):
-            gap = max(window, 1e-12) * dist.scale
+            gap = _gap(dist, window)
             first = np.abs(v[:, i] - z[:, i]) < gap
             nb = int(np.sum(first & (_weight(dist, z[:, i], gap) > 0.0)))
             # f(b, z_-i) on the redrawn rows that have a partner, or nothing
-            assert got_calls[i] == ([nb] if nb else [])
+            expect += [nb] if nb else []
+        assert got_calls == expect
         if window == 0.0:
-            assert got_calls == [[]] * model.d
+            assert got_calls == []
         if window == 0.89:
             # P(|a - b| < gap) is 0.99 (uniform), 0.47 (normal), but on a
             # uniform the 78 % of bases within 0.39 widths of the centre
             # have no partner and cost no row
             share = {"uniform": 0.17, "normal": 0.4}[law]
-            assert min(c[0] for c in got_calls) > share * len(z)
+            assert len(got_calls) == model.d
+            assert min(got_calls) > share * len(z)
 
-        monkeypatch.setattr(subspace, "_slope_column", _mask_slope_column)
-        want, want_calls = self._design_slopes(model, calls, z, fz, v, fv, window)
-        assert got_calls == want_calls
-        assert got.tobytes() == want.tobytes()
+        calls.clear()
+        want = _mask_design_slopes(model, z, fz, v, fv, window, RngStream(5))
+        assert calls == got_calls
+        assert slopes.slopes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("noise_scale", [0.0, 0.5])
     @pytest.mark.parametrize("law", sorted(MARGINALS))
-    def test_slope_vectors_match_mask_reference(self, law, noise_scale, window,
-                                                monkeypatch):
+    def test_slope_vectors_match_mask_reference(self, law, noise_scale, window):
         model, calls = self._model(self.MARGINALS[law], noise_scale)
         got = list(slope_vectors(model, 800, 2, RngStream(23), window))
         got_calls = list(calls)
         calls.clear()
-        monkeypatch.setattr(subspace, "_slope_column", _mask_slope_column)
-        want = list(slope_vectors(model, 800, 2, RngStream(23), window))
+        want = list(_mask_slope_vectors(model, 800, 2, RngStream(23), window))
         assert got_calls == calls
-        assert [s.slopes.tobytes() for s in got] == [s.slopes.tobytes() for s in want]
+        assert [s.slopes.tobytes() for s in got] == [w.tobytes() for w in want]
 
 
 class TestPairDraw:
@@ -550,11 +573,11 @@ class TestLargeWindow:
         for i in range(4):
             v = np.full(3, 0.6)  # every first draw inside the window
             slopes(i, v, np.ones(3))
-        assert calls == []
-        np.testing.assert_array_equal(slopes.slopes, 0.0)
         with pytest.raises(EmptySlopeWindowError,
                            match=r"none of 3 base points .* slope window 0\.89"):
             slopes.matrix()
+        assert calls == []
+        np.testing.assert_array_equal(slopes.slopes, 0.0)
         with pytest.raises(EmptySlopeWindowError):
             slopes.diagonal()
 
