@@ -32,8 +32,8 @@ _EXPORTS = {name: module for module, names in {
     "randkit": ("Normal", "RngStream", "Uniform", "cheeger_constant",
                 "cheeger_constant_grid", "inverse_cdf", "normal_cdf",
                 "normal_inv_cdf", "sample"),
-    "report": ("ConvergenceTable", "SensitivityReport", "SubspaceSummary",
-               "build_report", "convergence_study", "normalize", "rank"),
+    "output": ("ConvergenceTable", "SensitivityReport", "SubspaceSummary"),
+    "report": ("build_report", "convergence_study", "normalize", "rank"),
     "subspace": ("DEFAULT_SLOPE_WINDOW", "SubspaceResult", "c_as_from_gradients",
                  "estimate_c_as", "estimate_c_gas", "scores", "subspace_analysis"),
     "variance": ("SobolEstimate", "estimate_sobol", "estimate_variance",
@@ -77,9 +77,10 @@ def _cli_main() -> int:
     estimators keep their reductions off threaded BLAS, so the threads
     change no result and only cost CPU.  This entry defaults them to one
     before numpy loads; a value the user set wins.  Importing sensyn never
-    sets it.
+    sets it.  The command line is parsed by :mod:`sensyn._front`, which
+    runs ``plot`` without loading numpy.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .cli import main
+    from ._front import main
 
     return main()

@@ -1,22 +1,109 @@
-"""Deterministic JSON and CSV serialization of reports and bound checks.
+"""The analysis report's schema and its deterministic JSON and CSV forms.
 
-Floats are written with 17 significant digits, which round-trips every
-double exactly; key order is fixed by construction and no timestamps are
-emitted, so byte-identical reruns are a hard guarantee rather than an
-accident.
+:class:`SensitivityReport` and :class:`SubspaceSummary` declare the report:
+each field's metadata names the JSON section that holds it, so the writers
+and the reader walk the fields.  :class:`ConvergenceTable` holds one
+convergence study.  Floats are written with 17 significant digits, which
+round-trips every double exactly; key order is fixed by construction and no
+timestamps are emitted, so byte-identical reruns are a hard guarantee rather
+than an accident.
+
+This module imports no numpy: ``sensyn plot`` reads a report back and
+charts it without loading numpy or any estimator.  The writers take numpy
+arrays and scalars by their ``tolist`` method; the reader returns each
+vector as a tuple of floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from collections.abc import Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bounds import BoundCheck
 from .errors import InputDomainError
-from .report import (SUBSPACE_METHODS, ConvergenceTable, SensitivityReport,
-                     SubspaceSummary)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .bounds import BoundCheck
+
+METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
+SUBSPACE_METHODS = ("as", "gas")
+
+# A per-input vector: a float array in a report built in memory, a tuple of
+# floats in one read back from JSON.
+Vector = Sequence[float]
+
+
+def _in(section: str, default=MISSING, key: str | None = None):
+    """A report field written to JSON ``section`` under ``key`` (default:
+    the field's own name)."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+@dataclass(frozen=True)
+class SubspaceSummary:
+    """Eigen-summary of one AS or GAS matrix: its spectrum, normalized
+    cumulative eigenvalue sums, leading eigenvector u1, selected rank m, and
+    the activity scores at m and at d, raw and sum-normalized (``None`` when
+    the scores sum to zero)."""
+
+    eigenvalues: Vector = _in("spectra")
+    cumulative: Vector = _in("spectra")
+    first_eigenvector: Vector = _in("spectra")
+    m: int = _in("spectra")
+    scores_m: Vector = _in("scores")
+    scores_full: Vector = _in("scores")
+    scores_m_normalized: Vector | None = _in("scores")
+    scores_full_normalized: Vector | None = _in("scores")
+
+
+@dataclass(frozen=True)
+class SensitivityReport:
+    """Everything one analysis run produced, ready for serialization.
+
+    Sobol' indices are kept raw (lower and upper are compared on a common
+    scale); all other measures also carry sum-normalized versions for
+    display.  ``subspaces`` maps each computed subspace method of
+    ``SUBSPACE_METHODS`` to its summary.  Each field's metadata names the
+    JSON section that holds it, so the serializers walk the fields.
+    """
+
+    model_label: str = _in("meta", key="model")
+    d: int = _in("meta")
+    seed: int = _in("meta")
+    n: int = _in("meta")
+    m1: int = _in("meta")
+    m2: int = _in("meta")
+    h: float = _in("meta")
+    noise_scale: float = _in("meta")
+    threshold: float = _in("meta")
+    methods: tuple[str, ...] = _in("meta")
+    sigma2_hat: float | None = _in("scores", None)
+    sobol_lower: Vector | None = _in("scores", None)
+    sobol_upper: Vector | None = _in("scores", None)
+    dgsm_raw: Vector | None = _in("scores", None)
+    dgsm_normalized: Vector | None = _in("scores", None)
+    subspaces: dict[str, SubspaceSummary] = field(default_factory=dict)
+    u1_alignment: float | None = _in("spectra", None)
+    reference_direction: Vector | None = _in("spectra", None)
+
+
+@dataclass(frozen=True)
+class ConvergenceTable:
+    """Per-size score trajectories and rank agreement against a reference."""
+
+    model_label: str
+    method: str
+    sizes: tuple[int, ...]
+    n_seeds: int
+    reference: np.ndarray  # 1-based reference permutation
+    ranks: dict  # (size, seed_index) -> 1-based permutation
+    score_vectors: dict  # (size, seed_index) -> estimated scores
+    mean_scores: np.ndarray  # (len(sizes), d) seed-averaged scores
+    full_match_fraction: np.ndarray
+    top3_match_fraction: np.ndarray
 
 
 def format_float(x: float) -> str:
@@ -44,12 +131,10 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "false"
     if isinstance(obj, str):
         return f'"{obj.translate(_JSON_ESCAPES)}"'
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -63,6 +148,8 @@ def dumps_json(obj, indent: int = 0) -> str:
             items.append(pad + "  " + dumps_json(str(key)) + ": "
                          + dumps_json(value, indent + 2))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if hasattr(obj, "tolist"):  # a numpy array or scalar
+        return dumps_json(obj.tolist(), indent)
     raise InputDomainError(f"cannot serialize value of type {type(obj).__name__}")
 
 
@@ -72,7 +159,7 @@ def write_text(path, text: str) -> None:
 
 
 def _opt(value):
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):  # a numpy array or scalar
         return value.tolist()
     return list(value) if isinstance(value, tuple) else value
 
@@ -102,17 +189,17 @@ _SCHEMA = _report_schema()
 
 
 def _walk(report: SensitivityReport):
-    """(section, key, value) of every report value in output order; the
-    values of a method the report did not compute are ``None``."""
-    for section, key, method, name, _ in _SCHEMA:
+    """(section, key, annotation, value) of every report value in output
+    order; the values of a method the report did not compute are ``None``."""
+    for section, key, method, name, annotation in _SCHEMA:
         owner = report if method is None else report.subspaces.get(method)
-        yield section, key, None if owner is None else getattr(owner, name)
+        yield section, key, annotation, None if owner is None else getattr(owner, name)
 
 
 def report_to_dict(report: SensitivityReport) -> dict:
     """JSON layout of a report: metadata, per-method scores, spectra."""
     out: dict = {"meta": {}, "scores": {}, "spectra": {}}
-    for section, key, value in _walk(report):
+    for section, key, _, value in _walk(report):
         out[section][key] = _opt(value)
     return out
 
@@ -120,24 +207,42 @@ def report_to_dict(report: SensitivityReport) -> dict:
 _SCALARS = {"str": str, "int": int, "float": float}
 
 
-def _parse(value, annotation: str):
-    """A JSON value as the report field declared ``annotation`` holds it."""
+def _parse(value, annotation: str, d: int | None):
+    """A JSON value as the report field declared ``annotation`` holds it: a
+    vector as a tuple of ``d`` floats.  A non-finite number raises
+    ``ValueError``."""
     if value is None:
         return None
-    if "ndarray" in annotation:
-        return np.asarray(value, dtype=np.float64)
+    if annotation.startswith("Vector"):
+        vector = tuple(map(float, value))
+        if len(vector) != d:
+            raise ValueError(f"holds {len(vector)} numbers, not d = {d}")
+        if not all(map(math.isfinite, vector)):
+            raise ValueError("holds a non-finite number")
+        return vector
     if annotation.startswith("tuple"):
         return tuple(value)
-    return _SCALARS[annotation.removesuffix(" | None")](value)
+    scalar = _SCALARS[annotation.removesuffix(" | None")](value)
+    if isinstance(scalar, float) and not math.isfinite(scalar):
+        raise ValueError("is not finite")
+    return scalar
 
 
 def report_from_dict(data: dict) -> SensitivityReport:
-    """Inverse of ``report_to_dict``."""
+    """Inverse of ``report_to_dict``, with each vector a tuple of floats.
+
+    A field that cannot hold its value, such as a non-finite number or a
+    vector whose length is not ``meta.d``, raises ``InputDomainError``
+    naming the field (``scores.sobol_upper``)."""
     values: dict = {}
     summaries: dict = {method: {} for method in SUBSPACE_METHODS}
     for section, key, method, name, annotation in _SCHEMA:
         target = values if method is None else summaries[method]
-        target[name] = _parse(data[section][key], annotation)
+        try:
+            # meta.d precedes every vector in the schema
+            target[name] = _parse(data[section][key], annotation, values.get("d"))
+        except (TypeError, ValueError) as exc:
+            raise InputDomainError(f"{section}.{key} {exc}") from None
     return SensitivityReport(**values, subspaces={
         method: SubspaceSummary(**summary)
         for method, summary in summaries.items() if summary["m"] is not None})
@@ -155,8 +260,9 @@ def report_to_csv(report: SensitivityReport, sigma2_share=None) -> str:
     index and the analytic variance share when available, then the per-input
     vectors of the ``scores`` section in JSON order, raw ones first and
     normalized ones second."""
-    vectors = [(key, value) for section, key, value in _walk(report)
-               if section == "scores" and np.ndim(value) == 1]
+    vectors = [(key, value) for section, key, annotation, value in _walk(report)
+               if section == "scores" and annotation.startswith("Vector")
+               and value is not None]
     columns = sorted(vectors, key=lambda kv: kv[0].endswith("_normalized"))
     header = ["input_index", "sigma2_share"] + [_csv_column(k) for k, _ in columns]
     lines = [",".join(header)]

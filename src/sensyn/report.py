@@ -1,8 +1,12 @@
-"""Score normalization, rankings, report assembly, and convergence studies."""
+"""Score normalization, rankings, report assembly, and convergence studies.
+
+The report's schema (:class:`SensitivityReport`, :class:`SubspaceSummary`,
+:class:`ConvergenceTable`, ``METHOD_NAMES``, ``SUBSPACE_METHODS``) lives in
+:mod:`sensyn.output`, which loads no numpy; this module fills it from the
+estimators.
+"""
 
 from __future__ import annotations
-
-from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -10,15 +14,14 @@ from .dgsm import dgsm_from_gradients, gradient_matrix
 from .errors import DegenerateSpectrumError, InputDomainError
 from .linalg import normalized_cumsum, select_m, sym_eig
 from .models import Model
+from .output import (METHOD_NAMES, ConvergenceTable, SensitivityReport,
+                     SubspaceSummary)
 from .randkit import RngStream
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
                        c_as_from_gradients, design_slopes, estimate_c_gas,
                        psd_spectrum, slope_vectors)
 from .variance import PickFreeze, prefix_upper, sobol_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
-
-METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
-SUBSPACE_METHODS = ("as", "gas")
 
 
 def normalize(scores) -> np.ndarray | None:
@@ -38,69 +41,6 @@ def rank(scores) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
         raise InputDomainError("scores must be finite")
     return np.argsort(-scores, kind="stable") + 1
-
-
-def _in(section: str, default=MISSING, key: str | None = None):
-    """A report field written to JSON ``section`` under ``key`` (default:
-    the field's own name)."""
-    return field(default=default, metadata={"section": section, "key": key})
-
-
-@dataclass(frozen=True)
-class SubspaceSummary:
-    """Eigen-summary of one AS or GAS matrix: its spectrum, normalized
-    cumulative eigenvalue sums, leading eigenvector u1, selected rank m, and
-    the activity scores at m and at d, raw and sum-normalized (``None`` when
-    the scores sum to zero)."""
-
-    eigenvalues: np.ndarray = _in("spectra")
-    cumulative: np.ndarray = _in("spectra")
-    first_eigenvector: np.ndarray = _in("spectra")
-    m: int = _in("spectra")
-    scores_m: np.ndarray = _in("scores")
-    scores_full: np.ndarray = _in("scores")
-    scores_m_normalized: np.ndarray | None = _in("scores")
-    scores_full_normalized: np.ndarray | None = _in("scores")
-
-    @classmethod
-    def from_result(cls, result: SubspaceResult) -> SubspaceSummary:
-        spec = result.spectrum
-        sel = result.scores()
-        full = result.scores(result.d)
-        return cls(spec.eigenvalues, normalized_cumsum(spec),
-                   spec.eigenvectors[:, 0], result.m_selected, sel, full,
-                   normalize(sel), normalize(full))
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Everything one analysis run produced, ready for serialization.
-
-    Sobol' indices are kept raw (lower and upper are compared on a common
-    scale); all other measures also carry sum-normalized versions for
-    display.  ``subspaces`` maps each computed subspace method of
-    ``SUBSPACE_METHODS`` to its summary.  Each field's metadata names the
-    JSON section that holds it, so the serializers walk the fields.
-    """
-
-    model_label: str = _in("meta", key="model")
-    d: int = _in("meta")
-    seed: int = _in("meta")
-    n: int = _in("meta")
-    m1: int = _in("meta")
-    m2: int = _in("meta")
-    h: float = _in("meta")
-    noise_scale: float = _in("meta")
-    threshold: float = _in("meta")
-    methods: tuple[str, ...] = _in("meta")
-    sigma2_hat: float | None = _in("scores", None)
-    sobol_lower: np.ndarray | None = _in("scores", None)
-    sobol_upper: np.ndarray | None = _in("scores", None)
-    dgsm_raw: np.ndarray | None = _in("scores", None)
-    dgsm_normalized: np.ndarray | None = _in("scores", None)
-    subspaces: dict[str, SubspaceSummary] = field(default_factory=dict)
-    u1_alignment: float | None = _in("spectra", None)
-    reference_direction: np.ndarray | None = _in("spectra", None)
 
 
 def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
@@ -194,24 +134,18 @@ def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,
             f"use a larger n (--n) or drop the {kind.lower()!r} method")
     spec = sym_eig(matrix) if kind == "AS" else psd_spectrum(matrix)
     m_sel = select_m(spec, threshold) if m_override is None else m_override
-    return SubspaceSummary.from_result(SubspaceResult(
-        kind=kind, matrix=matrix, spectrum=spec, m_selected=m_sel))
+    return _summary(SubspaceResult(kind=kind, matrix=matrix, spectrum=spec,
+                                   m_selected=m_sel))
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Per-size score trajectories and rank agreement against a reference."""
-
-    model_label: str
-    method: str
-    sizes: tuple[int, ...]
-    n_seeds: int
-    reference: np.ndarray  # 1-based reference permutation
-    ranks: dict  # (size, seed_index) -> 1-based permutation
-    score_vectors: dict  # (size, seed_index) -> estimated scores
-    mean_scores: np.ndarray  # (len(sizes), d) seed-averaged scores
-    full_match_fraction: np.ndarray
-    top3_match_fraction: np.ndarray
+def _summary(result: SubspaceResult) -> SubspaceSummary:
+    """The report's summary of one AS or GAS result."""
+    spec = result.spectrum
+    sel = result.scores()
+    full = result.scores(result.d)
+    return SubspaceSummary(spec.eigenvalues, normalized_cumsum(spec),
+                           spec.eigenvectors[:, 0], result.m_selected, sel, full,
+                           normalize(sel), normalize(full))
 
 
 def convergence_study(model: Model, method: str, sizes, n_seeds: int,

@@ -2,17 +2,20 @@
 
 Every chart uses a fixed 800x500 canvas, a fixed palette, fixed-precision
 coordinates, and carries no timestamps, so a chart is a pure function of its
-data and suits golden-file comparison.
+data and suits golden-file comparison.  A series may be a numpy array or a
+sequence of floats, as in a report read back from JSON; both give the same
+bytes.  The module imports no numpy, so ``sensyn plot`` does not load it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputDomainError
-from .report import ConvergenceTable, SensitivityReport
+
+if TYPE_CHECKING:
+    from .output import ConvergenceTable, SensitivityReport
 
 WIDTH = 800
 HEIGHT = 500
@@ -101,8 +104,17 @@ class _Axes:
             self.canvas.text(self.x0 - 6, y + 4, f"{v:g}", size=10, anchor="end")
 
 
-def _nice_max(values) -> float:
-    top = max(float(np.max(v)) for v in values if v is not None and len(v))
+def _floats(values) -> list[float]:
+    """The numbers of one series as floats; a non-finite one has no place
+    on a chart."""
+    out = [float(x) for x in values]
+    if not all(map(math.isfinite, out)):
+        raise InputDomainError("cannot plot a non-finite value")
+    return out
+
+
+def _nice_max(series: list[list[float]]) -> float:
+    top = max(max(v) for v in series if v)
     if top <= 0.0:
         return 1.0
     mag = 10.0 ** math.floor(math.log10(top))
@@ -123,8 +135,8 @@ def bars_chart(report: SensitivityReport) -> str:
     for method, summary in report.subspaces.items():
         right += [(f"{method.upper()} m={summary.m}", summary.scores_m_normalized),
                   (f"{method.upper()} m=d", summary.scores_full_normalized)]
-    left = [(n, v) for n, v in left if v is not None]
-    right = [(n, v) for n, v in right if v is not None]
+    left = [(n, _floats(v)) for n, v in left if v is not None]
+    right = [(n, _floats(v)) for n, v in right if v is not None]
     if not left and not right:
         raise InputDomainError("report holds no scores to plot")
 
@@ -142,7 +154,7 @@ def bars_chart(report: SensitivityReport) -> str:
         for i in range(d):
             for si, (_, values) in enumerate(series):
                 x = axes.px(i) + group_w * 0.1 + si * bar_w
-                y = axes.py(float(values[i]))
+                y = axes.py(values[i])
                 canvas.rect(x, y, bar_w, axes.y0 + axes.h - y,
                             PALETTE[(color_base + si) % len(PALETTE)])
             canvas.text(axes.px(i) + group_w / 2, axes.y0 + axes.h + 16,
@@ -160,7 +172,7 @@ def bars_chart(report: SensitivityReport) -> str:
 
 def spectrum_chart(report: SensitivityReport) -> str:
     """Normalized cumulative eigenvalue sums of the available spectra."""
-    series = [(method.upper(), summary.cumulative)
+    series = [(method.upper(), _floats(summary.cumulative))
               for method, summary in report.subspaces.items()]
     if not series:
         raise InputDomainError("report holds no spectra to plot")
@@ -175,7 +187,7 @@ def spectrum_chart(report: SensitivityReport) -> str:
     canvas.text(axes.px(d), axes.py(thr) - 4, f"threshold {thr:g}", size=10,
                 anchor="end", fill="#777777")
     for si, (name, values) in enumerate(series):
-        pts = [(axes.px(m), axes.py(float(values[m - 1]))) for m in range(1, d + 1)]
+        pts = [(axes.px(m), axes.py(values[m - 1])) for m in range(1, d + 1)]
         canvas.polyline(pts, PALETTE[si])
         for x, y in pts:
             canvas.circle(x, y, 3, PALETTE[si])
@@ -192,16 +204,16 @@ def spectrum_chart(report: SensitivityReport) -> str:
 def eigvec_chart(report: SensitivityReport) -> str:
     """Components of the leading eigenvectors, with the reference direction
     overlaid when the model declares one."""
-    series = [(f"{method.upper()} u1", summary.first_eigenvector)
+    series = [(f"{method.upper()} u1", _floats(summary.first_eigenvector))
               for method, summary in report.subspaces.items()]
     if report.reference_direction is not None:
-        series.append(("reference", report.reference_direction))
+        series.append(("reference", _floats(report.reference_direction)))
     if not series:
         raise InputDomainError("report holds no eigenvectors to plot")
     canvas = Canvas()
     d = report.d
-    lo = min(float(np.min(v)) for _, v in series)
-    hi = max(float(np.max(v)) for _, v in series)
+    lo = min(min(v) for _, v in series)
+    hi = max(max(v) for _, v in series)
     pad = 0.1 * max(hi - lo, 1e-3)
     axes = _Axes(canvas, 80, 60, WIDTH - 160, 360, (1, d), (lo - pad, hi + pad))
     axes.frame("first eigenvector components")
@@ -213,7 +225,7 @@ def eigvec_chart(report: SensitivityReport) -> str:
         canvas.line(axes.px(1), axes.py(0.0), axes.px(d), axes.py(0.0),
                     stroke="#bbbbbb", dash="2,3")
     for si, (name, values) in enumerate(series):
-        pts = [(axes.px(i + 1), axes.py(float(values[i]))) for i in range(d)]
+        pts = [(axes.px(i + 1), axes.py(values[i])) for i in range(d)]
         canvas.polyline(pts, PALETTE[si])
         for x, y in pts:
             canvas.circle(x, y, 3, PALETTE[si])
@@ -241,16 +253,15 @@ def convergence_chart(tables: list[ConvergenceTable]) -> str:
     panel_w = (WIDTH - 120) / len(tables)
     for pi, table in enumerate(tables):
         x0 = 70 + pi * (panel_w + 30)
-        ymax = _nice_max([table.mean_scores])
+        rows = [_floats(row) for row in table.mean_scores]  # one per size
+        ymax = _nice_max(rows)
         axes = _Axes(canvas, x0, 60, panel_w - 30, 340, (xmin, xmax),
                      (0.0, ymax))
         axes.frame(table.method)
         axes.ylabels([0.0, ymax / 2, ymax])
-        d = table.mean_scores.shape[1]
-        for i in range(d):
+        for i in range(len(rows[0])):
             color = PALETTE[i % len(PALETTE)]
-            pts = [(axes.px(math.log10(s)),
-                    axes.py(max(0.0, float(table.mean_scores[si, i]))))
+            pts = [(axes.px(math.log10(s)), axes.py(max(0.0, rows[si][i])))
                    for si, s in enumerate(sizes)]
             canvas.polyline(pts, color)
             for x, y in pts:

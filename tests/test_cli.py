@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensyn import Model, Uniform, cli
+from sensyn import Model, Uniform, _front, cli
 from sensyn.cli import main
 from sensyn.models import indicator_upper_sobol, make_builtin
-from sensyn.report import rank
+from sensyn.report import build_report, rank
+from sensyn.svgplot import bars_chart, eigvec_chart, spectrum_chart
 
 
 def _load_bench_workloads():
@@ -26,6 +28,9 @@ def _load_bench_workloads():
 
 
 workloads = _load_bench_workloads()
+
+_theta = np.random.default_rng(3).normal(size=100)
+THETA_100 = (_theta / np.linalg.norm(_theta)).tolist()  # a d = 100 ridge direction
 
 
 @pytest.fixture()
@@ -321,7 +326,7 @@ class TestBenchmarkCommands:
         # stub out what runs after parsing and checking, so nothing samples
         for command in ("cmd_analyze", "cmd_bounds", "cmd_convergence"):
             monkeypatch.setattr(cli, command, lambda args, model: 0)
-        monkeypatch.setattr(cli, "cmd_plot", lambda args: 0)
+        monkeypatch.setattr(_front, "cmd_plot", lambda args: 0)
         for command in workloads.commands(name, seed):
             assert main(command.argv) == 0, command.argv
 
@@ -432,6 +437,29 @@ class TestPlotCommand:
         assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 1
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("scores.sobol_upper", float("nan")),
+        ("spectra.gas_first_eigenvector", float("-inf")),
+        ("meta.threshold", float("inf")),
+        ("scores.dgsm_raw", None),  # one number short of d
+    ])
+    def test_report_a_chart_cannot_hold(self, report_path, tmp_path, capsys,
+                                        field, value):
+        section, key = field.split(".")
+        data = json.loads(report_path.read_text())
+        if value is None:
+            data[section][key].pop()
+        elif isinstance(data[section][key], list):
+            data[section][key][1] = value
+        else:
+            data[section][key] = value
+        report_path.write_text(json.dumps(data))  # NaN and Infinity literals
+        for kind in ("bars", "spectrum", "eigvec"):
+            out = tmp_path / f"{kind}.svg"
+            assert main(["plot", str(report_path), "--kind", kind,
+                         "--out", str(out)]) == 1
+            assert f"cannot parse report {report_path}: {field} " in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("kind, what", [("spectrum", "spectra"),
                                             ("eigvec", "eigenvectors")])
@@ -553,6 +581,47 @@ class TestReproducibility:
 
 
 class TestStartup:
+    def test_import_loads_every_layer_the_benchmark_traces(self):
+        # bench/tracer.py indexes sys.modules by these names after this import
+        tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        layers, = [ast.literal_eval(node.value)
+                   for node in ast.parse(tracer.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and ast.unparse(node.targets[0]) == "LAYER_MODULES"]
+        script = ("import sys, sensyn.cli\n"
+                  f"missing = [m for m in {layers!r} if 'sensyn.' + m not in sys.modules]\n"
+                  "assert not missing, missing\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("name, params, methods, flags", [
+        ("example4", {}, ("sobol", "dgsm", "as", "gas"), ["--methods", "all"]),
+        ("example2", {"direction": THETA_100}, ("sobol", "gas"),
+         ["--methods", "sobol,gas", "--theta=" + ",".join(map(repr, THETA_100))]),
+    ], ids=["example4-all", "example2-d100"])
+    def test_plot_loads_no_numpy_and_draws_the_in_memory_charts(
+            self, tmp_path, name, params, methods, flags):
+        path = tmp_path / "r.json"
+        assert main(["analyze", "--model", name, *flags, "--n", "1000",
+                     "--seed", "5", "--out", str(path)]) == 0
+        report = build_report(make_builtin(name, **params), seed=5, n=1000,
+                              methods=methods)
+        script = (
+            "import sys, sensyn\n"
+            "report, out = sys.argv[1:]\n"
+            "for kind in ('bars', 'spectrum', 'eigvec'):\n"
+            "    sys.argv = ['sensyn', 'plot', report, '--kind', kind,\n"
+            "                '--out', f'{out}/{kind}.svg']\n"
+            "    assert sensyn._cli_main() == 0, kind\n"
+            "assert 'numpy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for kind, chart in (("bars", bars_chart), ("spectrum", spectrum_chart),
+                            ("eigvec", eigvec_chart)):
+            assert (tmp_path / f"{kind}.svg").read_bytes() == chart(report).encode(), kind
+
     def test_no_command_loads_scipy(self, tmp_path):
         # a fresh interpreter in which any scipy import fails
         script = (

@@ -1,6 +1,7 @@
 """Deterministic serialization: JSON round trips, CSV layout, SVG charts."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,9 @@ class TestSvg:
                                   rank([1.0, 4.0]))
         svg = convergence_chart([table])
         assert svg.count("<polyline") == 2  # one score line per input
+        # the seed-averaged scores as a 2-D array or as nested float lists
+        as_lists = replace(table, mean_scores=table.mean_scores.tolist())
+        assert convergence_chart([as_lists]) == svg
         payload = convergence_to_dict(table)
         assert payload["meta"]["sizes"] == [16, 64, 256]
         assert len(payload["mean_scores"]) == 3
