@@ -17,6 +17,9 @@ import numpy as np
 from .errors import (DegenerateSpectrumError, EigenNotConvergedError,
                      InputDomainError)
 
+# sym_eig stops once the off-diagonal norm is below this share of ||a||_F
+JACOBI_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -36,13 +39,13 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def sym_eig(a, *, tol_factor: float = 1e-14, max_sweeps: int = 100) -> SpectralDecomposition:
+def sym_eig(a, *, max_sweeps: int = 100) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by round-robin Jacobi rotations.
 
     A sweep is ``d - 1`` rounds (``d`` for odd ``d``, when one index sits
     each round out) in which every pair (p, q) is rotated exactly once.  The
     iteration stops when the off-diagonal Frobenius norm, checked once per
-    sweep, falls below ``tol_factor * ||a||_F``.  Raises
+    sweep, falls below ``JACOBI_TOL * ||a||_F``.  Raises
     :class:`InputDomainError` for non-finite or asymmetric input and
     :class:`EigenNotConvergedError` when ``max_sweeps`` sweeps do not reach
     that threshold.
@@ -64,7 +67,7 @@ def sym_eig(a, *, tol_factor: float = 1e-14, max_sweeps: int = 100) -> SpectralD
     norm = np.sqrt(np.sum(a * a))
     if norm == 0.0:
         return _finalize(np.zeros(d), vt)
-    stop = tol_factor * norm
+    stop = JACOBI_TOL * norm
 
     rounds = _round_robin(d)
     # the angle formulas run on every pair of a round, including those that

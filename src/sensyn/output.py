@@ -231,9 +231,9 @@ def _parse(value, annotation: str, d: int | None):
 def report_from_dict(data: dict) -> SensitivityReport:
     """Inverse of ``report_to_dict``, with each vector a tuple of floats.
 
-    A field that cannot hold its value, such as a non-finite number or a
-    vector whose length is not ``meta.d``, raises ``InputDomainError``
-    naming the field (``scores.sobol_upper``)."""
+    A field that cannot hold its value, such as a non-finite number, a
+    ``meta.d`` below 1 or a vector whose length is not ``meta.d``, raises
+    ``InputDomainError`` naming the field (``scores.sobol_upper``)."""
     values: dict = {}
     summaries: dict = {method: {} for method in SUBSPACE_METHODS}
     for section, key, method, name, annotation in _SCHEMA:
@@ -241,6 +241,8 @@ def report_from_dict(data: dict) -> SensitivityReport:
         try:
             # meta.d precedes every vector in the schema
             target[name] = _parse(data[section][key], annotation, values.get("d"))
+            if name == "d" and (target[name] is None or target[name] < 1):
+                raise ValueError(f"is {target[name]}, not at least 1")
         except (TypeError, ValueError) as exc:
             raise InputDomainError(f"{section}.{key} {exc}") from None
     return SensitivityReport(**values, subspaces={

@@ -52,11 +52,13 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     report; identical arguments give identical reports.
 
     With ``sobol`` selected, the methods share one pick-freeze design on
-    substream 1 of the seed's stream: base points z with f(z) and one
+    substream 1 of the seed's stream, in the layout of every other design
+    (:class:`~sensyn.variance.PickFreeze`): base points z with f(z) and one
     freeze column f(v_i, z_-i) per input.  sigma2 and the upper indices come
     from the design alone, the lower indices take it as two of their three
-    points, and the gradients (``dgsm``, ``as``) use its z and f(z) as their
-    base.  The slope matrix (``gas``) keeps each design pair (z_i, v_i) that
+    points and draw the third, and its noise, on the design's own
+    substreams 3 and 4, and the gradients (``dgsm``, ``as``) use its z and
+    f(z) as their base.  The slope matrix (``gas``) keeps each design pair (z_i, v_i) that
     clears the slope window and redraws the partner of the others, but only
     when ``m1 == n``, ``m2 == 1`` and the model is noise-free; a stochastic
     model needs its common-mode noise, so then, as without ``sobol``, the
@@ -79,7 +81,7 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 
     if "sobol" in methods:
         share_gas = "gas" in methods and m1 == n and m2 == 1
-        est, base, c_gas = _shared_design(model, n, root, seed, share_gas,
+        est, base, c_gas = _shared_design(model, n, root, share_gas,
                                           slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
                       sobol_upper=est.upper)
@@ -111,17 +113,17 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         **fields)
 
 
-def _shared_design(model: Model, n: int, root: RngStream, seed: int,
-                   share_gas: bool, slope_window: float):
+def _shared_design(model: Model, n: int, root: RngStream, share_gas: bool,
+                   slope_window: float):
     """Sobol' estimates, the design's base points and outputs, and (when
     ``share_gas`` and the model is noise-free) the slope matrix read off the
     same design."""
-    design = PickFreeze(model, n, root.substream(1), three_point=True)
+    design = PickFreeze(model, n, root.substream(1))
     slopes = None
     if share_gas:
         slopes = design_slopes(model, design.z, design.fz, root.substream(3),
                                slope_window)
-    est = sobol_from_design(design, seed=seed, on_column=slopes)
+    est = sobol_from_design(design, on_column=slopes)
     return est, (design.z, design.fz), None if slopes is None else slopes.matrix()
 
 

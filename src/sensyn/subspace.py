@@ -49,7 +49,7 @@ import numpy as np
 
 from .dgsm import gradient_matrix
 from .errors import EmptySlopeWindowError, InputDomainError
-from .linalg import SpectralDecomposition, select_m, sym_eig
+from .linalg import JACOBI_TOL, SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
 from .randkit import (InputDistribution, Normal, RngStream, Uniform, normal_cdf,
                       normal_inv_cdf)
@@ -92,7 +92,7 @@ def scores(spec: SpectralDecomposition, m: int) -> np.ndarray:
     return (u * u) @ spec.eigenvalues[:m]
 
 
-def _mean_outer(d_mat: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
+def _mean_outer(d_mat: np.ndarray) -> np.ndarray:
     """(1/n) * sum of row outer products, accumulated in a fixed order.
 
     Chunked einsum keeps the reduction off multithreaded BLAS paths so the
@@ -100,8 +100,8 @@ def _mean_outer(d_mat: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
     """
     n, d = d_mat.shape
     acc = np.zeros((d, d))
-    for start in range(0, n, chunk):
-        block = d_mat[start:start + chunk]
+    for start in range(0, n, _CHUNK):
+        block = d_mat[start:start + _CHUNK]
         acc += np.einsum("ni,nj->ij", block, block)
     return acc / n
 
@@ -465,7 +465,7 @@ def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
     eigenvalue comes out slightly negative, about 1e-6 to 1e-4 of the
     largest at n = 50,000 to 1,000, and a rank-one linear map's second
     eigenvalue is round-off.  Eigenvalues below the solver's stopping
-    tolerance, ``1e-14 * ||C||_F``, are therefore set to 0: for the
+    tolerance, ``JACOBI_TOL * ||C||_F``, are therefore set to 0: for the
     negative ones this is the spectrum of the nearest PSD matrix in the
     Frobenius norm.  Scores then stay nondecreasing in m, and at m = d they
     read that matrix's diagonal, which exceeds the estimated one by at most
@@ -473,7 +473,7 @@ def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
     """
     spec = sym_eig(matrix)
     lam = spec.eigenvalues
-    floor = 1e-14 * np.sqrt(np.sum(lam * lam))
+    floor = JACOBI_TOL * np.sqrt(np.sum(lam * lam))
     return SpectralDecomposition(np.where(lam < floor, 0.0, lam), spec.eigenvectors)
 
 

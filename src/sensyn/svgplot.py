@@ -31,9 +31,7 @@ def _fmt(x: float) -> str:
 class Canvas:
     """Accumulates SVG elements on the fixed canvas."""
 
-    def __init__(self, width: int = WIDTH, height: int = HEIGHT):
-        self.width = width
-        self.height = height
+    def __init__(self):
         self.parts: list[str] = []
 
     def rect(self, x, y, w, h, fill, stroke="none"):
@@ -63,8 +61,8 @@ class Canvas:
             f'text-anchor="{anchor}" fill="{fill}" {FONT}>{s}</text>')
 
     def to_string(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-                f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">')
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+                f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
         body = "\n".join(['<rect width="100%" height="100%" fill="#ffffff"/>',
                           *self.parts])
         return head + "\n" + body + "\n</svg>\n"
@@ -122,6 +120,23 @@ def _nice_max(series: list[list[float]]) -> float:
         if top <= mag * mult:
             return mag * mult
     return top
+
+
+def _line_series(canvas: Canvas, axes: _Axes, series, d: int,
+                 legend_step: int) -> None:
+    """Each series as a line through its d values at x = 1..d, with point
+    markers and a legend entry every ``legend_step`` pixels, then the x
+    ticks 1..d."""
+    for si, (name, values) in enumerate(series):
+        pts = [(axes.px(i + 1), axes.py(values[i])) for i in range(d)]
+        canvas.polyline(pts, PALETTE[si])
+        for x, y in pts:
+            canvas.circle(x, y, 3, PALETTE[si])
+        canvas.rect(100 + si * legend_step, 436, 10, 10, PALETTE[si])
+        canvas.text(116 + si * legend_step, 445, name, size=11)
+    for i in range(1, d + 1):
+        canvas.text(axes.px(i), axes.y0 + axes.h + 16, str(i), size=10,
+                    anchor="middle")
 
 
 def bars_chart(report: SensitivityReport) -> str:
@@ -186,16 +201,7 @@ def spectrum_chart(report: SensitivityReport) -> str:
                 stroke="#999999", dash="4,3")
     canvas.text(axes.px(d), axes.py(thr) - 4, f"threshold {thr:g}", size=10,
                 anchor="end", fill="#777777")
-    for si, (name, values) in enumerate(series):
-        pts = [(axes.px(m), axes.py(values[m - 1])) for m in range(1, d + 1)]
-        canvas.polyline(pts, PALETTE[si])
-        for x, y in pts:
-            canvas.circle(x, y, 3, PALETTE[si])
-        canvas.rect(100 + si * 120, 436, 10, 10, PALETTE[si])
-        canvas.text(116 + si * 120, 445, name, size=11)
-    for m in range(1, d + 1):
-        canvas.text(axes.px(m), axes.y0 + axes.h + 16, str(m), size=10,
-                    anchor="middle")
+    _line_series(canvas, axes, series, d, 120)
     canvas.text(WIDTH / 2, 24, f"{report.model_label}: spectrum", size=15,
                 anchor="middle")
     return canvas.to_string()
@@ -224,16 +230,7 @@ def eigvec_chart(report: SensitivityReport) -> str:
     if lo < 0.0 < hi:
         canvas.line(axes.px(1), axes.py(0.0), axes.px(d), axes.py(0.0),
                     stroke="#bbbbbb", dash="2,3")
-    for si, (name, values) in enumerate(series):
-        pts = [(axes.px(i + 1), axes.py(values[i])) for i in range(d)]
-        canvas.polyline(pts, PALETTE[si])
-        for x, y in pts:
-            canvas.circle(x, y, 3, PALETTE[si])
-        canvas.rect(100 + si * 140, 436, 10, 10, PALETTE[si])
-        canvas.text(116 + si * 140, 445, name, size=11)
-    for i in range(1, d + 1):
-        canvas.text(axes.px(i), axes.y0 + axes.h + 16, str(i), size=10,
-                    anchor="middle")
+    _line_series(canvas, axes, series, d, 140)
     canvas.text(WIDTH / 2, 24, f"{report.model_label}: eigenvectors", size=15,
                 anchor="middle")
     return canvas.to_string()

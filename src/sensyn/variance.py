@@ -24,9 +24,9 @@ from .errors import InputDomainError, ZeroVarianceError
 from .models import Model, sample_inputs
 from .randkit import RngStream
 
-# substream roles within one design: base, freeze columns, noise, the lower
-# estimator's third point, and the freeze columns of the three-point layout
-_BASE, _FREEZE, _NOISE, _THIRD, _THREE_POINT_FREEZE = 0, 1, 2, 3, 4
+# substream roles within one design: base, freeze columns, noise, and the
+# lower estimator's third point and its noise
+_BASE, _FREEZE, _NOISE, _THIRD, _THIRD_NOISE = 0, 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -60,18 +60,14 @@ class PickFreeze:
 
     Substreams of ``rng``: 0 the base, 2 the noise (child 0 for f(z)), and
     the freeze column of input i on child i of 1 with noise child i + 1.
-    ``three_point`` leaves room for the third point of
-    :func:`sobol_from_design`: the freeze columns draw on 4 instead, and
-    column i takes noise child 2*i + 2, so that the third point's noise
-    children are the odd ones.
+    :func:`sobol_from_design` draws its third point on 3 and that point's
+    noise on 4.
     """
 
-    def __init__(self, model: Model, n: int, rng: RngStream, *,
-                 three_point: bool = False):
+    def __init__(self, model: Model, n: int, rng: RngStream):
         if n < 2:
             raise InputDomainError("pick-freeze estimation needs n >= 2")
         self.model, self.n, self.rng = model, n, rng
-        self.three_point = three_point
         self.z = sample_inputs(model, n, rng.substream(_BASE))
         self.noise = rng.substream(_NOISE)
         self.fz = model.evaluate(self.z, rng=self.noise.substream(0))
@@ -83,22 +79,19 @@ class PickFreeze:
         again whenever a column is handed out; ``v_i`` is a fresh array the
         caller may keep or overwrite.
         """
-        freeze = self.rng.substream(_THREE_POINT_FREEZE if self.three_point
-                                    else _FREEZE)
-        stride = 2 if self.three_point else 1
+        freeze = self.rng.substream(_FREEZE)
         z = self.z
         for i, dist in enumerate(self.model.marginals):
             v = dist.inv_cdf(freeze.substream(i).uniforms(self.n))
             zi = z[:, i].copy()
             z[:, i] = v
-            fv = self.model.evaluate(z, rng=self.noise.substream(stride * (i + 1)))
+            fv = self.model.evaluate(z, rng=self.noise.substream(i + 1))
             z[:, i] = zi
             yield i, v, fv
 
 
-def _checked_variance(fz: np.ndarray, sigma2: float | None, what: str) -> float:
-    if sigma2 is None:
-        sigma2 = float(np.var(fz, ddof=1))
+def _checked_variance(fz: np.ndarray, what: str) -> float:
+    sigma2 = float(np.var(fz, ddof=1))
     if sigma2 <= 0.0:
         raise ZeroVarianceError(f"{what} undefined for a constant model")
     return sigma2
@@ -108,12 +101,12 @@ def _upper(fz: np.ndarray, fv: np.ndarray, sigma2: float) -> float:
     return np.mean((fz - fv) ** 2) / (2.0 * sigma2)
 
 
-def upper_from_design(design: PickFreeze, sigma2: float | None = None,
+def upper_from_design(design: PickFreeze,
                       on_column=None) -> tuple[np.ndarray, float]:
-    """Upper indices of a design, and the variance that normalizes them
-    (that of f(z) unless supplied).  ``on_column(i, v_i, f(v_i, z_-i))``,
-    if given, sees every freeze column after its index is reduced."""
-    sigma2 = _checked_variance(design.fz, sigma2, "upper Sobol' indices")
+    """Upper indices of a design, and the variance of f(z) that normalizes
+    them.  ``on_column(i, v_i, f(v_i, z_-i))``, if given, sees every freeze
+    column after its index is reduced."""
+    sigma2 = _checked_variance(design.fz, "upper Sobol' indices")
     out = np.empty(design.model.d)
     for i, v, fv in design.columns():
         out[i] = _upper(design.fz, fv, sigma2)
@@ -122,16 +115,15 @@ def upper_from_design(design: PickFreeze, sigma2: float | None = None,
     return out, sigma2
 
 
-def upper_sobol(model: Model, n: int, rng: RngStream,
-                sigma2: float | None = None) -> np.ndarray:
+def upper_sobol(model: Model, n: int, rng: RngStream) -> np.ndarray:
     """Pick-freeze estimate of the upper (total-effect) Sobol' indices.
 
     For each input i the base point has coordinate i replaced by a fresh
     draw and the halved mean square difference is divided by the variance
-    estimate (taken from the base evaluations unless supplied).  Estimates
-    are nonnegative by construction and are not clipped from above.
+    of the base evaluations.  Estimates are nonnegative by construction and
+    are not clipped from above.
     """
-    return upper_from_design(PickFreeze(model, n, rng), sigma2)[0]
+    return upper_from_design(PickFreeze(model, n, rng))[0]
 
 
 def prefix_upper(design: PickFreeze, sizes) -> np.ndarray:
@@ -142,7 +134,7 @@ def prefix_upper(design: PickFreeze, sizes) -> np.ndarray:
     :func:`upper_sobol` row k is what that function gives at ``sizes[k]``
     on the same stream, up to rounding where the model's output at a row
     depends on the batch length (a BLAS matrix-vector product's does)."""
-    sigma2 = [_checked_variance(design.fz[:s], None, "upper Sobol' indices")
+    sigma2 = [_checked_variance(design.fz[:s], "upper Sobol' indices")
               for s in sizes]
     out = np.empty((len(sizes), design.model.d))
     for i, _, fv in design.columns():
@@ -151,10 +143,8 @@ def prefix_upper(design: PickFreeze, sizes) -> np.ndarray:
     return out
 
 
-def sobol_from_design(design: PickFreeze, sigma2: float | None = None,
-                      seed: int | None = None, on_column=None) -> SobolEstimate:
-    """Upper and lower indices, and the variance of f(z), from one design
-    drawn with ``three_point=True``.
+def sobol_from_design(design: PickFreeze, on_column=None) -> SobolEstimate:
+    """Upper and lower indices, and the variance of f(z), from one design.
 
     The lower indices take x = z and y = v from the design and draw a fresh
     third point w on substream 3 of the design's stream.  The mean of
@@ -164,42 +154,39 @@ def sobol_from_design(design: PickFreeze, sigma2: float | None = None,
     is the main-effect variance of input i: both factors have zero mean and
     only the f(x)f(x_i, w_-i) and f(y_i, x_-i)f(w) pairs share a coordinate.
     The first factor is read off the design, so the estimator adds f(w) and
-    the d columns f(x_i, w_-i), n*(d+1) evaluations (noise children 1 and
-    2*i + 3).  Small negative estimates are Monte Carlo noise and are
-    reported as-is.  ``on_column(i, v_i, f(v_i, z_-i))``, if given, sees
-    every freeze column after its indices are reduced.
+    the d columns f(x_i, w_-i), n*(d+1) evaluations, whose noise is drawn
+    on substream 4 (child 0 for f(w), child i + 1 for f(x_i, w_-i)).  Small
+    negative estimates are Monte Carlo noise and are reported as-is.
+    ``on_column(i, v_i, f(v_i, z_-i))``, if given, sees every freeze column
+    after its indices are reduced.
     """
-    if not design.three_point:
-        raise InputDomainError("the lower indices need a three-point design")
     model, n, x, fx = design.model, design.n, design.z, design.fz
-    sigma2 = _checked_variance(fx, sigma2, "Sobol' indices")
+    sigma2 = _checked_variance(fx, "Sobol' indices")
     w = sample_inputs(model, n, design.rng.substream(_THIRD))
-    fw = model.evaluate(w, rng=design.noise.substream(1))
+    noise = design.rng.substream(_THIRD_NOISE)
+    fw = model.evaluate(w, rng=noise.substream(0))
     upper, lower = np.empty(model.d), np.empty(model.d)
     for i, v, fv in design.columns():
         upper[i] = _upper(fx, fv, sigma2)
         wi = w[:, i].copy()
         w[:, i] = x[:, i]
-        fxw = model.evaluate(w, rng=design.noise.substream(2 * i + 3))
+        fxw = model.evaluate(w, rng=noise.substream(i + 1))
         w[:, i] = wi
         lower[i] = np.mean((fx - fv) * (fxw - fw)) / sigma2
         if on_column is not None:
             on_column(i, v, fv)
     return SobolEstimate(lower=lower, upper=upper, sigma2_hat=sigma2, n=n,
-                         seed=design.rng.seed if seed is None else seed)
+                         seed=design.rng.seed)
 
 
-def lower_sobol(model: Model, n: int, rng: RngStream,
-                sigma2: float | None = None) -> np.ndarray:
+def lower_sobol(model: Model, n: int, rng: RngStream) -> np.ndarray:
     """Correlation estimate of the lower (main-effect) Sobol' indices, from
     a pick-freeze design on ``rng`` and a fresh third point
     (:func:`sobol_from_design`)."""
-    return sobol_from_design(PickFreeze(model, n, rng, three_point=True),
-                             sigma2).lower
+    return sobol_from_design(PickFreeze(model, n, rng)).lower
 
 
-def estimate_sobol(model: Model, n: int, rng: RngStream, seed: int | None = None) -> SobolEstimate:
+def estimate_sobol(model: Model, n: int, rng: RngStream) -> SobolEstimate:
     """Both index estimators and the variance from one pick-freeze design
     on ``rng``, n*(2*d+2) evaluations."""
-    return sobol_from_design(PickFreeze(model, n, rng, three_point=True),
-                             seed=seed)
+    return sobol_from_design(PickFreeze(model, n, rng))

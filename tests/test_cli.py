@@ -461,6 +461,26 @@ class TestPlotCommand:
             assert f"cannot parse report {report_path}: {field} " in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_report_without_inputs(self, report_path, tmp_path, capsys, d):
+        # every vector emptied: at d = 0 each length matches meta.d, so only
+        # the check on meta.d itself can reject the report
+        data = json.loads(report_path.read_text())
+        data["meta"]["d"] = d
+        for section in ("scores", "spectra"):
+            for key, value in data[section].items():
+                if isinstance(value, list):
+                    data[section][key] = []
+        report_path.write_text(json.dumps(data))
+        for kind in ("bars", "spectrum", "eigvec"):
+            out = tmp_path / f"{kind}.svg"
+            assert main(["plot", str(report_path), "--kind", kind,
+                         "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: cannot parse report {report_path}: "
+                           f"meta.d is {d}, not at least 1\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("kind, what", [("spectrum", "spectra"),
                                             ("eigvec", "eigenvectors")])
     def test_report_without_the_series(self, tmp_path, capsys, kind, what):

@@ -30,9 +30,12 @@ def product_model():
 
 class TestEstimateVariance:
     def test_additive_uniform(self):
+        # the sum of four unit uniforms has kurtosis 2.7, so the sample
+        # variance's SE is sqrt(1.7 / 9 / n), 2.2e-4 at n = 4e6: the band
+        # is 4.1 SE wide
         model = make_linear([1.0, 1.0, 1.0, 1.0])
-        var = estimate_variance(model, 1_000_000, RngStream(1))
-        assert var == pytest.approx(4.0 / 12.0, abs=3.0 * 3e-4)
+        var = estimate_variance(model, 4_000_000, RngStream(1))
+        assert var == pytest.approx(4.0 / 12.0, abs=9e-4)
 
     def test_constant_model_flags_zero(self):
         model = make_linear([0.0, 0.0])
