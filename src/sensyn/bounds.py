@@ -47,8 +47,8 @@ from .errors import InputDomainError
 from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model, make_quadratic_normal
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
-from .subspace import (DEFAULT_SLOPE_WINDOW, c_as_from_gradients,
-                       design_slopes, estimate_c_gas, psd_spectrum, scores)
+from .subspace import (DEFAULT_SLOPE_WINDOW, DesignSlopes, c_as_from_gradients,
+                       estimate_c_gas, psd_spectrum, scores)
 from .variance import PickFreeze, upper_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
@@ -118,20 +118,19 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     substream 0 of ``rng.substream(100 + b)``; sigma2 is the variance of its
     f(z) and the upper indices reduce its freeze columns.  With ``gas`` the
     slope matrix keeps the design's pairs that clear the slope window and
-    redraws the partners of the others on substream 1, which on a
-    stochastic model draws the whole slope matrix instead
-    (:func:`~sensyn.subspace.design_slopes`).  With ``gradients`` the
-    forward differences start from the design's z and f(z), on substream 3.
-    A noise-free batch costs n*(d+1) rows, plus n*d for gradients and one
-    per redrawn slope partner.  Only vectors and d x d matrices outlive a
-    batch.
+    redraws the partners of the others on substream 1, where a stochastic
+    model, whose common-mode noise must cancel, draws its own slope matrix
+    instead.  With ``gradients`` the forward differences start from the
+    design's z and f(z), on substream 3.  A noise-free batch costs n*(d+1)
+    rows, plus n*d for gradients and one per redrawn slope partner.  Only
+    vectors and d x d matrices outlive a batch.
     """
     upper, sigma2, c_gas, v, c_as = [], [], [], [], []
     for b in range(N_BATCHES):
         batch = rng.substream(100 + b)
         design = PickFreeze(model, n, batch.substream(0))
-        slopes = (design_slopes(model, design.z, design.fz, batch.substream(1),
-                                slope_window) if gas else None)
+        slopes = (DesignSlopes(model, design.z, design.fz, batch.substream(1), slope_window)
+                  if gas and model.noise_scale == 0.0 else None)
         up, s2 = upper_from_design(design, on_column=slopes)
         upper.append(up)
         sigma2.append(s2)

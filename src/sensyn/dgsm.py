@@ -27,8 +27,9 @@ def gradient_matrix(model: Model, n: int, h: float, rng: RngStream,
     All d partial differences of one point share its base evaluation; every
     evaluation batch draws independent noise for stochastic models.
     ``base = (z, f(z))`` supplies evaluated base points (a pick-freeze
-    design's, say) in place of drawing them, which saves n evaluations; z is
-    restored before the call returns.
+    design's, say) in place of drawing them, which saves n evaluations; each
+    shift is written into z in place, and z is restored before the call
+    returns or raises (:meth:`~sensyn.models.Model.evaluate_column`).
     """
     if n < 1:
         raise InputDomainError("gradient sampling needs n >= 1")
@@ -42,10 +43,7 @@ def gradient_matrix(model: Model, n: int, h: float, rng: RngStream,
         z, fz = base
     g = np.empty((len(z), model.d))
     for i in range(model.d):
-        zi = z[:, i].copy()
-        z[:, i] += h
-        fzi = model.evaluate(z, rng=noise.substream(i + 1))
-        z[:, i] = zi
+        fzi = model.evaluate_column(z, i, z[:, i] + h, rng=noise.substream(i + 1))
         g[:, i] = (fzi - fz) / h
     if not np.all(np.isfinite(g)):
         bad = int(np.nonzero(~np.all(np.isfinite(g), axis=0))[0][0])

@@ -34,10 +34,10 @@ class Model:
     modelled by ``noise_scale`` which adds ``noise_scale * eps`` per
     evaluation with ``eps ~ N(0,1)`` drawn from a caller-provided stream.
     The input array is read-only and valid only during the call: estimators
-    overwrite one column of their design in place between calls, so a model
-    that must keep its input copies it, and one that writes into it raises
-    ``ValueError``.  An ``eval_fn`` that needs a writable buffer even without
-    writing (a non-const typed memoryview, say) must take ``np.array(z)``.
+    overwrite one column of their design in place (:meth:`evaluate_column`),
+    so a model that must keep its input copies it, and one that writes into
+    it raises ``ValueError``.  An ``eval_fn`` that needs a writable buffer
+    even without writing (a non-const memoryview) must take ``np.array(z)``.
     """
 
     label: str
@@ -91,6 +91,17 @@ class Model:
                 noise = rng.standard_normals(len(batch))
             y = y + self.noise_scale * np.asarray(noise, dtype=np.float64)
         return float(y[0]) if single else y
+
+    def evaluate_column(self, z: np.ndarray, i: int, column, rng: RngStream | None = None,
+                        noise: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`evaluate` at ``z`` with column i set to ``column`` in place,
+        not in a copy; column i is restored before this returns or raises."""
+        kept = z[:, i].copy()
+        z[:, i] = column
+        try:
+            return self.evaluate(z, rng=rng, noise=noise)
+        finally:
+            z[:, i] = kept
 
 
 def sample_inputs(model: Model, n: int, rng: RngStream) -> np.ndarray:

@@ -204,27 +204,43 @@ def report_to_dict(report: SensitivityReport) -> dict:
     return out
 
 
-_SCALARS = {"str": str, "int": int, "float": float}
+# the JSON types of each kind of field (a boolean is no number in a report)
+_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
+          "float": ((int, float), "a number"), "list": ((list,), "a list")}
+
+
+def _typed(value, kind: str, verb: str):
+    """``value`` if it has the JSON type of a ``kind`` field."""
+    types, noun = _TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        shown = {list: "a list", dict: "an object"}.get(type(value), repr(value))
+        raise ValueError(f"{verb} {shown}, not {noun}")
+    return value
 
 
 def _parse(value, annotation: str, d: int | None):
     """A JSON value as the report field declared ``annotation`` holds it: a
-    vector as a tuple of ``d`` floats.  A non-finite number raises
-    ``ValueError``."""
+    vector as a tuple of ``d`` floats.  A value of another JSON type than
+    the field's, or a non-finite number, raises ``ValueError``."""
     if value is None:
         return None
-    if annotation.startswith("Vector"):
-        vector = tuple(map(float, value))
+    kind = annotation.removesuffix(" | None")
+    if kind.startswith("tuple"):
+        return tuple(_typed(item, "str", "holds")
+                     for item in _typed(value, "list", "is"))
+    if kind.startswith("Vector"):
+        vector = tuple(float(_typed(item, "float", "holds"))
+                       for item in _typed(value, "list", "is"))
         if len(vector) != d:
             raise ValueError(f"holds {len(vector)} numbers, not d = {d}")
         if not all(map(math.isfinite, vector)):
             raise ValueError("holds a non-finite number")
         return vector
-    if annotation.startswith("tuple"):
-        return tuple(value)
-    scalar = _SCALARS[annotation.removesuffix(" | None")](value)
-    if isinstance(scalar, float) and not math.isfinite(scalar):
-        raise ValueError("is not finite")
+    scalar = _typed(value, kind, "is")
+    if kind == "float":
+        scalar = float(scalar)
+        if not math.isfinite(scalar):
+            raise ValueError("is not finite")
     return scalar
 
 

@@ -18,7 +18,7 @@ from .output import (METHOD_NAMES, ConvergenceTable, SensitivityReport,
                      SubspaceSummary)
 from .randkit import RngStream
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
-                       c_as_from_gradients, design_slopes, estimate_c_gas,
+                       DesignSlopes, c_as_from_gradients, estimate_c_gas,
                        psd_spectrum, slope_vectors)
 from .variance import PickFreeze, prefix_upper, sobol_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
@@ -80,7 +80,8 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     base = c_gas = None
 
     if "sobol" in methods:
-        share_gas = "gas" in methods and m1 == n and m2 == 1
+        share_gas = ("gas" in methods and m1 == n and m2 == 1
+                     and model.noise_scale == 0.0)
         est, base, c_gas = _shared_design(model, n, root, share_gas,
                                           slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
@@ -116,13 +117,10 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 def _shared_design(model: Model, n: int, root: RngStream, share_gas: bool,
                    slope_window: float):
     """Sobol' estimates, the design's base points and outputs, and (when
-    ``share_gas`` and the model is noise-free) the slope matrix read off the
-    same design."""
+    ``share_gas``) the slope matrix read off the same design."""
     design = PickFreeze(model, n, root.substream(1))
-    slopes = None
-    if share_gas:
-        slopes = design_slopes(model, design.z, design.fz, root.substream(3),
-                               slope_window)
+    slopes = (DesignSlopes(model, design.z, design.fz, root.substream(3), slope_window)
+              if share_gas else None)
     est = sobol_from_design(design, on_column=slopes)
     return est, (design.z, design.fz), None if slopes is None else slopes.matrix()
 

@@ -20,7 +20,7 @@ noise-free models:
   the marginal's scale), independently for each input.  Raw quotients have
   heavy tails whenever the integrand does not smooth out as the pair
   coincides (discontinuous response, evaluation noise); a separation floor
-  bounds the quotient denominators while leaving multilinear slopes
+  keeps each quotient's step away from 0 while leaving multilinear slopes
   untouched and quadratic second moments, off the diagonal too, exactly
   unbiased under normal marginals (the pair sum is independent of the pair
   gap).  Every base coordinate is kept, so the base evaluation f(z) stays
@@ -196,6 +196,11 @@ class _PartnerRedraws:
     input: a small design makes one call per run of inputs with one law,
     and a large one holds little more than one input's pairs.  Input i's
     uniforms are one ``uniforms`` call on ``rng.substream(i)``.
+
+    The grouping pays: redrawing each input on its own gave the same bytes,
+    but in 6 alternating 20 s ``bench/run.py`` pairs its median ``cpu_norm``
+    rose 3.3 % on bounds-all (3.435 to 3.550) and 4.5 % on highdim-spectrum
+    (3.191 to 3.336), worse in 4 of 6 pairs on each.
     """
 
     def __init__(self, model: Model, z: np.ndarray, gaps: np.ndarray,
@@ -226,31 +231,12 @@ class _PartnerRedraws:
                 in zip(pending, np.split(b, cuts), np.split(mass, cuts))]
 
 
-def _slope_column(model: Model, z: np.ndarray, i: int, b: np.ndarray,
-                  fz: np.ndarray, dead: np.ndarray,
-                  noise: np.ndarray | None = None) -> np.ndarray:
-    """Difference quotients of input i between the base points ``z`` (with
-    outputs ``fz``) and the same points with coordinate i set to ``b``,
-    evaluated in one call.  The rows ``dead`` have no admissible partner:
-    they get no row and a quotient of 0.  ``noise`` holds the common-mode
-    noise variates of the rows; ``z`` is unchanged on return.
-    """
-    a = z[:, i].copy()
-    z[:, i] = b
-    if dead.size:
-        live = np.ones(len(z), dtype=bool)
-        live[dead] = False
-        fb = fz.copy()
-        fb[live] = model.evaluate(z[live],
-                                  noise=None if noise is None else noise[live])
-    else:
-        fb = model.evaluate(z, noise=noise)
-    z[:, i] = a
-    diff = fb - fz
-    step = b - a
-    diff[dead] = 0.0
-    step[dead] = 1.0
-    diff /= step
+def _quotients(model: Model, z: np.ndarray, i: int, b: np.ndarray,
+               fz: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """Quotients ``(f(b, z_-i) - f(z)) / (b - z_i)`` at the points ``z`` with
+    outputs ``fz``, in one call; ``noise``: the rows' common-mode noise."""
+    diff = model.evaluate_column(z, i, b, noise=noise) - fz
+    diff /= b - z[:, i]
     return diff
 
 
@@ -279,11 +265,9 @@ class SlopeSample:
         self.runs = _runs(model.marginals)
         self.weights = weights
 
-    def _chunks(self, rows: int | None):
-        """``(slopes, weights)`` of the first ``rows`` rows (default: all),
-        one chunk of about ``_BLOCK`` coordinates at a time, in a
-        fixed order."""
-        stop = len(self.z) if rows is None else rows
+    def _chunks(self, stop: int):
+        """``(slopes, weights)`` of the first ``stop`` rows, one chunk of
+        about ``_BLOCK`` coordinates at a time, in a fixed order."""
         step = max(1, _BLOCK // self.z.shape[1])
         for start in range(0, stop, step):
             end = min(start + step, stop)
@@ -291,44 +275,39 @@ class SlopeSample:
                  if self.weights is None else self.weights[start:end])
             yield self.slopes[start:end], w
 
-    def sums(self, rows: int | None = None, denominators: bool = True):
-        """The weighted sums of the matrix's numerators and (unless
-        ``denominators`` is false) denominators over the first ``rows``
-        rows (default: all)."""
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(num, den)``: the weighted sums that :meth:`matrix` divides
+        entry by entry."""
         d = self.z.shape[1]
         num, den = np.zeros((d, d)), np.zeros((d, d))
         num_ii, den_ii = np.zeros(d), np.zeros(d)
-        for q, w in self._chunks(rows):
+        for q, w in self._chunks(len(self.z)):
             wq = w * q
             num += np.einsum("ni,nj->ij", wq, wq)
             num_ii += np.einsum("ni,ni->i", wq, q)
-            if denominators:
-                den += np.einsum("ni,nj->ij", w, w)
-                den_ii += np.einsum("ni->i", w)
+            den += np.einsum("ni,nj->ij", w, w)
+            den_ii += np.einsum("ni->i", w)
         np.fill_diagonal(num, num_ii)
         np.fill_diagonal(den, den_ii)
-        return (num, den) if denominators else num
+        return num, den
 
-    def matrix(self, rows: int | None = None) -> np.ndarray:
-        """The self-normalized slope matrix of the first ``rows`` rows."""
-        num, den = self.sums(rows)
-        return _normalized(num, den, self.slope_window,
-                           len(self.z) if rows is None else rows)
+    def matrix(self) -> np.ndarray:
+        """The self-normalized slope matrix."""
+        return _normalized(*self.sums(), self.slope_window, len(self.z))
 
     def diagonal(self, rows: int | None = None) -> np.ndarray:
-        """The diagonal of :meth:`matrix`, which needs only each input's
-        own weights to be nonzero."""
+        """The diagonal of the matrix of the first ``rows`` rows (default:
+        all), which needs only each input's own weights to be nonzero."""
+        rows = len(self.z) if rows is None else rows
         d = self.z.shape[1]
         num, den = np.zeros(d), np.zeros(d)
         for q, w in self._chunks(rows):
             num += np.einsum("ni,ni->i", w * q, q)
             den += np.einsum("ni->i", w)
-        return _normalized(num, den, self.slope_window,
-                           len(self.z) if rows is None else rows)
+        return _normalized(num, den, self.slope_window, rows)
 
 
-def _normalized(num: np.ndarray, den: np.ndarray, slope_window: float,
-                n: int) -> np.ndarray:
+def _normalized(num: np.ndarray, den: np.ndarray, slope_window: float, n: int) -> np.ndarray:
     if not den.all():
         raise EmptySlopeWindowError(
             f"none of {n} base points has an admissible slope partner for "
@@ -348,11 +327,11 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
     d+1 calls and m1 * (d+1) rows, whatever the window, because the
     partners inside the window are redrawn, a group of inputs at a time
     (:class:`_PartnerRedraws`), before their columns are evaluated (a base
-    with no admissible partner is left out of its column).  With ``m2 > 1`` the samples share one array
-    of the base points' weights.  Stochastic models draw one noise variate
-    per base point, shared by all of its evaluations.  Substreams of
-    ``rng``: 0 the base, 1 the freeze vectors (child j), 2 the noise and 3
-    the redraws (child j, then child i per input).
+    with no admissible partner is left out of its column).  With ``m2 > 1``
+    the samples share one array of the base points' weights.  Stochastic
+    models draw one noise variate per base point, shared by all of its
+    evaluations.  Substreams of ``rng``: 0 the base, 1 the freeze vectors
+    (child j), 2 the noise and 3 the redraws (child j, then child i).
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
@@ -380,8 +359,13 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
             near = np.flatnonzero(np.abs(v[:, i] - z[:, i]) < gaps[i])
             for k, rows, b, mass in redraws.add(i, near):
                 v[rows, k] = b
-                slopes[:, k] = _slope_column(model, z, k, v[:, k], fz,
-                                             rows[mass == 0.0], noise=eps)
+                live = slice(None)  # every row, in place
+                if not mass.all():  # a base with no admissible partner gets no row
+                    live = np.ones(m1, dtype=bool)
+                    live[rows[mass == 0.0]] = False
+                    slopes[:, k] = 0.0
+                slopes[live, k] = _quotients(model, z[live], k, v[live, k], fz[live],
+                                             None if eps is None else eps[live])
         yield SlopeSample(model, z, slopes, slope_window, weights)
 
 
@@ -392,13 +376,11 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
     Weighs the quotients of ``m1`` base points, each paired with ``m2``
     fresh freeze vectors (:func:`slope_vectors`, which states the cost), as
     :class:`SlopeSample` does; the weights depend on the base points only,
-    so the denominators are summed once, with the first freeze vector.
+    so every freeze vector has the same weight sums.
     """
     for j, sample in enumerate(slope_vectors(model, m1, m2, rng, slope_window)):
-        if j == 0:
-            num, den = sample.sums()
-        else:
-            num += sample.sums(denominators=False)
+        part, den = sample.sums()
+        num = part if j == 0 else num + part
     return _normalized(num / m2, den, slope_window, m1)
 
 
@@ -412,10 +394,9 @@ class DesignSlopes(SlopeSample):
     a group of inputs at a time (:class:`_PartnerRedraws`, on ``rng``), and
     each input's redrawn rows are evaluated in one call: a redrawn pair
     costs one row, and a base with no admissible partner none (its
-    quotient is 0).  The matrix is
-    weighted as in :class:`SlopeSample`.  Common-mode noise cannot be
-    shared with a design whose evaluations drew their own noise, so a
-    stochastic model is refused.
+    quotient is 0).  The matrix is weighted as in :class:`SlopeSample`.
+    Common-mode noise cannot be shared with a design whose evaluations drew
+    their own noise, so a stochastic model is refused.
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,
@@ -435,35 +416,20 @@ class DesignSlopes(SlopeSample):
             live = mass > 0.0
             self.slopes[rows[~live], k] = 0.0
             if live.any():
-                rows, b = rows[live], b[live]
+                rows = rows[live]
                 x = self.z.take(rows, axis=0)
-                a = x[:, k].copy()
-                x[:, k] = b
-                diff = self.model.evaluate(x) - self.fz[rows]
-                diff /= b - a
-                self.slopes[rows, k] = diff
-
-
-def design_slopes(model: Model, z: np.ndarray, fz: np.ndarray, rng: RngStream,
-                  slope_window: float = DEFAULT_SLOPE_WINDOW) -> DesignSlopes | None:
-    """The :class:`DesignSlopes` of a pick-freeze design with base points
-    ``z`` and outputs ``fz``, or ``None`` for a stochastic model, whose
-    slope matrix needs its own draws (:func:`estimate_c_gas` on ``rng``) so
-    that its common-mode noise cancels."""
-    if model.noise_scale > 0.0:
-        return None
-    return DesignSlopes(model, z, fz, rng, slope_window=slope_window)
+                self.slopes[rows, k] = _quotients(self.model, x, k, b[live], self.fz[rows], None)
 
 
 def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a slope matrix with every eigenvalue below
     :func:`~sensyn.linalg.sym_eig`'s resolution set to 0.
 
-    The self-normalized entries of :class:`SlopeSample` have different
-    denominators, so the matrix need not be PSD.  Where the true matrix is
-    singular (the linear inputs of example1 and example4) its smallest
-    eigenvalue comes out slightly negative, about 1e-6 to 1e-4 of the
-    largest at n = 50,000 to 1,000, and a rank-one linear map's second
+    The self-normalized entries of :class:`SlopeSample` are divided by
+    different weight sums, so the matrix need not be PSD.  Where the true
+    matrix is singular (the linear inputs of example1 and example4) its
+    smallest eigenvalue comes out slightly negative, about 1e-6 to 1e-4 of
+    the largest at n = 50,000 to 1,000, and a rank-one linear map's second
     eigenvalue is round-off.  Eigenvalues below the solver's stopping
     tolerance, ``JACOBI_TOL * ||C||_F``, are therefore set to 0: for the
     negative ones this is the spectrum of the nearest PSD matrix in the

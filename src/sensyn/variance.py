@@ -9,9 +9,10 @@ the variance of small indices low; two of the three points are the design's
 z and v, so only a fresh third point and its d swapped columns are new, and
 a replicate of both estimators costs n*(2*d+2) evaluations.  For the
 evaluations of input i the estimators overwrite column i of a base design in
-place and restore it afterwards, instead of copying the design once per
-input, and they reduce the outputs one column at a time, so no (n, d) array
-of outputs is held.
+place (:meth:`~sensyn.models.Model.evaluate_column`, which restores it even
+when the model fails), instead of copying the design once per input, and
+they reduce the outputs one column at a time, so no (n, d) array of outputs
+is held.
 """
 
 from __future__ import annotations
@@ -80,14 +81,10 @@ class PickFreeze:
         caller may keep or overwrite.
         """
         freeze = self.rng.substream(_FREEZE)
-        z = self.z
         for i, dist in enumerate(self.model.marginals):
             v = dist.inv_cdf(freeze.substream(i).uniforms(self.n))
-            zi = z[:, i].copy()
-            z[:, i] = v
-            fv = self.model.evaluate(z, rng=self.noise.substream(i + 1))
-            z[:, i] = zi
-            yield i, v, fv
+            yield i, v, self.model.evaluate_column(
+                self.z, i, v, rng=self.noise.substream(i + 1))
 
 
 def _checked_variance(fz: np.ndarray, what: str) -> float:
@@ -168,10 +165,7 @@ def sobol_from_design(design: PickFreeze, on_column=None) -> SobolEstimate:
     upper, lower = np.empty(model.d), np.empty(model.d)
     for i, v, fv in design.columns():
         upper[i] = _upper(fx, fv, sigma2)
-        wi = w[:, i].copy()
-        w[:, i] = x[:, i]
-        fxw = model.evaluate(w, rng=noise.substream(i + 1))
-        w[:, i] = wi
+        fxw = model.evaluate_column(w, i, x[:, i], rng=noise.substream(i + 1))
         lower[i] = np.mean((fx - fv) * (fxw - fw)) / sigma2
         if on_column is not None:
             on_column(i, v, fv)

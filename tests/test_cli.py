@@ -461,6 +461,33 @@ class TestPlotCommand:
             assert f"cannot parse report {report_path}: {field} " in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("meta.d", 4.7),
+        ("meta.d", "4"),
+        ("meta.d", True),
+        ("meta.seed", 4.0),
+        ("meta.h", True),
+        ("meta.threshold", "0.9"),
+        ("meta.model", 4),
+        ("meta.methods", "sobol"),
+        ("meta.methods", ["sobol", 2]),
+        ("scores.sobol_upper", ["0.25"] * 4),
+        ("spectra.gas_eigenvalues", [1, 0.5, False, 0.0]),
+        ("spectra.m_gas", 2.0),
+    ])
+    def test_report_with_a_value_of_another_json_type(
+            self, report_path, tmp_path, capsys, field, value):
+        section, key = field.split(".")
+        data = json.loads(report_path.read_text())
+        data[section][key] = value
+        report_path.write_text(json.dumps(data))
+        for kind in ("bars", "spectrum", "eigvec"):
+            out = tmp_path / f"{kind}.svg"
+            assert main(["plot", str(report_path), "--kind", kind,
+                         "--out", str(out)]) == 1
+            assert f"cannot parse report {report_path}: {field} " in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("d", [0, -2])
     def test_report_without_inputs(self, report_path, tmp_path, capsys, d):
         # every vector emptied: at d = 0 each length matches meta.d, so only

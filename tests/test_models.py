@@ -11,6 +11,8 @@ from sensyn import (InputDomainError, Model, ModelOutputError, Normal,
                     make_builtin, make_example1, make_example2, make_example4,
                     make_linear, make_quadratic_normal, rank, sample_inputs,
                     upper_sobol)
+from sensyn.subspace import slope_vectors
+from sensyn.variance import PickFreeze, upper_from_design
 
 EX1_SIGMA2 = 385.0 / 12.0 + 200.0 / 144.0  # = 33.4722...
 EX4_SIGMA2 = 4.0 / 12.0 + 2500.0 / 135168.0
@@ -127,6 +129,35 @@ def differs_in_column(batch, base, i):
             and bool(np.all(batch[:, i] != base[:, i])))
 
 
+class FailsOnCall:
+    """A model map that returns NaN in every row at its k-th call."""
+
+    def __init__(self, k):
+        self.k, self.calls = k, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        y = z.sum(axis=1)
+        return np.full(len(z), np.nan) if self.calls == self.k else y
+
+
+def _gradients_from_base(model):
+    z = sample_inputs(model, 200, RngStream(7))
+    as_drawn = z.copy()
+    fz = model.evaluate(z)
+    with pytest.raises(ModelOutputError):
+        gradient_matrix(model, 200, 1e-3, RngStream(7), base=(z, fz))
+    return z, as_drawn
+
+
+def _pick_freeze_upper(model):
+    design = PickFreeze(model, 200, RngStream(8))
+    as_drawn = design.z.copy()
+    with pytest.raises(ModelOutputError):
+        upper_from_design(design)
+    return design.z, as_drawn
+
+
 class TestDesignIsolation:
     """Estimators overwrite one design column in place per input: each
     evaluated batch must differ from its base in exactly that column, and the
@@ -201,6 +232,20 @@ class TestDesignIsolation:
             assert len(b) == self.N
             assert differs_in_column(b, base, k % 3)
         # the freeze designs v take the redrawn partners; the base must not
+        self.assert_intact(designs[:1])
+
+    @pytest.mark.parametrize("run", [_gradients_from_base, _pick_freeze_upper],
+                             ids=["gradient_matrix_base", "upper_from_design"])
+    def test_failing_model_leaves_the_design_intact(self, run):
+        # the third call evaluates the second input's column and fails
+        z, as_drawn = run(self.model(FailsOnCall(3)))
+        assert z.tobytes() == as_drawn.tobytes()
+
+    def test_failing_model_leaves_the_slope_base_intact(self, designs):
+        samples = slope_vectors(self.model(FailsOnCall(3)), self.N, 1, RngStream(9))
+        with pytest.raises(ModelOutputError):
+            next(samples)
+        # the freeze vector takes the redrawn partners; the base must not
         self.assert_intact(designs[:1])
 
     @pytest.mark.parametrize("estimator", [
