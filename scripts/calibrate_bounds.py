@@ -2,8 +2,9 @@
 on correct code, and how often it catches an injected defect.
 
 A verdict is a one-sided batch-means t-test (see :mod:`sensyn.bounds`).
-This script runs every check family of ``sensyn bounds`` over many seeds
-with two batch engines:
+This script runs the check families of ``sensyn bounds``, as
+:func:`sensyn.bounds.applicable_checks` picks them for each model, over many
+seeds with two batch engines:
 
 * ``shared``: :func:`sensyn.bounds.batch_statistics`, where each batch reads
   sigma2, the upper indices, the slope matrix's first draws and the gradient
@@ -69,8 +70,8 @@ def make_off_axis() -> Model:
                  eval_fn=lambda x: 5.0 * x[:, 0] + 4.0 * (x[:, 1] - 0.5) ** 2)
 
 
-# (label, model factory, rows per batch); each is run with every check that
-# ``sensyn bounds`` runs on that model
+# (label, model factory, rows per batch); each is run with the checks that
+# ``bounds.applicable_checks`` picks for that model, as ``sensyn bounds`` does
 FAMILIES = (
     ("quadratic@500", lambda: make_quadratic_normal(QUAD_A, QUAD_B), 500),
     ("quadratic@5000", lambda: make_quadratic_normal(QUAD_A, QUAD_B), 5_000),
@@ -106,23 +107,14 @@ def former_engine(model, n, rng, *, gas, gradients, h=1e-3,
 
 def run_engine(engine: str, model, n: int, seed: int) -> BatchStatistics:
     """One set of batches, with the statistics ``sensyn bounds`` asks for."""
-    gas = (model.family == "quadratic_normal" or bounds.is_unit_cube(model)
-           or model.output_range is not None)
     fn = former_engine if engine == "former" else bounds.batch_statistics
-    return fn(model, n, RngStream(seed), gas=gas, gradients=model.differentiable)
+    return fn(model, n, RngStream(seed), gas=bounds.needs_slope_matrix(model),
+              gradients=model.differentiable)
 
 
 def run_checks(stats: BatchStatistics) -> list:
     """The checks of ``sensyn bounds`` at its defaults, skipped ones left out."""
-    model = stats.model
-    checks = []
-    if model.family == "quadratic_normal":
-        checks.append(bounds.quadratic_identity(stats))
-    if bounds.is_unit_cube(model):
-        checks += [bounds.gas_bound_uniform(stats, m) for m in (1, model.d)]
-    if model.output_range is not None:
-        checks.append(bounds.gas_bound_general(stats, 0.01, model.d))
-    checks += bounds.dgsm_bounds(stats)
+    checks = bounds.applicable_checks(stats, m=None, epsilon=0.01, threshold=0.9)
     return [c for c in checks if c.skipped_reason is None]
 
 

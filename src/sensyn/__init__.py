@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "bounds": ("BoundCheck", "check_dgsm_bounds", "check_gas_bound_general",
-               "check_gas_bound_uniform", "check_quadratic_identity"),
+    "bounds": ("BoundCheck",),
     "dgsm": ("dgsm", "dgsm_from_gradients", "gradient_matrix"),
     "errors": ("DegenerateSpectrumError", "EigenNotConvergedError",
                "EmptySlopeWindowError", "InputDomainError", "ModelOutputError",

@@ -24,7 +24,7 @@ def cmd_plot(args) -> int:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         report = output.report_from_dict(data)
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot parse report {path}: {exc}", file=sys.stderr)
         return 1
     builder = {"bars": svgplot.bars_chart, "spectrum": svgplot.spectrum_chart,

@@ -10,6 +10,7 @@
   1/pi**2 unit-cube bound, its distribution-constant generalization, and
   the gradient-score variants.
 
+:func:`applicable_checks` picks the checks whose hypotheses a model meets.
 All checks of a run are pure functions of one set of ten independent
 replicate batches (:func:`batch_statistics`).  Each batch draws one
 pick-freeze design and reads every statistic the checks need from its rows:
@@ -45,7 +46,7 @@ import numpy as np
 from .dgsm import dgsm_from_gradients, gradient_matrix
 from .errors import InputDomainError
 from .linalg import SpectralDecomposition, select_m, sym_eig
-from .models import Model, make_quadratic_normal
+from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
 from .subspace import (DEFAULT_SLOPE_WINDOW, DesignSlopes, c_as_from_gradients,
                        estimate_c_gas, psd_spectrum, scores)
@@ -302,34 +303,22 @@ def dgsm_bounds(stats: BatchStatistics, threshold: float = 0.9) -> list[BoundChe
     return checks
 
 
-def check_gas_bound_uniform(model: Model, m: int, n: int, rng: RngStream,
-                            slope_window: float = DEFAULT_SLOPE_WINDOW) -> BoundCheck:
-    """:func:`gas_bound_uniform` on fresh batches of size n."""
-    return gas_bound_uniform(batch_statistics(model, n, rng, gas=True,
-                                              slope_window=slope_window), m)
+def needs_slope_matrix(model: Model) -> bool:
+    """Whether :func:`applicable_checks` on ``model`` reads a slope matrix."""
+    return (model.family == "quadratic_normal" or is_unit_cube(model)
+            or model.output_range is not None)
 
 
-def check_gas_bound_general(model: Model, epsilon: float, m: int, n: int,
-                            rng: RngStream,
-                            slope_window: float = DEFAULT_SLOPE_WINDOW) -> BoundCheck:
-    """:func:`gas_bound_general` on fresh batches of size n."""
-    return gas_bound_general(batch_statistics(model, n, rng, gas=True,
-                                              slope_window=slope_window), epsilon, m)
-
-
-def check_quadratic_identity(a_matrix, b, n: int, rng: RngStream,
-                             slope_window: float = DEFAULT_SLOPE_WINDOW,
-                             h: float = 1e-3) -> BoundCheck:
-    """:func:`quadratic_identity` of ``0.5 z'Az + b'z``, batches of size n."""
-    return quadratic_identity(batch_statistics(
-        make_quadratic_normal(a_matrix, b), n, rng, gas=True, gradients=True,
-        h=h, slope_window=slope_window))
-
-
-def check_dgsm_bounds(model: Model, n: int, h: float, rng: RngStream,
-                      threshold: float = 0.9) -> list[BoundCheck]:
-    """:func:`dgsm_bounds` on fresh batches of size n."""
-    if not model.differentiable:  # every check is skipped: sample nothing
-        return dgsm_bounds(BatchStatistics(model, n, [], []), threshold)
-    return dgsm_bounds(batch_statistics(model, n, rng, gradients=True, h=h),
-                       threshold)
+def applicable_checks(stats: BatchStatistics, *, m: int | None, epsilon: float,
+                      threshold: float) -> list[BoundCheck]:
+    """The checks ``sensyn bounds`` reports, in order: the quadratic identity;
+    on the unit cube the slope-score bound at m, or at 1 and d; with an
+    output range the bounded-model bound at d; then :func:`dgsm_bounds`."""
+    model = stats.model
+    checks = [quadratic_identity(stats)] if model.family == "quadratic_normal" else []
+    if is_unit_cube(model):
+        ranks = dict.fromkeys((1, model.d)) if m is None else (m,)
+        checks += [gas_bound_uniform(stats, rank) for rank in ranks]
+    if model.output_range is not None:
+        checks.append(gas_bound_general(stats, epsilon, model.d))
+    return checks + dgsm_bounds(stats, threshold)

@@ -192,19 +192,11 @@ def cmd_analyze(args, model) -> int:
 
 def cmd_bounds(args, model) -> int:
     n_batch = args.n // bounds_mod.N_BATCHES
-    quadratic = model.family == "quadratic_normal"
-    unit_cube = bounds_mod.is_unit_cube(model)
-    bounded = model.output_range is not None
     stats = bounds_mod.batch_statistics(
-        model, n_batch, RngStream(args.seed), gas=quadratic or unit_cube or bounded,
+        model, n_batch, RngStream(args.seed), gas=bounds_mod.needs_slope_matrix(model),
         gradients=model.differentiable, h=args.h, slope_window=args.slope_window)
-    checks = [bounds_mod.quadratic_identity(stats)] if quadratic else []
-    if unit_cube:
-        for m in (args.m,) if args.m else (1, model.d):
-            checks.append(bounds_mod.gas_bound_uniform(stats, m))
-    if bounded:
-        checks.append(bounds_mod.gas_bound_general(stats, args.epsilon, model.d))
-    checks.extend(bounds_mod.dgsm_bounds(stats, threshold=args.threshold))
+    checks = bounds_mod.applicable_checks(stats, m=args.m, epsilon=args.epsilon,
+                                          threshold=args.threshold)
     payload = {
         "meta": {"model": model.label, "seed": args.seed, "n_per_batch": n_batch,
                  "epsilon": args.epsilon},

@@ -206,7 +206,8 @@ def report_to_dict(report: SensitivityReport) -> dict:
 
 # the JSON types of each kind of field (a boolean is no number in a report)
 _TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
-          "float": ((int, float), "a number"), "list": ((list,), "a list")}
+          "float": ((int, float), "a number"), "list": ((list,), "a list"),
+          "dict": ((dict,), "an object")}
 
 
 def _typed(value, kind: str, verb: str):
@@ -244,22 +245,35 @@ def _parse(value, annotation: str, d: int | None):
     return scalar
 
 
+def _member(obj, key: str, owner: str):
+    """Member ``key`` of ``obj``, the JSON object ``owner`` ("" for the report);
+    a non-object or a missing member raises ``InputDomainError`` naming it."""
+    try:
+        if key in _typed(obj, "dict", "is"):
+            return obj[key]
+    except ValueError as exc:
+        raise InputDomainError(f"{owner or 'the report'} {exc}") from None
+    raise InputDomainError(f"{owner + '.' if owner else ''}{key} is missing")
+
+
 def report_from_dict(data: dict) -> SensitivityReport:
     """Inverse of ``report_to_dict``, with each vector a tuple of floats.
 
-    A field that cannot hold its value, such as a non-finite number, a
-    ``meta.d`` below 1 or a vector whose length is not ``meta.d``, raises
-    ``InputDomainError`` naming the field (``scores.sobol_upper``)."""
+    A missing field, a section that is no JSON object, or a field that
+    cannot hold its value, such as a non-finite number, a ``meta.d`` below 1
+    or a vector whose length is not ``meta.d``, raises ``InputDomainError``
+    naming the field (``scores.sobol_upper``)."""
     values: dict = {}
     summaries: dict = {method: {} for method in SUBSPACE_METHODS}
     for section, key, method, name, annotation in _SCHEMA:
         target = values if method is None else summaries[method]
+        value = _member(_member(data, section, ""), key, section)
         try:
             # meta.d precedes every vector in the schema
-            target[name] = _parse(data[section][key], annotation, values.get("d"))
+            target[name] = _parse(value, annotation, values.get("d"))
             if name == "d" and (target[name] is None or target[name] < 1):
                 raise ValueError(f"is {target[name]}, not at least 1")
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:  # an int beyond any float
             raise InputDomainError(f"{section}.{key} {exc}") from None
     return SensitivityReport(**values, subspaces={
         method: SubspaceSummary(**summary)

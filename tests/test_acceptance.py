@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from sensyn import (Model, RngStream, Uniform, analytic_anova,
-                    c_as_from_gradients, check_dgsm_bounds,
-                    check_quadratic_identity, dgsm, dgsm_from_gradients,
+                    c_as_from_gradients, dgsm, dgsm_from_gradients,
                     estimate_c_as, estimate_c_gas, gradient_matrix,
                     indicator_upper_sobol, make_example1, make_example2,
                     make_example4, make_linear, make_quadratic_normal, rank,
                     sample_inputs, scores, subspace_analysis, sym_eig,
                     upper_sobol)
+from sensyn.bounds import batch_statistics, dgsm_bounds, quadratic_identity
 
 
 def verdict(number, ok, text):
@@ -103,8 +103,9 @@ class TestCriterion3:
             a = gen.uniform(-1.0, 1.0, size=(d, d))
             a = (a + a.T) / 2.0
             b = gen.uniform(-1.0, 1.0, size=d)
-            check = check_quadratic_identity(a, b, 10_000,
-                                             RngStream(int(gen.integers(1 << 16))))
+            check = quadratic_identity(batch_statistics(
+                make_quadratic_normal(a, b), 10_000,
+                RngStream(int(gen.integers(1 << 16))), gas=True, gradients=True))
             all_ok &= check.all_passed
             worst = max(worst, float(np.max(check.lhs / check.tolerance)))
         verdict(3, all_ok,
@@ -114,8 +115,9 @@ class TestCriterion3:
 
     def test_quadratic_equality_pinned_case(self):
         # analytic: variance 3, upper indices (2/3, 1/3), slope scores (2, 1)
-        check = check_quadratic_identity(np.diag([2.0, 0.0]), [0.0, 1.0],
-                                         10_000, RngStream(6))
+        check = quadratic_identity(batch_statistics(
+            make_quadratic_normal(np.diag([2.0, 0.0]), [0.0, 1.0]), 10_000,
+            RngStream(6), gas=True, gradients=True))
         lhs = check.details["sigma2_times_upper"]
         rhs = check.details["gas_scores_full"]
         ok = (np.all(np.abs(lhs / np.array([2.0, 1.0]) - 1.0) < 0.02)
@@ -170,15 +172,13 @@ class TestCriterion4:
 
     def test_derivative_measure_bounds(self):
         linear = make_linear([1.0, 2.0, 3.0])
-        lin_checks = {c.name: c for c in
-                      check_dgsm_bounds(linear, 5_000, 1e-3, RngStream(81))}
-        ex4_checks = {c.name: c for c in
-                      check_dgsm_bounds(make_example4(), 5_000, 1e-3,
-                                        RngStream(82))}
-        quad_checks = {c.name: c for c in
-                       check_dgsm_bounds(make_quadratic_normal(
-                           [[1.0, 0.4], [0.4, -0.6]], [0.3, 0.9]),
-                           5_000, 1e-3, RngStream(83))}
+        lin_checks = {c.name: c for c in dgsm_bounds(batch_statistics(
+            linear, 5_000, RngStream(81), gradients=True))}
+        ex4_checks = {c.name: c for c in dgsm_bounds(batch_statistics(
+            make_example4(), 5_000, RngStream(82), gradients=True))}
+        quad_checks = {c.name: c for c in dgsm_bounds(batch_statistics(
+            make_quadratic_normal([[1.0, 0.4], [0.4, -0.6]], [0.3, 0.9]),
+            5_000, RngStream(83), gradients=True))}
         eq = lin_checks["linear_dgsm_equality"]
         cube = ex4_checks["dgsm_bound_unit_cube"]
         general = quad_checks["dgsm_bound_general"]

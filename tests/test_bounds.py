@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from sensyn import (InputDomainError, Model, RngStream, Uniform, bounds, cli,
-                    check_dgsm_bounds, check_gas_bound_general,
-                    check_gas_bound_uniform, check_quadratic_identity,
                     make_example1, make_example2, make_example4, make_linear,
                     make_quadratic_normal, subspace, variance)
-from sensyn.bounds import (N_BATCHES, batch_statistics, gas_bound_general,
+from sensyn.bounds import (N_BATCHES, BatchStatistics, applicable_checks,
+                           batch_statistics, dgsm_bounds, gas_bound_general,
                            gas_bound_uniform, quadratic_identity)
 
 
@@ -31,33 +30,37 @@ class TestUniformSlopeBound:
     def test_example4_passes_with_positive_slack(self):
         model = make_example4()
         for m in (1, 2, 4):
-            check = check_gas_bound_uniform(model, m, 2_000, RngStream(m))
+            check = gas_bound_uniform(
+                batch_statistics(model, 2_000, RngStream(m), gas=True), m)
             assert check.all_passed
             assert np.all(check.slack > 0.0)
 
     def test_single_input_analytic_slack(self):
         # f = x1 on (0,1): upper index 1, bound value v/(2 sigma2) = 6
         model = make_linear([1.0])
-        check = check_gas_bound_uniform(model, 1, 4_000, RngStream(5))
+        check = gas_bound_uniform(
+            batch_statistics(model, 4_000, RngStream(5), gas=True), 1)
         assert check.lhs[0] == pytest.approx(1.0, abs=0.05)
         assert check.rhs[0] == pytest.approx(6.0, abs=0.2)
         assert check.slack[0] == pytest.approx(5.0, abs=0.2)
 
     def test_requires_unit_cube(self):
-        with pytest.raises(InputDomainError):
-            check_gas_bound_uniform(make_example2(), 1, 100, RngStream(0))
-        with pytest.raises(InputDomainError):
-            check_gas_bound_uniform(make_example1(), 1, 100, RngStream(0))
+        for model in (make_example2(), make_example1()):
+            stats = batch_statistics(model, 100, RngStream(0), gas=True)
+            with pytest.raises(InputDomainError):
+                gas_bound_uniform(stats, 1)
 
     def test_m_domain(self):
+        stats = batch_statistics(make_example4(), 100, RngStream(0), gas=True)
         with pytest.raises(InputDomainError):
-            check_gas_bound_uniform(make_example4(), 5, 100, RngStream(0))
+            gas_bound_uniform(stats, 5)
 
 
 class TestGeneralSlopeBound:
     def test_example2_constants_and_verdicts(self):
         model = make_example2()
-        check = check_gas_bound_general(model, 0.01, model.d, 2_000, RngStream(1))
+        check = gas_bound_general(
+            batch_statistics(model, 2_000, RngStream(1), gas=True), 0.01, model.d)
         assert check.details["b_prime"] == pytest.approx(3.289255274396612, abs=1e-9)
         assert check.details["kappa"] == pytest.approx(4.5983066034243985e-4,
                                                        rel=1e-9)
@@ -68,26 +71,29 @@ class TestGeneralSlopeBound:
     def test_example2_all_m(self):
         model = make_example2()
         for m in (1, 5, 10):
-            check = check_gas_bound_general(model, 0.01, m, 1_000, RngStream(m))
+            check = gas_bound_general(
+                batch_statistics(model, 1_000, RngStream(m), gas=True), 0.01, m)
             assert check.all_passed
 
     def test_epsilon_guard(self):
-        model = make_example2()
+        stats = batch_statistics(make_example2(), 100, RngStream(0), gas=True)
         for eps in (0.0, 0.5, 0.9, 1.0):
             with pytest.raises(InputDomainError):
-                check_gas_bound_general(model, eps, 1, 100, RngStream(0))
+                gas_bound_general(stats, eps, 1)
 
     def test_unbounded_model_rejected(self):
+        stats = batch_statistics(make_example1(), 100, RngStream(0), gas=True)
         with pytest.raises(InputDomainError):
-            check_gas_bound_general(make_example1(), 0.01, 1, 100, RngStream(0))
+            gas_bound_general(stats, 0.01, 1)
 
 
 class TestQuadraticIdentity:
     def test_pinned_analytic_case(self):
         # at 40,000 rows the spread of sigma2 * T_1 over seeds is about
         # 0.0076, so the rtol 0.02 band on it is over 5 spreads wide
-        check = check_quadratic_identity(np.diag([2.0, 0.0]), [0.0, 1.0],
-                                         40_000, RngStream(2))
+        check = quadratic_identity(batch_statistics(
+            make_quadratic_normal(np.diag([2.0, 0.0]), [0.0, 1.0]), 40_000,
+            RngStream(2), gas=True, gradients=True))
         assert check.all_passed
         np.testing.assert_allclose(check.details["sigma2_times_upper"],
                                    [2.0, 1.0], rtol=0.02)
@@ -99,7 +105,9 @@ class TestQuadraticIdentity:
 
     def test_pure_linear_reduces_exactly(self):
         b = np.array([1.0, -2.0, 0.5])
-        check = check_quadratic_identity(np.zeros((3, 3)), b, 2_000, RngStream(3))
+        check = quadratic_identity(batch_statistics(
+            make_quadratic_normal(np.zeros((3, 3)), b), 2_000, RngStream(3),
+            gas=True, gradients=True))
         assert check.all_passed
         # the slope side is exact for a linear map; the pick-freeze side
         # carries plain Monte Carlo error
@@ -112,29 +120,30 @@ class TestQuadraticIdentity:
             a = rng.uniform(-1.0, 1.0, size=(5, 5))
             a = (a + a.T) / 2.0
             b = rng.uniform(-1.0, 1.0, size=5)
-            check = check_quadratic_identity(a, b, 10_000, RngStream(40 + seed))
+            check = quadratic_identity(batch_statistics(
+                make_quadratic_normal(a, b), 10_000, RngStream(40 + seed),
+                gas=True, gradients=True))
             assert check.all_passed
 
     def test_residual_shrinks_with_sample_size(self):
-        a = np.diag([2.0, 0.0])
-        b = [0.0, 1.0]
+        model = make_quadratic_normal(np.diag([2.0, 0.0]), [0.0, 1.0])
         med = {}
         for n in (1_000, 20_000):  # rows per batch
-            residuals = [np.max(check_quadratic_identity(
-                a, b, n, RngStream(500 + s)).lhs) for s in range(10)]
+            residuals = [np.max(quadratic_identity(batch_statistics(
+                model, n, RngStream(500 + s), gas=True, gradients=True)).lhs)
+                for s in range(10)]
             med[n] = np.median(residuals)
         assert med[20_000] < med[1_000]
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(InputDomainError):
-            check_quadratic_identity([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0],
-                                     100, RngStream(0))
+            make_quadratic_normal([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0])
 
 
 class TestDgsmBounds:
     def test_linear_equality(self):
-        checks = {c.name: c for c in check_dgsm_bounds(
-            make_linear([1.0, 2.0, 3.0]), 5_000, 1e-3, RngStream(5))}
+        checks = {c.name: c for c in dgsm_bounds(batch_statistics(
+            make_linear([1.0, 2.0, 3.0]), 5_000, RngStream(5), gradients=True))}
         eq = checks["linear_dgsm_equality"]
         assert eq.skipped_reason is None
         assert eq.all_passed
@@ -142,8 +151,8 @@ class TestDgsmBounds:
         assert checks["as_score_bound_unit_cube"].all_passed
 
     def test_example4_positive_slack(self):
-        checks = {c.name: c for c in check_dgsm_bounds(
-            make_example4(), 5_000, 1e-3, RngStream(6))}
+        checks = {c.name: c for c in dgsm_bounds(batch_statistics(
+            make_example4(), 5_000, RngStream(6), gradients=True))}
         assert checks["linear_dgsm_equality"].skipped_reason is not None
         cube = checks["dgsm_bound_unit_cube"]
         assert cube.all_passed and np.all(cube.slack > 0.0)
@@ -151,8 +160,9 @@ class TestDgsmBounds:
 
     def test_quadratic_distribution_constant(self):
         a = np.array([[1.0, 0.4], [0.4, -0.6]])
-        checks = {c.name: c for c in check_dgsm_bounds(
-            make_quadratic_normal(a, [0.3, 0.9]), 5_000, 1e-3, RngStream(7))}
+        checks = {c.name: c for c in dgsm_bounds(batch_statistics(
+            make_quadratic_normal(a, [0.3, 0.9]), 5_000, RngStream(7),
+            gradients=True))}
         general = checks["dgsm_bound_general"]
         np.testing.assert_allclose(general.details["distribution_constants"],
                                    2.0 * np.pi)
@@ -164,7 +174,7 @@ class TestDgsmBounds:
         def evaluate(*args, **kwargs):
             raise AssertionError("no model evaluation expected")
         monkeypatch.setattr(Model, "evaluate", evaluate)
-        checks = check_dgsm_bounds(make_example2(), 1_000, 1e-3, RngStream(8))
+        checks = dgsm_bounds(BatchStatistics(make_example2(), 1_000, [], []))
         assert [c.name for c in checks] == ["linear_dgsm_equality",
                                             "dgsm_bound_unit_cube",
                                             "dgsm_bound_general",
@@ -175,8 +185,10 @@ class TestDgsmBounds:
 class TestScalingInvariance:
     def test_uniform_bound_sides_invariant(self):
         model = make_example4()
-        base = check_gas_bound_uniform(model, 2, 2_000, RngStream(8))
-        big = check_gas_bound_uniform(scaled(model, 7.0), 2, 2_000, RngStream(8))
+        base = gas_bound_uniform(
+            batch_statistics(model, 2_000, RngStream(8), gas=True), 2)
+        big = gas_bound_uniform(
+            batch_statistics(scaled(model, 7.0), 2_000, RngStream(8), gas=True), 2)
         np.testing.assert_allclose(base.lhs, big.lhs, rtol=1e-9)
         np.testing.assert_allclose(base.rhs, big.rhs, rtol=1e-9)
         np.testing.assert_array_equal(base.passed, big.passed)
@@ -312,18 +324,6 @@ class TestBatchEngine:
         assert len(counted) == 2 * N_BATCHES
 
 
-def all_checks(stats):
-    """Every check ``sensyn bounds`` runs on these statistics' model."""
-    model = stats.model
-    if model.family == "quadratic_normal":
-        checks = [quadratic_identity(stats)]
-    elif bounds.is_unit_cube(model):
-        checks = [gas_bound_uniform(stats, 1), gas_bound_uniform(stats, model.d)]
-    else:
-        checks = [gas_bound_general(stats, 0.01, model.d)]
-    return checks + bounds.dgsm_bounds(stats)
-
-
 class TestSharedDesign:
     @pytest.mark.parametrize("model, n", [
         (make_example4(), 1_000),
@@ -332,9 +332,11 @@ class TestSharedDesign:
     def test_sigma2_scaling_leaves_every_verdict_unchanged(self, model, n,
                                                            monkeypatch):
         def run():
-            stats = batch_statistics(model, n, RngStream(9), gas=True,
+            stats = batch_statistics(model, n, RngStream(9),
+                                     gas=bounds.needs_slope_matrix(model),
                                      gradients=model.differentiable)
-            return [c for c in all_checks(stats) if c.skipped_reason is None]
+            checks = applicable_checks(stats, m=None, epsilon=0.01, threshold=0.9)
+            return [c for c in checks if c.skipped_reason is None]
         base = run()
         monkeypatch.setattr(variance, "_checked_variance",
                             lambda *args, _fn=variance._checked_variance:
@@ -349,7 +351,8 @@ class TestSharedDesign:
     def test_inactive_input_passes_with_both_sides_zero(self):
         stats = batch_statistics(make_linear([1.0, 2.0, 0.0]), 1_000,
                                  RngStream(3), gas=True, gradients=True)
-        checks = {c.name: c for c in all_checks(stats)}
+        checks = {c.name: c for c in applicable_checks(stats, m=None, epsilon=0.01,
+                                                       threshold=0.9)}
         assert all(c.all_passed for c in checks.values())
         for name in ("gas_bound_uniform(m=1)", "gas_bound_uniform(m=3)",
                      "linear_dgsm_equality", "dgsm_bound_unit_cube",

@@ -331,6 +331,9 @@ class TestBenchmarkCommands:
             assert main(command.argv) == 0, command.argv
 
 
+DGSM_CHECKS = ["linear_dgsm_equality", "dgsm_bound_unit_cube", "dgsm_bound_general"]
+
+
 class TestBoundsCommand:
     def test_smallest_n_runs_two_rows_per_batch(self, tmp_path):
         out = tmp_path / "b.json"
@@ -369,6 +372,34 @@ class TestBoundsCommand:
         assert general and general[0]["details"]["kappa"] == pytest.approx(
             4.5983066034243985e-4, rel=1e-9)
 
+
+    @pytest.mark.parametrize("argv, names, skipped", [
+        (["--model", "example1"], [*DGSM_CHECKS, "as_score_bound_general"], 1),
+        (["--model", "example1", "--noise", "1"],
+         [*DGSM_CHECKS, "as_score_bound_general"], 2),
+        (["--model", "example2"],
+         ["gas_bound_general(m=10)", *DGSM_CHECKS, "as_score_bound_general"], 4),
+        (["--model", "example4"], ["gas_bound_uniform(m=1)", "gas_bound_uniform(m=4)",
+                                   *DGSM_CHECKS, "as_score_bound_unit_cube"], 1),
+        (["--model", "linear", "--c", "2"],
+         ["gas_bound_uniform(m=1)", *DGSM_CHECKS, "as_score_bound_unit_cube"], 0),
+        (["--model", "linear", "--c", "1,2,0.5"],
+         ["gas_bound_uniform(m=1)", "gas_bound_uniform(m=3)", *DGSM_CHECKS,
+          "as_score_bound_unit_cube"], 0),
+        (["--model", "quadratic", "--A", "diag:2,0", "--b", "0,1"],
+         ["quadratic_identity", *DGSM_CHECKS, "as_score_bound_general"], 2),
+    ], ids=["example1", "example1-noisy", "example2", "example4", "linear-d1",
+            "linear-d3", "quadratic"])
+    def test_each_builtin_reports_each_applicable_check_once(
+            self, tmp_path, capsys, argv, names, skipped):
+        out = tmp_path / "b.json"
+        assert main(["bounds", *argv, "--n", "2000", "--seed", "0",
+                     "--out", str(out)]) == 0
+        got = [c["name"] for c in json.loads(out.read_text())["bounds"]]
+        assert got == names and len(set(got)) == len(got)
+        done = len(names) - skipped
+        assert capsys.readouterr().out == (
+            f"wrote {out} ({done}/{done} checks passed, {skipped} skipped)\n")
 
     def test_threshold_reaches_dgsm_bounds(self, tmp_path):
         def bounds(*extra):
@@ -441,6 +472,9 @@ class TestPlotCommand:
         ("scores.sobol_upper", float("nan")),
         ("spectra.gas_first_eigenvector", float("-inf")),
         ("meta.threshold", float("inf")),
+        # an integer no float can hold
+        pytest.param("scores.sobol_upper", 10**400, id="scores.sobol_upper-10**400"),
+        pytest.param("meta.threshold", 10**400, id="meta.threshold-10**400"),
         ("scores.dgsm_raw", None),  # one number short of d
     ])
     def test_report_a_chart_cannot_hold(self, report_path, tmp_path, capsys,
@@ -486,6 +520,28 @@ class TestPlotCommand:
             assert main(["plot", str(report_path), "--kind", kind,
                          "--out", str(out)]) == 1
             assert f"cannot parse report {report_path}: {field} " in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: {**data, "spectra": {k: v for k, v in data["spectra"].items()
+                                           if k != "gas_eigenvalues"}},
+         "spectra.gas_eigenvalues is missing"),
+        (lambda data: {k: v for k, v in data.items() if k != "scores"},
+         "scores is missing"),
+        (lambda data: {**data, "meta": 5}, "meta is 5, not an object"),
+        (lambda data: {**data, "scores": []}, "scores is a list, not an object"),
+        (lambda data: [data], "the report is a list, not an object"),
+    ], ids=["missing-field", "missing-section", "meta-number", "scores-list",
+            "report-list"])
+    def test_report_without_a_field_or_an_object(self, report_path, tmp_path,
+                                                  capsys, edit, message):
+        report_path.write_text(json.dumps(edit(json.loads(report_path.read_text()))))
+        for kind in ("bars", "spectrum", "eigvec"):
+            out = tmp_path / f"{kind}.svg"
+            assert main(["plot", str(report_path), "--kind", kind,
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: cannot parse report {report_path}: {message}\n")
             assert not out.exists()
 
     @pytest.mark.parametrize("d", [0, -2])

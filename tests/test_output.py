@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from sensyn import (InputDomainError, RngStream, build_report,
-                    check_gas_bound_uniform, convergence_study, make_example2,
-                    make_example4, make_linear, rank)
+                    convergence_study, make_example2, make_example4,
+                    make_linear, rank)
+from sensyn.bounds import batch_statistics, gas_bound_uniform
 from sensyn.output import (bound_check_to_dict, convergence_to_dict,
                            dumps_json, format_float, report_from_dict,
                            report_to_csv, report_to_dict)
@@ -73,7 +74,8 @@ class TestJson:
         assert dumps_json(report_to_dict(back)) == text
 
     def test_bound_check_payload(self):
-        check = check_gas_bound_uniform(make_example4(), 2, 500, RngStream(1))
+        check = gas_bound_uniform(
+            batch_statistics(make_example4(), 500, RngStream(1), gas=True), 2)
         payload = bound_check_to_dict(check)
         assert payload["name"] == "gas_bound_uniform(m=2)"
         assert len(payload["lhs"]) == 4
