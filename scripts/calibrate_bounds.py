@@ -3,35 +3,28 @@ on correct code, and how often it catches an injected defect.
 
 A verdict is a one-sided batch-means t-test (see :mod:`sensyn.bounds`).
 This script runs the check families of ``sensyn bounds``, as
-:func:`sensyn.bounds.applicable_checks` picks them for each model, over many
-seeds with two batch engines:
-
-* ``shared``: :func:`sensyn.bounds.batch_statistics`, where each batch reads
-  sigma2, the upper indices, the slope matrix's first draws and the gradient
-  base off one pick-freeze design;
-* ``former``: the reference engine kept below, which drew each statistic on
-  its own substream of the batch (upper indices on 0, the slope matrix on 1,
-  sigma2 on 2, the gradients on 3).
-
-For each family and engine it reports the false-fail rate of the correct
-code, the detection rate under each defect, the 99 % quantile over seeds of
-the largest per-input ``-slack / SE`` (how near correct code comes to the
-5-SE gate), and the correlation between the per-batch lhs and rhs of each
-input (the combined error ``sqrt(se_lhs**2 + se_rhs**2)`` is conservative
-where it is non-negative).  Defects are injected here, by wrapping or
-replacing functions of the package for the duration of one run:
+:func:`sensyn.bounds.applicable_checks` picks them for each model, on the
+batches of :func:`sensyn.bounds.batch_statistics` over many seeds.  For
+each family it reports the false-fail rate of the correct code, the
+detection rate under each defect, the 99 % quantile over seeds of the
+largest per-input ``-slack / SE`` (how near correct code comes to the 5-SE
+gate), and the correlation between the per-batch lhs and rhs of each input
+(the combined error ``sqrt(se_lhs**2 + se_rhs**2)`` is conservative where
+it is non-negative).  Defects are injected here, by wrapping or replacing
+functions of the package for the duration of one run:
 
 * ``c_gas x (1 + delta)``: every batch's slope matrix scaled;
-* ``sigma2 x 1.2``: the variance estimate the checks divide by is 20 %
-  too large (the shared engine normalizes its upper indices by the same
-  estimate, so there the defect cancels by construction);
 * ``spill dropped``: the ``lambda_{m+1}`` term left out of the scores;
 * ``Cheeger / 4``: the distribution constant without its factor 4;
 * ``shifted base``: the upper indices pair each freeze output with the base
   output of the next row, so each estimates 1.
 
+A sigma2 bias needs no scenario: sigma2 divides both sides of every check
+and normalizes the upper indices, so it cancels from every verdict
+(``tests/test_bounds.py::TestSharedDesign`` pins that).
+
 Run from the repository root (two worker processes; at the defaults, about
-25 minutes on a 2-vCPU Xeon VM)::
+9 minutes on a 2-vCPU Xeon VM)::
 
     PYTHONPATH=src python scripts/calibrate_bounds.py --jobs 2 --json calibration.json
 
@@ -50,8 +43,7 @@ import sys
 import numpy as np
 
 from sensyn import bounds, subspace, variance
-from sensyn.bounds import N_BATCHES, SE_MULTIPLE, BatchStatistics
-from sensyn.dgsm import dgsm_from_gradients, gradient_matrix
+from sensyn.bounds import SE_MULTIPLE, BatchStatistics
 from sensyn.models import (Model, make_example2, make_example4,
                            make_quadratic_normal)
 from sensyn.randkit import RngStream, Uniform
@@ -80,36 +72,13 @@ FAMILIES = (
     ("off_axis@1000", make_off_axis, 1_000),
 )
 DELTAS = (-0.20, -0.10, -0.05, 0.05, 0.10, 0.20)
-SIGMA2_BIAS = 1.2
-ENGINES = ("former", "shared")
 
 
-def former_engine(model, n, rng, *, gas, gradients, h=1e-3,
-                  slope_window=subspace.DEFAULT_SLOPE_WINDOW) -> BatchStatistics:
-    """Reference: the batch engine with one substream per statistic, as
-    ``sensyn.bounds.batch_statistics`` ran before its batches shared one
-    pick-freeze design."""
-    upper, sigma2, c_gas, v, c_as = [], [], [], [], []
-    for b in range(N_BATCHES):
-        batch = rng.substream(100 + b)
-        upper.append(variance.upper_sobol(model, n, batch.substream(0)))
-        if gas:
-            c_gas.append(subspace.estimate_c_gas(model, n, 1, batch.substream(1),
-                                                 slope_window=slope_window))
-        sigma2.append(variance.estimate_variance(model, n, batch.substream(2)))
-        if gradients:
-            g = gradient_matrix(model, n, h, batch.substream(3))
-            v.append(dgsm_from_gradients(g))
-            c_as.append(subspace.c_as_from_gradients(g))
-    return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,
-                           v if gradients else None, c_as if gradients else None)
-
-
-def run_engine(engine: str, model, n: int, seed: int) -> BatchStatistics:
+def run_batches(model, n: int, seed: int) -> BatchStatistics:
     """One set of batches, with the statistics ``sensyn bounds`` asks for."""
-    fn = former_engine if engine == "former" else bounds.batch_statistics
-    return fn(model, n, RngStream(seed), gas=bounds.needs_slope_matrix(model),
-              gradients=model.differentiable)
+    return bounds.batch_statistics(model, n, RngStream(seed),
+                                   gas=bounds.needs_slope_matrix(model),
+                                   gradients=model.differentiable)
 
 
 def run_checks(stats: BatchStatistics) -> list:
@@ -137,17 +106,6 @@ def _scaled(fn, factor):
 
 def _shifted_upper(fz, fv, sigma2):
     return np.mean((fz - np.roll(fv, 1)) ** 2) / (2.0 * sigma2)
-
-
-def engine_defects(engine: str) -> dict:
-    """Defects inside the engine: each needs its own run of the batches."""
-    sigma2 = ((variance, "estimate_variance",
-               _scaled(variance.estimate_variance, SIGMA2_BIAS))
-              if engine == "former" else
-              (variance, "_checked_variance",
-               _scaled(variance._checked_variance, SIGMA2_BIAS)))
-    return {f"sigma2 x {SIGMA2_BIAS}": (sigma2,),
-            "shifted base": ((variance, "_upper", _shifted_upper),)}
 
 
 def check_defects() -> dict:
@@ -191,11 +149,11 @@ def _recorded_checks(stats):
 
 
 def one_seed(task):
-    """Every scenario of one (family, engine, seed)."""
-    family, engine, seed, with_engine_defects = task
+    """Every scenario of one (family, seed)."""
+    family, seed, with_engine_defects = task
     _, factory, n = next(f for f in FAMILIES if f[0] == family)
     model = factory()
-    stats = run_engine(engine, model, n, seed)
+    stats = run_batches(model, n, seed)
     checks, moments = _recorded_checks(stats)
     result = {"none": _verdicts(checks), "moments": moments}
     if stats.c_gas is not None:
@@ -207,31 +165,30 @@ def one_seed(task):
     for label, patches in check_defects().items():
         with patched(*patches):
             result[label] = _verdicts(run_checks(stats), checks)
-    if with_engine_defects:
-        for label, patches in engine_defects(engine).items():
-            with patched(*patches):
-                result[label] = _verdicts(run_checks(
-                    run_engine(engine, model, n, seed)), checks)
-    return family, engine, seed, result
+    if with_engine_defects:  # a defect inside the engine redraws the batches
+        with patched((variance, "_upper", _shifted_upper)):
+            result["shifted base"] = _verdicts(
+                run_checks(run_batches(model, n, seed)), checks)
+    return family, seed, result
 
 
 def aggregate(results) -> dict:
-    """Fail counts and seed counts per (family, check, engine, scenario), the
-    99 % quantile of the largest -slack/SE on correct code, and the pooled
+    """Fail counts and seed counts per (family, check, scenario), the 99 %
+    quantile of the largest -slack/SE on correct code, and the pooled
     within-seed correlation of the per-batch sides."""
     table: dict = {}
-    for family, engine, _seed, result in results:
+    for family, _seed, result in results:
         for scenario, verdicts in result.items():
             if scenario == "moments":
                 for check, m in verdicts.items():
                     acc = table.setdefault(family, {}).setdefault(check, {}) \
-                        .setdefault(engine, {}).setdefault("_moments", [0, 0, 0])
+                        .setdefault("_moments", [0, 0, 0])
                     for k in range(3):
                         acc[k] = acc[k] + m[k]
                 continue
             for check, (failed, z, moved) in verdicts.items():
                 cell = table.setdefault(family, {}).setdefault(check, {}) \
-                    .setdefault(engine, {}).setdefault(scenario, [0, 0, [], 0])
+                    .setdefault(scenario, [0, 0, [], 0])
                 cell[0] += failed
                 cell[1] += 1
                 cell[3] += moved
@@ -239,59 +196,46 @@ def aggregate(results) -> dict:
                     cell[2].append(z)
     out = {}
     for family, checks in table.items():
-        for check, engines in checks.items():
-            for engine, scenarios in engines.items():
-                entry = out.setdefault(family, {}).setdefault(check, {}) \
-                    .setdefault(engine, {})
-                sxy, sxx, syy = scenarios.pop("_moments", (None, None, None))
-                if sxy is not None:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        corr = sxy / np.sqrt(sxx * syy)
-                    entry["lhs_rhs_correlation"] = [
-                        None if not np.isfinite(c) else round(float(c), 3)
-                        for c in corr]
-                for scenario, (fails, seeds, zs, moved) in scenarios.items():
-                    entry[scenario] = {"fails": int(fails), "seeds": seeds,
-                                       "moved": int(moved)}
-                    if zs:
-                        entry[scenario]["q99_max_z"] = round(
-                            float(np.quantile(zs, 0.99)), 3)
+        for check, scenarios in checks.items():
+            entry = out.setdefault(family, {}).setdefault(check, {})
+            sxy, sxx, syy = scenarios.pop("_moments", (None, None, None))
+            if sxy is not None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    corr = sxy / np.sqrt(sxx * syy)
+                entry["lhs_rhs_correlation"] = [
+                    None if not np.isfinite(c) else round(float(c), 3)
+                    for c in corr]
+            for scenario, (fails, seeds, zs, moved) in scenarios.items():
+                entry[scenario] = {"fails": int(fails), "seeds": seeds,
+                                   "moved": int(moved)}
+                if zs:
+                    entry[scenario]["q99_max_z"] = round(
+                        float(np.quantile(zs, 0.99)), 3)
     return out
 
 
 def markdown(out: dict) -> str:
-    """One table per family: rows are checks and scenarios, columns engines.
-    A defect that left both sides of a check unchanged on every seed of
-    both engines cannot move its verdict and gets no row; ``*`` marks a
-    detection rate of the shared engine below the former one's."""
+    """One table per family: a row per check and scenario, with the failed
+    runs.  A defect that left both sides of a check unchanged on every seed
+    cannot move its verdict and gets no row."""
     lines = []
     for family, checks in out.items():
         lines.append(f"\n### {family} rows per batch\n")
-        lines.append("| check | scenario | former | shared |")
-        lines.append("|---|---|---|---|")
-        for check, engines in checks.items():
-            for scenario, shared in engines["shared"].items():
-                if scenario == "lhs_rhs_correlation":
+        lines.append("| check | scenario | failed runs |")
+        lines.append("|---|---|---|")
+        for check, scenarios in checks.items():
+            for scenario, cell in scenarios.items():
+                if scenario == "lhs_rhs_correlation" or (
+                        scenario != "none" and not cell["moved"]):
                     continue
-                former = engines["former"][scenario]
-                if scenario != "none" and not (former["moved"] or shared["moved"]):
-                    continue
-                cells = []
-                for cell in (former, shared):
-                    text = f"{cell['fails']}/{cell['seeds']}"
-                    if "q99_max_z" in cell:
-                        text += f" (q99 z {cell['q99_max_z']:.2f})"
-                    cells.append(text)
-                lower = (scenario != "none" and shared["fails"] / shared["seeds"]
-                         < former["fails"] / former["seeds"])
-                lines.append(f"| {check} | {scenario} | {cells[0]} | {cells[1]}"
-                             f"{' *' if lower else ''} |")
-            if "lhs_rhs_correlation" in engines["shared"]:
-                corr = ["[" + ", ".join("-" if c is None else f"{c:.2f}"
-                                        for c in engines[e]["lhs_rhs_correlation"])
-                        + "]" for e in ENGINES]
-                lines.append(f"| {check} | corr(lhs, rhs) per input | {corr[0]} "
-                             f"| {corr[1]} |")
+                text = f"{cell['fails']}/{cell['seeds']}"
+                if "q99_max_z" in cell:
+                    text += f" (q99 z {cell['q99_max_z']:.2f})"
+                lines.append(f"| {check} | {scenario} | {text} |")
+            if "lhs_rhs_correlation" in scenarios:
+                corr = ", ".join("-" if c is None else f"{c:.2f}"
+                                 for c in scenarios["lhs_rhs_correlation"])
+                lines.append(f"| {check} | corr(lhs, rhs) per input | [{corr}] |")
     return "\n".join(lines)
 
 
@@ -315,9 +259,8 @@ def main(argv=None) -> int:
             or not 0 <= args.defect_seeds <= args.seeds:
         parser.error(f"families come from {sorted(known)}; --jobs and --seeds "
                      "must be positive and --defect-seeds at most --seeds")
-    tasks = [(family, engine, seed, seed < args.defect_seeds)
-             for family in families for engine in ENGINES
-             for seed in range(args.seeds)]
+    tasks = [(family, seed, seed < args.defect_seeds)
+             for family in families for seed in range(args.seeds)]
     if args.jobs == 1:
         results = [one_seed(t) for t in tasks]
     else:

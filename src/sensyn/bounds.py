@@ -26,13 +26,12 @@ probability about 3.7e-4 per input when the bound holds with equality.
 The combined error ``sqrt(se_lhs**2 + se_rhs**2)`` is exact for independent
 sides.  Here the two sides of a check share a batch's rows, and the error is
 conservative exactly where their per-batch estimates correlate
-non-negatively; ``scripts/calibrate_bounds.py`` measures that correlation,
-and each family's false-fail and detection rates, against the former design
-with one substream per statistic.  sigma2 divides both sides of every
-check (the quadratic identity scales the upper index back by it), and the
-upper indices are normalized by the same batch's sigma2, so no verdict
-depends on the variance estimate.  Checks share estimates, so verdicts
-correlate across checks.
+non-negatively; ``scripts/calibrate_bounds.py`` measures that correlation
+and each family's false-fail and detection rates.  sigma2 divides both
+sides of every check (the quadratic identity scales the upper index back
+by it), and the upper indices are normalized by the same batch's sigma2,
+so no verdict depends on the variance estimate.  Checks share estimates,
+so verdicts correlate across checks.
 """
 
 from __future__ import annotations
@@ -217,8 +216,6 @@ def gas_bound_general(stats: BatchStatistics, epsilon: float, m: int) -> BoundCh
         raise InputDomainError("epsilon must lie in (0, 0.5); the box degenerates beyond")
     if model.output_range is None:
         raise InputDomainError("bound requires a model with a declared output range")
-    if not 1 <= m <= model.d:
-        raise InputDomainError(f"m must lie in 1..{model.d}")
     first = model.marginals[0]
     if not all(mar == first for mar in model.marginals):
         raise InputDomainError("bound requires identical marginals across inputs")

@@ -90,6 +90,11 @@ class SensitivityReport:
     reference_direction: Vector | None = _in("spectra", None)
 
 
+# the nullable report fields that are non-null when meta.methods lists their method
+_FILLED_BY = {"sigma2_hat": "sobol", "sobol_lower": "sobol", "sobol_upper": "sobol",
+              "dgsm_raw": "dgsm"}
+
+
 @dataclass(frozen=True)
 class ConvergenceTable:
     """Per-size score trajectories and rank agreement against a reference."""
@@ -165,20 +170,24 @@ def _opt(value):
 
 
 def _report_schema() -> tuple:
-    """(section, key, method, field name, annotation) of every report value
-    in output order: the ``SensitivityReport`` fields as declared, with
+    """(section, key, method, field name, annotation, needs) of every report
+    value in output order: the ``SensitivityReport`` fields as declared, with
     ``subspaces`` expanded in place into each method's ``scores`` fields and
     then each method's ``spectra`` fields, keyed ``<method>_<field>`` and
-    ``m_<method>``.  ``method`` is ``None`` for a field of the report itself."""
+    ``m_<method>``.  ``method`` is ``None`` for a field of the report itself;
+    ``needs`` is "" for a field never null, the method whose listing in
+    ``meta.methods`` makes the field non-null, or ``None``."""
     slots = []
     for f in fields(SensitivityReport):
         if f.name != "subspaces":
             slots.append((f.metadata["section"], f.metadata["key"] or f.name,
-                          None, f.name, f.type))
+                          None, f.name, f.type,
+                          _FILLED_BY.get(f.name) if f.type.endswith("| None") else ""))
             continue
         for section in ("scores", "spectra"):
             slots.extend((section, f"m_{method}" if g.name == "m"
-                           else f"{method}_{g.name}", method, g.name, g.type)
+                           else f"{method}_{g.name}", method, g.name, g.type,
+                           None if g.type.endswith("| None") else method)
                          for method in SUBSPACE_METHODS
                          for g in fields(SubspaceSummary)
                          if g.metadata["section"] == section)
@@ -191,7 +200,7 @@ _SCHEMA = _report_schema()
 def _walk(report: SensitivityReport):
     """(section, key, annotation, value) of every report value in output
     order; the values of a method the report did not compute are ``None``."""
-    for section, key, method, name, annotation in _SCHEMA:
+    for section, key, method, name, annotation, _ in _SCHEMA:
         owner = report if method is None else report.subspaces.get(method)
         yield section, key, annotation, None if owner is None else getattr(owner, name)
 
@@ -223,7 +232,7 @@ def _parse(value, annotation: str, d: int | None):
     """A JSON value as the report field declared ``annotation`` holds it: a
     vector as a tuple of ``d`` floats.  A value of another JSON type than
     the field's, or a non-finite number, raises ``ValueError``."""
-    if value is None:
+    if value is None:  # a null the reader allowed
         return None
     kind = annotation.removesuffix(" | None")
     if kind.startswith("tuple"):
@@ -257,27 +266,32 @@ def _member(obj, key: str, owner: str):
 
 
 def report_from_dict(data: dict) -> SensitivityReport:
-    """Inverse of ``report_to_dict``, with each vector a tuple of floats.
+    """Inverse of ``report_to_dict``, with each vector a tuple of floats and
+    a summary for each subspace method that ``meta.methods`` lists.
 
-    A missing field, a section that is no JSON object, or a field that
-    cannot hold its value, such as a non-finite number, a ``meta.d`` below 1
-    or a vector whose length is not ``meta.d``, raises ``InputDomainError``
-    naming the field (``scores.sobol_upper``)."""
+    A missing field, a section that is no JSON object, a null that ``needs``
+    forbids, or a field that cannot hold its value, such as a non-finite
+    number, a ``meta.d`` below 1 or a vector whose length is not ``meta.d``,
+    raises ``InputDomainError`` naming the field (``scores.sobol_upper``)."""
     values: dict = {}
     summaries: dict = {method: {} for method in SUBSPACE_METHODS}
-    for section, key, method, name, annotation in _SCHEMA:
+    for section, key, method, name, annotation, needs in _SCHEMA:
         target = values if method is None else summaries[method]
         value = _member(_member(data, section, ""), key, section)
+        # meta.methods is never null and precedes every field of a method
+        if value is None and needs is not None and (not needs or needs in values["methods"]):
+            listed = f", but meta.methods lists {needs}" if needs else ""
+            raise InputDomainError(f"{section}.{key} is null{listed}")
         try:
             # meta.d precedes every vector in the schema
             target[name] = _parse(value, annotation, values.get("d"))
-            if name == "d" and (target[name] is None or target[name] < 1):
+            if name == "d" and target[name] < 1:
                 raise ValueError(f"is {target[name]}, not at least 1")
         except (ValueError, OverflowError) as exc:  # an int beyond any float
             raise InputDomainError(f"{section}.{key} {exc}") from None
     return SensitivityReport(**values, subspaces={
         method: SubspaceSummary(**summary)
-        for method, summary in summaries.items() if summary["m"] is not None})
+        for method, summary in summaries.items() if method in values["methods"]})
 
 
 def _csv_column(key: str) -> str:

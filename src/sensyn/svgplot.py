@@ -78,8 +78,8 @@ class _Axes:
         self.ymin, self.ymax = ylim
         if self.xmax == self.xmin:
             self.xmax = self.xmin + 1.0
-        if self.ymax == self.ymin:
-            self.ymax = self.ymin + 1.0
+        if self.ymax == self.ymin:  # a unit span rounds away beside a large ymin
+            self.ymax = self.ymin + max(1.0, abs(self.ymin))
 
     def px(self, x):
         return self.x0 + (x - self.xmin) / (self.xmax - self.xmin) * self.w

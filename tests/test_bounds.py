@@ -81,6 +81,12 @@ class TestGeneralSlopeBound:
             with pytest.raises(InputDomainError):
                 gas_bound_general(stats, eps, 1)
 
+    def test_m_domain(self):
+        stats = batch_statistics(make_example2(), 100, RngStream(0), gas=True)
+        for m in (0, 11):
+            with pytest.raises(InputDomainError, match=r"m must lie in 1\.\.10"):
+                gas_bound_general(stats, 0.01, m)
+
     def test_unbounded_model_rejected(self):
         stats = batch_statistics(make_example1(), 100, RngStream(0), gas=True)
         with pytest.raises(InputDomainError):

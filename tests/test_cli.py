@@ -564,6 +564,28 @@ class TestPlotCommand:
                            f"meta.d is {d}, not at least 1\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("field, kind, message", [
+        ("spectra.gas_cumulative", "spectrum",
+         "spectra.gas_cumulative is null, but meta.methods lists gas"),
+        ("spectra.as_first_eigenvector", "eigvec",
+         "spectra.as_first_eigenvector is null, but meta.methods lists as"),
+        ("meta.threshold", "spectrum", "meta.threshold is null"),
+        # the bars chart once drew the report without GAS and exited 0
+        ("spectra.m_gas", "bars", "spectra.m_gas is null, but meta.methods lists gas"),
+    ], ids=["spectra.gas_cumulative", "spectra.as_first_eigenvector",
+            "meta.threshold", "spectra.m_gas"])
+    def test_report_with_a_null_the_chart_needs(self, report_path, tmp_path, capsys,
+                                                field, kind, message):
+        section, key = field.split(".")
+        data = json.loads(report_path.read_text())
+        data[section][key] = None
+        report_path.write_text(json.dumps(data))
+        out = tmp_path / f"{kind}.svg"
+        assert main(["plot", str(report_path), "--kind", kind, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot parse report {report_path}: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, what", [("spectrum", "spectra"),
                                             ("eigvec", "eigenvectors")])
     def test_report_without_the_series(self, tmp_path, capsys, kind, what):

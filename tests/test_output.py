@@ -1,18 +1,23 @@
 """Deterministic serialization: JSON round trips, CSV layout, SVG charts."""
 
+import copy
+import functools
+import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sensyn import (InputDomainError, RngStream, build_report,
+from sensyn import (InputDomainError, RngStream, SensynError, build_report,
                     convergence_study, make_example2, make_example4,
                     make_linear, rank)
 from sensyn.bounds import batch_statistics, gas_bound_uniform
-from sensyn.output import (bound_check_to_dict, convergence_to_dict,
-                           dumps_json, format_float, report_from_dict,
-                           report_to_csv, report_to_dict)
+from sensyn.output import (METHOD_NAMES, bound_check_to_dict,
+                           convergence_to_dict, dumps_json, format_float,
+                           report_from_dict, report_to_csv, report_to_dict)
 from sensyn.svgplot import (bars_chart, convergence_chart, eigvec_chart,
                             spectrum_chart)
 
@@ -131,6 +136,14 @@ class TestSvg:
         svg = spectrum_chart(example4_report)
         assert "threshold" in svg and svg.count("<polyline") >= 2
 
+    def test_eigvec_chart_of_equal_large_components(self, example4_report):
+        # every series equal: the unit span added to a flat axis must not
+        # round away beside components of 1e16
+        flat = replace(example4_report, subspaces={
+            method: replace(summary, first_eigenvector=(1e16,) * 4)
+            for method, summary in example4_report.subspaces.items()})
+        assert eigvec_chart(flat).startswith("<svg")
+
     def test_eigvec_chart_with_reference(self):
         report = build_report(make_example2(), seed=2, n=2_000, methods=("gas",))
         svg = eigvec_chart(report)
@@ -154,3 +167,65 @@ class TestSvg:
         report = build_report(make_example4(), seed=1, n=300, methods=("sobol",))
         with pytest.raises(InputDomainError):
             spectrum_chart(report)
+
+
+# every non-empty method set on example4, and example2's GAS report, whose
+# reference direction is not null
+REPORT_CASES = [(make_example4, methods) for k in range(1, 5)
+                for methods in itertools.combinations(METHOD_NAMES, k)]
+REPORT_CASES.append((make_example2, ("gas",)))
+DELETE = object()
+
+
+@functools.cache
+def valid_report(case: int) -> dict:
+    make_model, methods = REPORT_CASES[case]
+    report = build_report(make_model(), seed=3, n=200, methods=methods)
+    return json.loads(dumps_json(report_to_dict(report)))
+
+
+@st.composite
+def edited_reports(draw):
+    """A valid report with up to three fields or sections replaced by a
+    value from a fixed pool or deleted, as JSON text holds it."""
+    data = json.loads(json.dumps(valid_report(
+        draw(st.integers(0, len(REPORT_CASES) - 1)))))
+    d = data["meta"]["d"]
+    pool = (DELETE, None, True, False, 0, 1, -1, 2, 10**400, "", "x", [], {},
+            {"a": 1}, float("nan"), float("inf"), ["gas"], ["as", "gas"],
+            list(METHOD_NAMES), [0.5] * (d - 1), [0.5] * (d + 1), [0.0] * d,
+            [-1.0] * d, [1e308] * d, ["0.5"] * d)
+    paths = [(section,) for section in data]
+    paths += [(section, key) for section in data for key in data[section]]
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(paths),
+                                               st.sampled_from(pool)),
+                                     max_size=3)):
+        owner = data if len(path) == 1 else data.get(path[0])
+        if not isinstance(owner, dict):  # its section was replaced before
+            continue
+        if value is DELETE:
+            owner.pop(path[-1], None)
+        else:
+            owner[path[-1]] = copy.deepcopy(value)
+    return paths, json.loads(json.dumps(data))  # NaN and Infinity literals
+
+
+class TestReaderProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(edited_reports())
+    def test_reader_rejects_what_no_chart_can_draw(self, case):
+        # the reader names a field, or every chart draws the report or
+        # raises SensynError; nothing else may escape
+        paths, data = case
+        names = {"the report"} | {".".join(path) for path in paths}
+        try:
+            report = report_from_dict(data)
+        except InputDomainError as exc:
+            assert str(exc).startswith(tuple(name + " " for name in names)), exc
+            return
+        for chart in (bars_chart, spectrum_chart, eigvec_chart):
+            try:
+                svg = chart(report)
+            except SensynError:
+                continue
+            assert svg.startswith("<svg") and svg.endswith("</svg>\n")
