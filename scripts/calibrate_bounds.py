@@ -24,7 +24,7 @@ and normalizes the upper indices, so it cancels from every verdict
 (``tests/test_bounds.py::TestSharedDesign`` pins that).
 
 Run from the repository root (two worker processes; at the defaults, about
-9 minutes on a 2-vCPU Xeon VM)::
+5 minutes on a 2-vCPU Xeon VM)::
 
     PYTHONPATH=src python scripts/calibrate_bounds.py --jobs 2 --json calibration.json
 

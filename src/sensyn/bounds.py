@@ -16,12 +16,14 @@ replicate batches (:func:`batch_statistics`).  Each batch draws one
 pick-freeze design and reads every statistic the checks need from its rows:
 sigma2 and the upper indices, the slope matrix of a noise-free model (its
 first draws are the design's pairs), and the gradients (from the design's
-base points).  A check passes when the slack ``rhs - lhs`` is no more
-negative than five combined batch-means standard errors: with ten
-near-normal batch means the slack over its standard error is approximately
-Student-t with 9 degrees of freedom (Schmeiser 1982, "Batch size effects in
-the analysis of simulation output"), a one-sided t-test with false-fail
-probability about 3.7e-4 per input when the bound holds with equality.
+base points).  The ten slope matrices are decomposed as one stack, in one
+Jacobi pass, and so are the ten gradient matrices.  A check passes when
+the slack ``rhs - lhs`` is no more negative than five combined batch-means
+standard errors: with ten near-normal batch means the slack over its
+standard error is approximately Student-t with 9 degrees of freedom
+(Schmeiser 1982, "Batch size effects in the analysis of simulation
+output"), a one-sided t-test with false-fail probability about 3.7e-4 per
+input when the bound holds with equality.
 
 The combined error ``sqrt(se_lhs**2 + se_rhs**2)`` is exact for independent
 sides.  Here the two sides of a check share a batch's rows, and the error is
@@ -90,7 +92,8 @@ class BoundCheck:
 @dataclass(frozen=True)
 class BatchStatistics:
     """Per-batch estimates, one list entry per batch (``None``: not requested);
-    each spectrum is decomposed on first use and shared by every check."""
+    the spectra of each kind are decomposed on first use, as one stack, and
+    shared by every check."""
 
     model: Model
     n: int
@@ -102,11 +105,11 @@ class BatchStatistics:
 
     @cached_property
     def gas_spectra(self) -> list[SpectralDecomposition]:
-        return [psd_spectrum(c) for c in self.c_gas]
+        return psd_spectrum(np.stack(self.c_gas))
 
     @cached_property
     def as_spectra(self) -> list[SpectralDecomposition]:
-        return [sym_eig(c) for c in self.c_as]
+        return sym_eig(np.stack(self.c_as))
 
 
 def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,

@@ -39,7 +39,7 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def sym_eig(a, *, max_sweeps: int = 100) -> SpectralDecomposition:
+def sym_eig(a, *, max_sweeps: int = 100) -> SpectralDecomposition | list[SpectralDecomposition]:
     """Eigendecomposition of a symmetric matrix by round-robin Jacobi rotations.
 
     A sweep is ``d - 1`` rounds (``d`` for odd ``d``, when one index sits
@@ -49,63 +49,89 @@ def sym_eig(a, *, max_sweeps: int = 100) -> SpectralDecomposition:
     :class:`InputDomainError` for non-finite or asymmetric input and
     :class:`EigenNotConvergedError` when ``max_sweeps`` sweeps do not reach
     that threshold.
+
+    A ``(k, d, d)`` stack gives a list of k decompositions from one pass:
+    every round rotates all matrices still in the stack, and each leaves it
+    at the sweep where it would have stopped alone, so each decomposition
+    is byte-identical to that of its matrix on its own.
     """
     a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputDomainError("expected a square matrix")
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise InputDomainError("expected a square matrix or a stack of them")
     if not np.all(np.isfinite(a)):
         raise InputDomainError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -2, -1)):
         raise InputDomainError("matrix must be exactly symmetric")
+    spectra = _jacobi(a.reshape(-1, *a.shape[-2:]), max_sweeps)
+    return spectra if a.ndim == 3 else spectra[0]
 
-    d = a.shape[0]
-    vt = np.eye(d)  # eigenvectors as rows, so that rotations touch contiguous rows
+
+def _jacobi(stack: np.ndarray, max_sweeps: int) -> list[SpectralDecomposition]:
+    """Decompose each matrix of a ``(k, d, d)`` stack, in stack order."""
+    d = stack.shape[1]
     if d == 1:
-        return _finalize(np.array([a[0, 0]]), vt)
+        return [_finalize(np.array([m[0, 0]]), np.eye(1)) for m in stack]
 
     # elementwise, not np.linalg.norm: its BLAS dot is threaded on large inputs
-    norm = np.sqrt(np.sum(a * a))
-    if norm == 0.0:
-        return _finalize(np.zeros(d), vt)
-    stop = JACOBI_TOL * norm
-
-    rounds = _round_robin(d)
+    stops = JACOBI_TOL * np.sqrt(np.sum(stack * stack, axis=(1, 2)))
+    out: list = [_finalize(np.zeros(d), np.eye(d)) if stop == 0.0 else None
+                 for stop in stops]
+    live = np.flatnonzero(stops > 0.0)  # stack positions still rotating
+    # the rows of every live matrix, one matrix after another; eigenvectors
+    # as rows, so that rotations touch contiguous rows
+    a = stack[live].reshape(-1, d)
+    vt = np.tile(np.eye(d), (len(live), 1))
+    rounds = []
     # the angle formulas run on every pair of a round, including those that
     # take the zero or tiny-angle branch, where they divide by zero or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(max_sweeps + 1):
-            off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-            if off <= stop:
+            a3 = a.reshape(-1, d, d)
+            off = np.sqrt(2.0 * np.sum(np.tril(a3, -1) ** 2, axis=(1, 2)))
+            done = off <= stops[live]
+            if done.any():
+                vt3 = vt.reshape(-1, d, d)
+                for j in np.flatnonzero(done):
+                    out[live[j]] = _finalize(np.diag(a3[j]).copy(), vt3[j].T)
+                live, off = live[~done], off[~done]
+                a = a3[~done].reshape(-1, d)
+                vt = vt3[~done].reshape(-1, d)
+                rounds = []  # their index arrays are for the larger stack
+            if not len(live):
                 break
             if sweep == max_sweeps:
                 raise EigenNotConvergedError(
                     f"Jacobi eigensolver did not converge for d={d}: off-diagonal "
-                    f"norm {off:.6g} is above the threshold {stop:.6g} after "
-                    f"{max_sweeps} sweeps")
+                    f"norm {off[0]:.6g} is above the threshold {stops[live[0]]:.6g} "
+                    f"after {max_sweeps} sweeps")
+            rounds = rounds or _round_robin(d, len(live))
             for rnd in rounds:
                 _rotate_round(a, vt, rnd)
-
-    return _finalize(np.diag(a).copy(), vt.T)
+    return out
 
 
 @dataclass(frozen=True)
 class _Round:
-    """Index arrays of one round of disjoint pairs (p, q), p < q.
+    """Index arrays of one round of disjoint pairs (p, q), p < q, applied to
+    a stack of k matrices held as the rows of a ``(k*d, d)`` array, where
+    row ``r`` is row ``r % d`` of matrix ``r // d``.
 
     Every index i is handled as if it were the ``p`` of a pair with
     ``partner[i]``: from q's side the rotation angle changes sign, so the
     update of row q comes out of the same formulas as that of row p.
     """
 
-    index: np.ndarray    # (d, 1): 0 .. d-1, for per-index gathers
-    partner: np.ndarray  # (d,): partner[p] = q, partner[q] = p, i for an index sitting out
-    column: np.ndarray   # (d, 1): partner as a column
-    lead: np.ndarray     # (d, 1): +1 at p, -1 at q, 0 sitting out
-    pairs: tuple         # (p then q, q then p): the entries the round annihilates
+    row: np.ndarray      # (k*d, 1): 0 .. k*d-1, for per-row gathers
+    index: np.ndarray    # (k*d, 1): r % d, the column of row r's diagonal entry
+    partner: np.ndarray  # (k*d,): the row of the partner index in the same matrix, r sitting out
+    partner_row: np.ndarray  # (k*d, 1): partner as a column
+    column: np.ndarray   # (k*d, 1): the partner's index, partner % d
+    lead: np.ndarray     # (k*d, 1): +1 at p, -1 at q, 0 sitting out
+    pairs: tuple         # (rows, columns) of the entries (p, q) and (q, p) the round annihilates
 
 
-def _round_robin(d: int) -> list[_Round]:
-    """One sweep's rounds, by the circle method.
+def _round_robin(d: int, k: int) -> list[_Round]:
+    """One sweep's rounds for a stack of k matrices, by the circle method.
 
     Seat 0 stays while the other seats move on by one each round, so every
     pair p < q meets exactly once in ``m - 1`` rounds, ``m = d`` rounded up to
@@ -113,35 +139,38 @@ def _round_robin(d: int) -> list[_Round]:
     """
     m = d + d % 2
     seats = list(range(m))
-    index = np.arange(d)[:, None]
-    rounds = []
+    table = []  # per round, the partner of each index
     for _ in range(m - 1):
-        pairs = [(min(x, y), max(x, y)) for x, y in zip(seats[: m // 2], seats[::-1][: m // 2])]
-        p = np.array([lo for lo, hi in pairs if hi < d])
-        q = np.array([hi for lo, hi in pairs if hi < d])
-        partner = np.arange(d)
-        partner[p] = q
-        partner[q] = p
-        lead = np.zeros((d, 1))
-        lead[p] = 1.0
-        lead[q] = -1.0
-        rounds.append(_Round(index, partner, partner[:, None], lead,
-                             (np.concatenate((p, q)), np.concatenate((q, p)))))
+        partner = list(range(d))
+        for x, y in zip(seats[: m // 2], seats[::-1][: m // 2]):
+            if max(x, y) < d:
+                partner[x], partner[y] = y, x
+        table.append(partner)
         seats = [seats[0], seats[-1]] + seats[1:-1]
-    return rounds
+    own = np.arange(d)
+    partner = np.array(table)
+    lead = np.tile(np.sign(partner - own).astype(np.float64), k)
+    rows = (np.arange(0, k * d, d)[:, None] + partner[:, None, :]).reshape(m - 1, k * d)
+    column = np.tile(partner, k)
+    moved = np.nonzero(column != np.tile(own, k))[1].reshape(m - 1, -1)
+    row, index = np.arange(k * d)[:, None], np.tile(own, k)[:, None]
+    return [_Round(row, index, rows[r], rows[r][:, None], column[r][:, None],
+                   lead[r][:, None], (moved[r], column[r][moved[r]]))
+            for r in range(m - 1)]
 
 
 def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round) -> None:
-    """Annihilate ``a[p, q]`` for every pair of one round, in place.
+    """Annihilate ``a[p, q]`` for every pair of one round, in place, in
+    every matrix of the stack.
 
-    ``a`` becomes ``J.T @ a @ J`` and ``vt`` becomes ``J.T @ vt``, where
-    ``J`` is the product of the round's disjoint rotations.  Only elementwise
-    operations and indexing are used, never BLAS.
+    Each matrix ``A`` of ``a`` becomes ``J.T @ A @ J`` and its block of
+    ``vt`` becomes ``J.T @ vt``, where ``J`` is the product of the round's
+    disjoint rotations.  Only elementwise operations and indexing are used,
+    never BLAS, so each row's arithmetic does not depend on the stack.
     """
-    i, j = rnd.index, rnd.column
-    apq = a[i, j]
-    app = a[i, i]
-    diff = a[j, j] - app
+    apq = a[rnd.row, rnd.column]
+    app = a[rnd.row, rnd.index]
+    diff = a[rnd.partner_row, rnd.column] - app
     theta = diff / (2.0 * apq)
     t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
     # theta = 0: 45 degrees, t = 1 seen from p; no rotation for an index sitting out
@@ -163,16 +192,18 @@ def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round) -> None:
         step *= ss
         rows += step
 
+    d = a.shape[1]
     rotate_rows(vt)
     rotate_rows(a)
-    at = a.T.copy()  # the columns, as contiguous rows
+    at = a.reshape(-1, d, d).transpose(0, 2, 1).copy().reshape(-1, d)  # columns as rows
     rotate_rows(at)
-    at[i, i] = app - t * apq
+    at[rnd.row, rnd.index] = app - t * apq
     at[rnd.pairs] = 0.0
     # entries between two pairs come out of the row-then-column order with
     # different rounding on each side of the diagonal; averaging restores
     # exact symmetry and leaves every other entry unchanged
-    np.add(at, at.T, out=a)
+    at3 = at.reshape(-1, d, d)
+    np.add(at3, at3.transpose(0, 2, 1), out=a.reshape(-1, d, d))
     a *= 0.5
 
 

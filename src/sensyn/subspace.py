@@ -421,7 +421,7 @@ class DesignSlopes(SlopeSample):
                 self.slopes[rows, k] = _quotients(self.model, x, k, b[live], self.fz[rows], None)
 
 
-def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
+def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition | list[SpectralDecomposition]:
     """Eigendecomposition of a slope matrix with every eigenvalue below
     :func:`~sensyn.linalg.sym_eig`'s resolution set to 0.
 
@@ -436,8 +436,17 @@ def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition:
     Frobenius norm.  Scores then stay nondecreasing in m, and at m = d they
     read that matrix's diagonal, which exceeds the estimated one by at most
     the clamped mass.
+
+    A ``(k, d, d)`` stack gives a list of k spectra, as it does for
+    :func:`~sensyn.linalg.sym_eig`.
     """
-    spec = sym_eig(matrix)
+    spectra = sym_eig(matrix)
+    if isinstance(spectra, SpectralDecomposition):
+        return _clamped(spectra)
+    return [_clamped(spec) for spec in spectra]
+
+
+def _clamped(spec: SpectralDecomposition) -> SpectralDecomposition:
     lam = spec.eigenvalues
     floor = JACOBI_TOL * np.sqrt(np.sum(lam * lam))
     return SpectralDecomposition(np.where(lam < floor, 0.0, lam), spec.eigenvectors)

@@ -22,6 +22,8 @@ HEIGHT = 500
 PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4",
            "#8c613c", "#dc7ec0", "#797979", "#d5bb67", "#82c6e2")
 FONT = "font-family=\"Helvetica,Arial,sans-serif\""
+# text content is XML character data: a model label may hold any of these
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(x: float) -> str:
@@ -58,7 +60,7 @@ class Canvas:
     def text(self, x, y, s, size=12, anchor="start", fill="#222222"):
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{fill}" {FONT}>{s}</text>')
+            f'text-anchor="{anchor}" fill="{fill}" {FONT}>{s.translate(_ESCAPES)}</text>')
 
     def to_string(self) -> str:
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

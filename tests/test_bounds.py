@@ -315,10 +315,10 @@ class TestBatchEngine:
         assert len(stats.c_gas) == N_BATCHES
 
     def test_uniform_checks_read_the_same_spectra(self, tmp_path, monkeypatch):
-        counted = []
+        counted = []  # matrices decomposed, per call
         for name in ("sym_eig", "psd_spectrum"):  # gradient, slope matrices
             monkeypatch.setattr(bounds, name, lambda c, _fn=getattr(bounds, name):
-                                counted.append(1) or _fn(c))
+                                counted.append(len(c)) or _fn(c))
         _, _, _, read = run_bounds(["--model", "example4", "--n", "2000"],
                                    tmp_path, monkeypatch)
         # m = 1 then m = d read the slope spectra; the derivative checks follow
@@ -326,8 +326,9 @@ class TestBatchEngine:
         assert [m for m, _ in first + second] == [1] * N_BATCHES + [4] * N_BATCHES
         assert len({spec for _, spec in first}) == N_BATCHES
         assert [spec for _, spec in second] == [spec for _, spec in first]
-        # one slope and one gradient decomposition per batch
-        assert len(counted) == 2 * N_BATCHES
+        # one stack of the batches' slope matrices, then one of their
+        # gradient matrices: one decomposition of each per batch
+        assert counted == [N_BATCHES, N_BATCHES]
 
 
 class TestSharedDesign:

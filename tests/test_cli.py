@@ -1,15 +1,21 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
 import ast
+import contextlib
+import gc
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensyn import Model, Uniform, _front, cli
 from sensyn.cli import main
@@ -316,6 +322,92 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+# Flag values for the command-line property: per command and per model,
+# each flag with values it accepts or that lie just outside its range; one
+# flag of a command line may take a value from the pool instead.  Sizes stay
+# small: --n and --sizes at most 50, --seeds at most 2.
+COMMAND_FLAGS = {
+    "analyze": {"--n": ("50", "7"), "--methods": ("all", "sobol,gas", "dgsm,as"),
+                "--m1": ("5",), "--m2": ("2",), "--h": ("1e-3",),
+                "--m": ("auto", "1", "5"), "--threshold": ("0.5",),
+                "--format": ("json", "csv")},
+    "bounds": {"--n": ("50", "20"), "--h": ("1e-3",), "--m": ("auto", "1", "5"),
+               "--threshold": ("0.5",), "--epsilon": ("0.01", "0.49")},
+    "convergence": {"--methods": ("all", "gas"), "--sizes": ("10,50", "2,5", "50,10"),
+                    "--seeds": ("1", "2")},
+}
+SHARED_FLAGS = {"--seed": ("3", "18446744073709551616"),
+                "--slope-window": ("0.5", "0.89", "0.9")}
+MODEL_FLAGS = {"example1": {"--noise": ("1",)}, "example2": {"--theta": ("1,2", "0,1,0")},
+               "example4": {"--c": ("1,2,3,4", "1,2"), "--c12": ("2",)},
+               "linear": {"--c": ("1,2", "1,-2,3")},
+               "quadratic": {"--A": ("diag:2,0", "1,0.5;0.5,-1", "1,2;2"),
+                             "--b": ("0,1", "1")}}
+POOL = ("0", "-1", "nan", "inf", "1e400", "", "x")
+REQUIRED = {"analyze": ("--n",), "bounds": ("--n",), "convergence": ("--sizes", "--seeds"),
+            "linear": ("--c",), "quadratic": ("--A", "--b")}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    model = draw(st.sampled_from(sorted(MODEL_FLAGS)))
+    flags = {**SHARED_FLAGS, **COMMAND_FLAGS[command], **MODEL_FLAGS[model],
+             "--model": (model,)}
+    # the defaults of --n, --sizes and --seeds run up to 10,000 rows
+    chosen = ["--model", *REQUIRED[command], *REQUIRED.get(model, ())]
+    chosen += draw(st.lists(st.sampled_from(sorted(set(flags) - set(chosen))),
+                            max_size=3, unique=True))
+    spoiled = draw(st.sampled_from([None, None, *chosen]))
+    argv = [command]
+    for flag in chosen:
+        argv.append(f"{flag}={draw(st.sampled_from(POOL if flag == spoiled else flags[flag]))}")
+    return argv
+
+
+class TestCommandLineProperty:
+    @pytest.mark.filterwarnings("ignore:ridge direction was not unit length")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(command_lines())
+    def test_every_command_line_exits_cleanly(self, argv):
+        # exit 0, 1 or 2 with no traceback, and a usage error writes nothing
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                try:
+                    code = _front.main([*argv, f"--out={work}/out.json"])
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+            written = os.listdir(work)
+        assert code in (0, 1, 2), (argv, out.getvalue())
+        assert "Traceback" not in out.getvalue(), argv
+        assert code != 2 or not written, (argv, written)
+
+
+class TestProcessExit:
+    def test_console_entry_through_a_pipe(self, tmp_path):
+        args = ["bounds", "--model", "example4", "--n", "200"]
+        out = tmp_path / "piped.json"
+        proc = subprocess.run([sys.executable, "-m", "sensyn.cli", *args, "--out", str(out)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"wrote {out} (") and "checks passed" in proc.stdout
+        assert main(args + ["--out", str(tmp_path / "in_process.json")]) == 0
+        assert out.read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+    def test_only_the_console_entry_freezes(self, tmp_path):
+        argv = ["bounds", "--model", "example4", "--n", "200", "--out", str(tmp_path / "b.json")]
+        assert _front.main(argv) == 0
+        assert gc.get_freeze_count() == 0
+        script = ("import gc, sys, sensyn\n"
+                  "sys.argv = ['sensyn', *sys.argv[1:]]\n"
+                  "assert sensyn._cli_main() == 0\n"
+                  "assert gc.get_freeze_count() > 0\n")
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBenchmarkCommands:

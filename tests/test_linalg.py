@@ -7,6 +7,7 @@ from sensyn import (DegenerateSpectrumError, EigenNotConvergedError,
                     InputDomainError, SensynError, SpectralDecomposition,
                     normalized_cumsum, select_m, sym_eig)
 from sensyn.linalg import _round_robin
+from sensyn.subspace import psd_spectrum
 
 
 def random_symmetric(rng, d):
@@ -102,7 +103,7 @@ class TestSymEig:
     @pytest.mark.parametrize("d", [2, 3, 4, 7, 10, 11])
     def test_schedule_meets_every_pair_once(self, d):
         met = []
-        for rnd in _round_robin(d):
+        for rnd in _round_robin(d, 1):
             partner = rnd.partner
             np.testing.assert_array_equal(partner[partner], np.arange(d))  # disjoint
             assert np.sum(partner != np.arange(d)) == 2 * (d // 2)
@@ -155,6 +156,45 @@ class TestSymEig:
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(InputDomainError):
             sym_eig(np.ones((2, 3)))
+        with pytest.raises(InputDomainError):
+            sym_eig(np.ones((2, 2, 3)))
+
+
+class TestStack:
+    @pytest.mark.parametrize("d", [1, 4, 10])
+    @pytest.mark.parametrize("decompose", [sym_eig, psd_spectrum])
+    def test_stack_equals_one_by_one(self, decompose, d):
+        # members leave the stack at different sweeps: the diagonal and the
+        # zero matrix before the first, the others when each converges
+        rng = np.random.default_rng(40 + d)
+        stack = np.stack([random_symmetric(rng, d), np.diag(rng.normal(size=d)),
+                          np.zeros((d, d)), random_psd(rng, d),
+                          1e-9 * random_symmetric(rng, d), random_symmetric(rng, d)])
+        spectra = decompose(stack)
+        assert len(spectra) == len(stack)
+        for a, spec in zip(stack, spectra):
+            alone = decompose(a)
+            assert spec.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert spec.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.array([[1.0, np.inf], [np.inf, 1.0]]),
+                                     np.array([[1.0, 2.0], [0.0, 1.0]])],
+                             ids=["non-finite", "asymmetric"])
+    def test_bad_member_raises_as_alone(self, bad):
+        with pytest.raises(InputDomainError) as alone:
+            sym_eig(bad)
+        with pytest.raises(InputDomainError) as stacked:
+            sym_eig(np.stack([np.eye(2), bad, np.eye(2)]))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_sweep_budget_exhausted_raises(self):
+        rng = np.random.default_rng(10)
+        stack = np.stack([np.eye(10), random_symmetric(rng, 10)])
+        with pytest.raises(EigenNotConvergedError) as alone:
+            sym_eig(stack[1], max_sweeps=1)
+        with pytest.raises(EigenNotConvergedError) as stacked:
+            sym_eig(stack, max_sweeps=1)
+        assert str(stacked.value) == str(alone.value)
 
 
 def spectrum_of(values):

@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -162,6 +163,17 @@ class TestSvg:
         assert payload["meta"]["sizes"] == [16, 64, 256]
         assert len(payload["mean_scores"]) == 3
         assert len(payload["cells"][0]["scores"]) == 2
+
+    def test_model_label_is_escaped(self, example4_report):
+        label = "a<b & c"
+        data = json.loads(dumps_json(report_to_dict(example4_report)))
+        data["meta"]["model"] = label
+        model = replace(make_linear([1.0, 4.0]), label=label)
+        table = convergence_study(model, "upper_sobol", (16, 64), 2, rank([1.0, 4.0]))
+        for svg in (bars_chart(report_from_dict(data)), convergence_chart([table])):
+            titles = [t.text for t in ElementTree.fromstring(svg)
+                      if t.text and t.text.startswith(label)]
+            assert len(titles) == 1, svg
 
     def test_empty_report_rejected(self):
         report = build_report(make_example4(), seed=1, n=300, methods=("sobol",))
