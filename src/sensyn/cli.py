@@ -10,7 +10,9 @@ and ``convergence`` share ``--model`` with the six model flags, ``--seed``,
 is an argparse usage error that prints the command's own usage.
 
 Exit codes: 0 on success, 1 on a runtime/estimation failure, 2 on a usage
-error.  The seed defaults to the ``SENSYN_SEED`` environment variable, then
+error; a usage error names the flag at fault, also when its value does not
+parse.  A warning raised while the model is built (a ridge direction that
+was not unit length) prints as one ``note:`` line on stderr.  The seed defaults to the ``SENSYN_SEED`` environment variable, then
 to 0; with a fixed seed every command writes byte-identical output files.
 
 The parser and ``plot`` live in :mod:`sensyn._front`, which loads no numpy;
@@ -33,6 +35,7 @@ if __name__ == "__main__":
 
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +67,27 @@ def _parse_methods(spec: str) -> tuple[str, ...]:
     return methods
 
 
+def _convert(flag: str, kind, text: str):
+    """``kind(text)``, or a usage error that names ``flag``."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InputDomainError(f"{flag}: {text!r} is not {what}") from None
+
+
+def _floats(flag: str, spec: str) -> list[float]:
+    """The comma list ``spec`` of ``flag`` as floats."""
+    return [_convert(flag, float, v) for v in spec.split(",")]
+
+
 def _parse_matrix(spec: str) -> np.ndarray:
     """Matrix syntax: ``diag:a,b,...`` or semicolon-separated rows ``a,b;c,d``."""
     if spec.startswith("diag:"):
-        return np.diag([float(v) for v in spec[5:].split(",")])
-    rows = [[float(v) for v in row.split(",")] for row in spec.split(";")]
+        return np.diag(_floats("--A", spec[5:]))
+    rows = [_floats("--A", row) for row in spec.split(";")]
+    _require(len({len(row) for row in rows}) == 1,
+             f"--A: rows of different lengths in {spec!r}")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -98,20 +117,20 @@ def _model_from_args(args):
     if args.model == "example1" and args.noise is not None:
         params["noise_scale"] = args.noise
     if args.model == "example2" and args.theta:
-        params["direction"] = [float(v) for v in args.theta.split(",")]
+        params["direction"] = _floats("--theta", args.theta)
     if args.model == "example4":
         if args.c:
-            params["c"] = [float(v) for v in args.c.split(",")]
+            params["c"] = _floats("--c", args.c)
         if args.c12 is not None:
             params["c12"] = args.c12
     if args.model == "linear":
         _require(args.c, "linear model requires --c coefficients")
-        params["coefficients"] = [float(v) for v in args.c.split(",")]
+        params["coefficients"] = _floats("--c", args.c)
     if args.model in ("quadratic", "quadratic_normal"):
         _require(args.a_matrix is not None and args.b_vector is not None,
                  "quadratic model requires --A and --b")
         params["a_matrix"] = _parse_matrix(args.a_matrix)
-        params["b"] = [float(v) for v in args.b_vector.split(",")]
+        params["b"] = _floats("--b", args.b_vector)
     return make_builtin(args.model, **params)
 
 
@@ -130,7 +149,7 @@ def _check_sampling(args, model) -> None:
         args.n = 10_000
     _require(args.n >= 1, f"--n must be at least 1, got {args.n}")
     _require(0.0 < args.h < math.inf, f"--h must lie in (0, inf), got {args.h:g}")
-    args.m = None if args.m in (None, "auto") else int(args.m)
+    args.m = None if args.m in (None, "auto") else _convert("--m", int, args.m)
     _require(args.m is None or 1 <= args.m <= model.d,
              f"--m must lie in 1..{model.d} for model {model.label!r}, got {args.m}")
     _require(0.0 <= args.threshold < 1.0,
@@ -162,7 +181,7 @@ def _check_convergence(args, model) -> None:
     args.methods = _parse_methods(args.methods)
     _require("sobol" in args.methods or "gas" in args.methods,
              "convergence needs the sobol and/or gas methods")
-    sizes = tuple(int(t) for t in args.sizes.split(",") if t.strip())
+    sizes = tuple(_convert("--sizes", int, t) for t in args.sizes.split(",") if t.strip())
     _require(sizes, "need a nonempty --sizes list")
     _require(min(sizes) >= 2,
              f"every --sizes entry must be at least 2, got {min(sizes)}")
@@ -248,7 +267,12 @@ def run(args) -> int:
         if args.slope_window is None:
             args.slope_window = DEFAULT_SLOPE_WINDOW
         _check_shared(args)
-        model = _model_from_args(args)
+        # a model's warning (a ridge direction it normalized) is a one-line note
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = _model_from_args(args)
+        for warning in caught:
+            print(f"note: {warning.message}", file=sys.stderr)
         check(args, model)
     except (InputDomainError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

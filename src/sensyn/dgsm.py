@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputDomainError
-from .models import Model, sample_inputs
+from .models import Model, noise_columns, sample_inputs
 from .randkit import RngStream
 
 _BASE, _NOISE = 0, 2
@@ -42,8 +42,8 @@ def gradient_matrix(model: Model, n: int, h: float, rng: RngStream,
     else:
         z, fz = base
     g = np.empty((len(z), model.d))
-    for i in range(model.d):
-        fzi = model.evaluate_column(z, i, z[:, i] + h, rng=noise.substream(i + 1))
+    for i, eps in enumerate(noise_columns(model, len(z), noise)):
+        fzi = model.evaluate_column(z, i, z[:, i] + h, noise=eps)
         g[:, i] = (fzi - fz) / h
     if not np.all(np.isfinite(g)):
         bad = int(np.nonzero(~np.all(np.isfinite(g), axis=0))[0][0])

@@ -81,6 +81,7 @@ def _jacobi(stack: np.ndarray, max_sweeps: int) -> list[SpectralDecomposition]:
     # as rows, so that rotations touch contiguous rows
     a = stack[live].reshape(-1, d)
     vt = np.tile(np.eye(d), (len(live), 1))
+    work = np.empty((5, *a.shape))  # _rotate_round's scratch, a prefix per stack size
     rounds = []
     # the angle formulas run on every pair of a round, including those that
     # take the zero or tiny-angle branch, where they divide by zero or overflow
@@ -104,9 +105,11 @@ def _jacobi(stack: np.ndarray, max_sweeps: int) -> list[SpectralDecomposition]:
                     f"Jacobi eigensolver did not converge for d={d}: off-diagonal "
                     f"norm {off[0]:.6g} is above the threshold {stops[live[0]]:.6g} "
                     f"after {max_sweeps} sweeps")
-            rounds = rounds or _round_robin(d, len(live))
+            if not rounds:
+                rounds = _round_robin(d, len(live))
+                scratch = work[:, :len(a)]
             for rnd in rounds:
-                _rotate_round(a, vt, rnd)
+                _rotate_round(a, vt, rnd, scratch)
     return out
 
 
@@ -114,20 +117,20 @@ def _jacobi(stack: np.ndarray, max_sweeps: int) -> list[SpectralDecomposition]:
 class _Round:
     """Index arrays of one round of disjoint pairs (p, q), p < q, applied to
     a stack of k matrices held as the rows of a ``(k*d, d)`` array, where
-    row ``r`` is row ``r % d`` of matrix ``r // d``.
+    row ``r`` is row ``r % d`` of matrix ``r // d``.  Entries are addressed
+    by flat index into that array, ``row * d + column``.
 
     Every index i is handled as if it were the ``p`` of a pair with
     ``partner[i]``: from q's side the rotation angle changes sign, so the
     update of row q comes out of the same formulas as that of row p.
     """
 
-    row: np.ndarray      # (k*d, 1): 0 .. k*d-1, for per-row gathers
-    index: np.ndarray    # (k*d, 1): r % d, the column of row r's diagonal entry
-    partner: np.ndarray  # (k*d,): the row of the partner index in the same matrix, r sitting out
-    partner_row: np.ndarray  # (k*d, 1): partner as a column
-    column: np.ndarray   # (k*d, 1): the partner's index, partner % d
-    lead: np.ndarray     # (k*d, 1): +1 at p, -1 at q, 0 sitting out
-    pairs: tuple         # (rows, columns) of the entries (p, q) and (q, p) the round annihilates
+    partner: np.ndarray   # (k*d,): the row of the partner index in the same matrix, r sitting out
+    diagonal: np.ndarray  # (k*d,): flat index of row r's diagonal entry
+    pair: np.ndarray      # (k*d,): flat index of the entry (r, partner) of row r
+    facing: np.ndarray    # (k*d,): flat index of the partner's diagonal entry
+    lead: np.ndarray      # (k*d,): +1 at p, -1 at q, 0 sitting out
+    zeroed: np.ndarray    # flat indices of the entries (p, q) and (q, p) the round annihilates
 
 
 def _round_robin(d: int, k: int) -> list[_Round]:
@@ -147,19 +150,21 @@ def _round_robin(d: int, k: int) -> list[_Round]:
                 partner[x], partner[y] = y, x
         table.append(partner)
         seats = [seats[0], seats[-1]] + seats[1:-1]
-    own = np.arange(d)
-    partner = np.array(table)
-    lead = np.tile(np.sign(partner - own).astype(np.float64), k)
-    rows = (np.arange(0, k * d, d)[:, None] + partner[:, None, :]).reshape(m - 1, k * d)
-    column = np.tile(partner, k)
-    moved = np.nonzero(column != np.tile(own, k))[1].reshape(m - 1, -1)
-    row, index = np.arange(k * d)[:, None], np.tile(own, k)[:, None]
-    return [_Round(row, index, rows[r], rows[r][:, None], column[r][:, None],
-                   lead[r][:, None], (moved[r], column[r][moved[r]]))
-            for r in range(m - 1)]
+    own = np.tile(np.arange(d), k)
+    row = np.arange(k * d)
+    diagonal = row * d + own
+    rounds = []
+    for column in np.tile(np.array(table), k):  # the partner's index of each row
+        partner = row - own + column
+        moved = np.flatnonzero(column != own)
+        rounds.append(_Round(partner, diagonal, row * d + column, partner * d + column,
+                             np.sign(column - own).astype(np.float64),
+                             moved * d + column[moved]))
+    return rounds
 
 
-def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round) -> None:
+def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round,
+                  work: np.ndarray) -> None:
     """Annihilate ``a[p, q]`` for every pair of one round, in place, in
     every matrix of the stack.
 
@@ -167,10 +172,15 @@ def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round) -> None:
     ``vt`` becomes ``J.T @ vt``, where ``J`` is the product of the round's
     disjoint rotations.  Only elementwise operations and indexing are used,
     never BLAS, so each row's arithmetic does not depend on the stack.
+    ``work`` holds five scratch arrays of ``a``'s shape.  The round's
+    scalars are gathered, and its diagonal and pair entries written, by flat
+    index; the per-row factors are spread once over full rows, so every
+    row update is a same-shape multiply, with the same operations in the
+    same order, and the same bytes, as a broadcast one.
     """
-    apq = a[rnd.row, rnd.column]
-    app = a[rnd.row, rnd.index]
-    diff = a[rnd.partner_row, rnd.column] - app
+    apq = a.take(rnd.pair)
+    app = a.take(rnd.diagonal)
+    diff = a.take(rnd.facing) - app
     theta = diff / (2.0 * apq)
     t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
     # theta = 0: 45 degrees, t = 1 seen from p; no rotation for an index sitting out
@@ -181,28 +191,31 @@ def _rotate_round(a: np.ndarray, vt: np.ndarray, rnd: _Round) -> None:
     t[apq == 0.0] = 0.0  # already zero: the identity rotation
     c = 1.0 / np.sqrt(t * t + 1.0)
     ss = -t * c
-    tt = ss / (1.0 + c)
+    ss_rows, tt_rows, step, scaled, at = work
+    np.copyto(ss_rows, ss[:, None])
+    np.copyto(tt_rows, (ss / (1.0 + c))[:, None])
 
     # row i becomes row_i + ss_i * (row_partner - tt_i * row_i): for p this is
     # row_p - s * (row_q + tau * row_p), for q row_q + s * (row_p - tau * row_q),
     # and an index with t = 0 is left exactly as it is
     def rotate_rows(rows):
-        step = rows[rnd.partner]
-        step -= tt * rows
-        step *= ss
+        rows.take(rnd.partner, axis=0, out=step, mode="clip")  # unbuffered
+        np.multiply(tt_rows, rows, out=scaled)
+        np.subtract(step, scaled, out=step)
+        np.multiply(step, ss_rows, out=step)
         rows += step
 
     d = a.shape[1]
     rotate_rows(vt)
     rotate_rows(a)
-    at = a.reshape(-1, d, d).transpose(0, 2, 1).copy().reshape(-1, d)  # columns as rows
+    at3 = at.reshape(-1, d, d)
+    np.copyto(at3, a.reshape(-1, d, d).transpose(0, 2, 1))  # columns as rows
     rotate_rows(at)
-    at[rnd.row, rnd.index] = app - t * apq
-    at[rnd.pairs] = 0.0
+    at.put(rnd.diagonal, app - t * apq)
+    at.put(rnd.zeroed, 0.0)
     # entries between two pairs come out of the row-then-column order with
     # different rounding on each side of the diagonal; averaging restores
     # exact symmetry and leaves every other entry unchanged
-    at3 = at.reshape(-1, d, d)
     np.add(at3, at3.transpose(0, 2, 1), out=a.reshape(-1, d, d))
     a *= 0.5
 

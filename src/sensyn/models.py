@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputDomainError, ModelOutputError
-from .randkit import InputDistribution, Normal, RngStream, Uniform
+from .randkit import InputDistribution, Normal, RngStream, Uniform, draw_columns
 
 # fixed ridge direction for the discontinuous built-in (unit-normalized below)
 INDICATOR_DIRECTION = (0.143, 0.708, 0.491, -0.297, -0.124,
@@ -106,13 +106,31 @@ class Model:
 
 def sample_inputs(model: Model, n: int, rng: RngStream) -> np.ndarray:
     """Draw a C-ordered (n, d) matrix of input points, column i from
-    substream i."""
+    substream i.
+
+    Consecutive inputs with one marginal law are drawn in blocks
+    (:func:`~sensyn.randkit.draw_columns`): each substream draws its own
+    uniforms, and a block of up to 16,384 draws passes through one inverse
+    CDF.  The stream layout and every byte are those of drawing each column
+    on its own.
+    """
     if n < 1:
         raise InputDomainError("sample size must be at least 1")
     z = np.empty((n, model.d))
-    for i, dist in enumerate(model.marginals):
-        z[:, i] = dist.inv_cdf(rng.substream(i).uniforms(n))
+    streams = [rng.substream(i) for i in range(model.d)]
+    for i, x in enumerate(draw_columns(model.marginals, streams, n)):
+        z[:, i] = x
     return z
+
+
+def noise_columns(model: Model, n: int, rng: RngStream):
+    """Per input i, the n noise variates of the evaluation that changes
+    column i, on child i + 1 of ``rng`` (child 0 is the base's), drawn in
+    blocks as :func:`sample_inputs` draws its columns; for a noise-free
+    model, None per input."""
+    if not model.noise_scale > 0.0:
+        return repeat(None, model.d)
+    return draw_columns(None, [rng.substream(i + 1) for i in range(model.d)], n)
 
 
 @dataclass(frozen=True)

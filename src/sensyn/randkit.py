@@ -28,6 +28,12 @@ from .errors import InputDomainError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# most draws per inverse-CDF call in draw_columns: a normal call costs
+# ~70 us at any size, and per draw it is cheapest here (on a 2-vCPU Xeon VM,
+# 69 ns a draw at 1,000 draws, 20 at 8,192, 16 at 16,384 and 22 at 32,768,
+# where its arrays outgrow the cache)
+_BLOCK_DRAWS = 16_384
+
 _SQRT1_2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -419,6 +425,42 @@ def sample(dist: InputDistribution, rng: RngStream, n: int) -> np.ndarray:
     if n < 1:
         raise InputDomainError("sample size must be at least 1")
     return dist.inv_cdf(rng.uniforms(n))
+
+
+def law_runs(laws) -> list[tuple[InputDistribution, int, int]]:
+    """``(law, start, stop)`` of each maximal run of consecutive equal laws."""
+    runs = []
+    for i, dist in enumerate(laws):
+        if runs and runs[-1][0] == dist:
+            runs[-1][2] = i + 1
+        else:
+            runs.append([dist, i, i + 1])
+    return [tuple(run) for run in runs]
+
+
+def draw_columns(laws, streams, n: int):
+    """Yield ``laws[i].inv_cdf(streams[i].uniforms(n))`` for each column i in
+    turn, or ``streams[i].standard_normals(n)`` when ``laws`` is None.
+
+    Consecutive columns with one law are drawn in blocks of at most
+    ``_BLOCK_DRAWS`` draws, and of at least one column: each stream draws
+    its own uniforms, and the block's uniforms pass through one inverse-CDF
+    call, whose fixed cost would otherwise be paid per column at small n.
+    The inverse CDFs are elementwise, so each column has the bytes it has
+    when drawn alone, and a one-column block is drawn as alone, with no
+    copy.  The columns of a block are views of one array.
+    """
+    per_block = max(1, _BLOCK_DRAWS // n) if n > 0 else 1
+    runs = [(None, 0, len(streams))] if laws is None else law_runs(laws)
+    for law, lo, hi in runs:
+        inv_cdf = normal_inv_cdf if law is None else law.inv_cdf
+        for start in range(lo, hi, per_block):
+            block = streams[start:min(start + per_block, hi)]
+            if len(block) == 1:
+                yield inv_cdf(block[0].uniforms(n))
+            else:
+                u = np.concatenate([s.uniforms(n) for s in block])
+                yield from inv_cdf(u).reshape(-1, n)
 
 
 def cheeger_constant(dist: InputDistribution) -> float:

@@ -51,8 +51,8 @@ from .dgsm import gradient_matrix
 from .errors import EmptySlopeWindowError, InputDomainError
 from .linalg import JACOBI_TOL, SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
-from .randkit import (InputDistribution, Normal, RngStream, Uniform, normal_cdf,
-                      normal_inv_cdf)
+from .randkit import (InputDistribution, Normal, RngStream, Uniform, law_runs,
+                      normal_cdf, normal_inv_cdf)
 
 DEFAULT_SLOPE_WINDOW = 0.35
 _COINCIDENT_TOL = 1e-12
@@ -128,18 +128,6 @@ def _separated_mass(dist: InputDistribution, a: np.ndarray,
         below, above = normal_cdf(both)
         return below, above
     raise InputDomainError(f"no separated pair law for marginal {dist!r}")
-
-
-def _runs(marginals) -> list[tuple[InputDistribution, int, int]]:
-    """``(law, start, stop)`` of each maximal run of consecutive inputs with
-    one marginal law."""
-    runs = []
-    for i, dist in enumerate(marginals):
-        if runs and runs[-1][0] == dist:
-            runs[-1][2] = i + 1
-        else:
-            runs.append([dist, i, i + 1])
-    return [tuple(run) for run in runs]
 
 
 def _pair_weights(runs, gaps: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -262,7 +250,7 @@ class SlopeSample:
         self.model, self.z, self.slopes = model, z, slopes
         self.slope_window = slope_window
         self.gaps = _slope_gaps(model, slope_window)
-        self.runs = _runs(model.marginals)
+        self.runs = law_runs(model.marginals)
         self.weights = weights
 
     def _chunks(self, stop: int):
@@ -336,7 +324,7 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
     gaps = _slope_gaps(model, slope_window)
-    runs = _runs(model.marginals)
+    runs = law_runs(model.marginals)
 
     z = sample_inputs(model, m1, rng.substream(_BASE))
     eps = None

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError, ZeroVarianceError
-from .models import Model, sample_inputs
-from .randkit import RngStream
+from .models import Model, noise_columns, sample_inputs
+from .randkit import RngStream, draw_columns
 
 # substream roles within one design: base, freeze columns, noise, and the
 # lower estimator's third point and its noise
@@ -62,7 +62,11 @@ class PickFreeze:
     Substreams of ``rng``: 0 the base, 2 the noise (child 0 for f(z)), and
     the freeze column of input i on child i of 1 with noise child i + 1.
     :func:`sobol_from_design` draws its third point on 3 and that point's
-    noise on 4.
+    noise on 4.  The freeze columns, and a stochastic model's noise, are
+    drawn in blocks of consecutive inputs with one law
+    (:func:`~sensyn.randkit.draw_columns`), one inverse-CDF call for up to
+    16,384 draws; each column still draws its uniforms on its own child, so
+    the stream layout and the bytes are those of drawing it alone.
     """
 
     def __init__(self, model: Model, n: int, rng: RngStream):
@@ -77,14 +81,15 @@ class PickFreeze:
         """Yield ``(i, v_i, f(v_i, z_-i))`` for every input in turn.
 
         ``z`` holds v_i only while column i is evaluated, so it is the base
-        again whenever a column is handed out; ``v_i`` is a fresh array the
-        caller may keep or overwrite.
+        again whenever a column is handed out; ``v_i`` shares memory with no
+        other column, so the caller may keep or overwrite it.
         """
-        freeze = self.rng.substream(_FREEZE)
-        for i, dist in enumerate(self.model.marginals):
-            v = dist.inv_cdf(freeze.substream(i).uniforms(self.n))
-            yield i, v, self.model.evaluate_column(
-                self.z, i, v, rng=self.noise.substream(i + 1))
+        model, n, freeze = self.model, self.n, self.rng.substream(_FREEZE)
+        values = draw_columns(model.marginals,
+                              [freeze.substream(i) for i in range(model.d)], n)
+        noise = noise_columns(model, n, self.noise)
+        for i, (v, eps) in enumerate(zip(values, noise)):
+            yield i, v, model.evaluate_column(self.z, i, v, noise=eps)
 
 
 def _checked_variance(fz: np.ndarray, what: str) -> float:
@@ -163,9 +168,9 @@ def sobol_from_design(design: PickFreeze, on_column=None) -> SobolEstimate:
     noise = design.rng.substream(_THIRD_NOISE)
     fw = model.evaluate(w, rng=noise.substream(0))
     upper, lower = np.empty(model.d), np.empty(model.d)
-    for i, v, fv in design.columns():
+    for (i, v, fv), eps in zip(design.columns(), noise_columns(model, n, noise)):
         upper[i] = _upper(fx, fv, sigma2)
-        fxw = model.evaluate_column(w, i, x[:, i], rng=noise.substream(i + 1))
+        fxw = model.evaluate_column(w, i, x[:, i], noise=eps)
         lower[i] = np.mean((fx - fv) * (fxw - fw)) / sigma2
         if on_column is not None:
             on_column(i, v, fv)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,40 @@ class TestExitCodes:
         assert model_rows == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--model", "example4", "--m=x"], "--m: 'x' is not an integer"),
+        (["bounds", "--model", "example4", "--m", "1.5"], "--m: '1.5' is not an integer"),
+        (["convergence", "--model", "example4", "--sizes", "10,x"],
+         "--sizes: 'x' is not an integer"),
+        (["analyze", "--model", "quadratic", "--A=1,2;2", "--b=0,0"],
+         "--A: rows of different lengths in '1,2;2'"),
+        (["analyze", "--model", "quadratic", "--A=diag:1,y", "--b=0,0"],
+         "--A: 'y' is not a number"),
+        (["analyze", "--model", "quadratic", "--A=diag:1,1", "--b=0,z"],
+         "--b: 'z' is not a number"),
+        (["analyze", "--model", "example4", "--c=1,2,q,4"], "--c: 'q' is not a number"),
+        (["analyze", "--model", "linear", "--c=1,,2"], "--c: '' is not a number"),
+        (["analyze", "--model", "example2", "--theta=1,t"], "--theta: 't' is not a number"),
+    ], ids=["m", "bounds-m", "sizes", "A-ragged", "A-diag", "b", "c-example4", "c-linear",
+            "theta"])
+    def test_unreadable_flag_value_names_the_flag(self, argv, message, tmp_path,
+                                                 model_rows, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert model_rows == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_model_warning_is_one_note(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none reaches the caller
+            code = main(["analyze", "--model", "example2", "--theta=1,2",
+                         "--methods", "sobol", "--n", "200", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "note: ridge direction was not unit length; normalizing\n")
+        assert out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--model", "example4", "--sizes", "5", "--seeds", "3",
          "--epsilon", "0.3", "--n", "200"],
@@ -368,7 +403,6 @@ def command_lines(draw):
 
 
 class TestCommandLineProperty:
-    @pytest.mark.filterwarnings("ignore:ridge direction was not unit length")
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(command_lines())
     def test_every_command_line_exits_cleanly(self, argv):

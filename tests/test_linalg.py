@@ -1,5 +1,7 @@
 """Jacobi eigensolver and spectrum utilities."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def assert_decomposes(a, spec):
     assert np.all(np.diff(lam) <= 0.0)
     lead = np.argmax(np.abs(vec), axis=0)
     assert np.all(vec[lead, np.arange(d)] > 0.0)
+
+
+def block_diagonal():
+    """A 4 + 5 block-diagonal matrix whose first round pairs 1-8, 2-7 and 3-6
+    across the blocks: with equal diagonals there, a[p, q] = 0 is the only
+    thing that keeps those pairs from a 45-degree rotation."""
+    rng = np.random.default_rng(4)
+    a = np.zeros((9, 9))
+    a[:4, :4] = random_symmetric(rng, 4)
+    a[4:, 4:] = random_symmetric(rng, 5)
+    for p, q in ((1, 8), (2, 7), (3, 6)):
+        a[q, q] = a[p, p]
+    return a
 
 
 class TestSymEig:
@@ -111,15 +126,7 @@ class TestSymEig:
         assert sorted(met) == [(i, j) for i in range(d) for j in range(i + 1, d)]
 
     def test_block_diagonal_skips_zero_pairs(self):
-        rng = np.random.default_rng(4)
-        a = np.zeros((9, 9))
-        a[:4, :4] = random_symmetric(rng, 4)
-        a[4:, 4:] = random_symmetric(rng, 5)
-        # the first round pairs 1-8, 2-7 and 3-6 across the blocks: with
-        # equal diagonals there, a[p, q] = 0 is the only thing that keeps
-        # those pairs from a 45-degree rotation
-        for p, q in ((1, 8), (2, 7), (3, 6)):
-            a[q, q] = a[p, p]
+        a = block_diagonal()
         spec = sym_eig(a)
         assert_decomposes(a, spec)
         # no rotation couples the blocks, so every eigenvector lives in one
@@ -195,6 +202,43 @@ class TestStack:
         with pytest.raises(EigenNotConvergedError) as stacked:
             sym_eig(stack, max_sweeps=1)
         assert str(stacked.value) == str(alone.value)
+
+
+def digest(spectra) -> str:
+    """SHA-256 of the eigenvalue and eigenvector bytes of ``spectra``."""
+    h = hashlib.sha256()
+    for spec in spectra:
+        h.update(spec.eigenvalues.tobytes())
+        h.update(spec.eigenvectors.tobytes())
+    return h.hexdigest()
+
+
+class TestBytePins:
+    """The solver's bytes, pinned: a rewrite of the rotation kernel must keep
+    every per-element operation and its order.  Jacobi uses no BLAS and
+    only correctly rounded elementwise arithmetic, so the bytes do not
+    depend on the platform."""
+
+    @pytest.mark.parametrize("d, pin", [
+        (2, "c27a71f7e9d470ab2ce1ab402204b599a5f7df993c032526fccddd56da0d8a8a"),
+        (3, "1fd5a83eddef9d6aa540ca7eb5655c41fe84af868254e27246901f9fb2b8f503"),
+        (7, "9df68e87b6bfa41754f816accb924958c07e445d36b3a9db3e2ae96f054dd7d4"),
+        (10, "02e2d659a82a275c9680337fe1338b9129a6befecc97f09d0c799674cda01d75"),
+        (31, "be26b70fadc1820d74b66866563c78ab6f79dd28f731d79b98bf9d5df2f77b48"),
+        (100, "087026ee7b422492b16965685a901e9dd858a44ba2a9bb96033cbbd2178a827d"),
+    ], ids=lambda value: f"d{value}" if isinstance(value, int) else "")
+    def test_random_symmetric(self, d, pin):
+        assert digest([sym_eig(random_symmetric(np.random.default_rng(d), d))]) == pin
+
+    def test_stack(self):
+        rng = np.random.default_rng(11)
+        stack = np.stack([random_symmetric(rng, 4) for _ in range(10)])
+        assert digest(sym_eig(stack)) == (
+            "93178f6af36cda4e6e8115bcd32bab27d4ba2f5a3b797f07add7e318608eb65e")
+
+    def test_block_diagonal(self):
+        assert digest([sym_eig(block_diagonal())]) == (
+            "06ed80c0821efc585384df93157971cf7f53297a1502f43ea964b5881066bcdc")
 
 
 def spectrum_of(values):

@@ -11,6 +11,7 @@ from sensyn import (InputDomainError, Model, ModelOutputError, Normal,
                     make_builtin, make_example1, make_example2, make_example4,
                     make_linear, make_quadratic_normal, rank, sample_inputs,
                     upper_sobol)
+from sensyn.randkit import _BLOCK_DRAWS
 from sensyn.subspace import slope_vectors
 from sensyn.variance import PickFreeze, upper_from_design
 
@@ -424,3 +425,61 @@ class TestIndicatorOracle:
         exact = indicator_upper_sobol(make_example2().reference_direction)
         np.testing.assert_array_equal(rank(exact),
                                       [2, 3, 4, 6, 10, 1, 9, 5, 7, 8])
+
+
+# runs of equal laws, the long one split across blocks at n = 2,000 (8
+# columns a block) and at n = 7; equal laws are distinct objects
+MIXED_LAWS = (Uniform(0.0, 1.0), Uniform(0.0, 1.0),
+              *(Normal(0.0, 1.0) for _ in range(9)), Normal(1.0, 2.0),
+              Uniform(-1.0, 2.0))
+BLOCK_SIZES = [7, 2000, _BLOCK_DRAWS, _BLOCK_DRAWS + 1]
+
+
+def mixed_model(noise_scale=0.0):
+    """The mixed laws under a sum, or, when noisy, under the zero map, whose
+    outputs are then the noise itself (0 + 1 * eps)."""
+    if noise_scale:
+        return Model("zero", "zero", MIXED_LAWS, lambda z: np.zeros(len(z)),
+                     noise_scale=noise_scale)
+    return Model("sum", "sum", MIXED_LAWS, lambda z: z.sum(axis=1))
+
+
+class TestBlockedDraws:
+    """Columns drawn in blocks have the bytes of each column drawn alone."""
+
+    @pytest.mark.parametrize("n", [1, *BLOCK_SIZES])
+    def test_sample_inputs_matches_per_column_draws(self, n):
+        rng = RngStream(11)
+        z = sample_inputs(mixed_model(), n, rng)
+        assert z.flags.c_contiguous
+        for i, dist in enumerate(MIXED_LAWS):
+            alone = dist.inv_cdf(rng.substream(i).uniforms(n))
+            assert z[:, i].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0], ids=["noise-free", "noisy"])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)  # a design needs n >= 2
+    def test_pick_freeze_columns_match_per_column_draws(self, n, noise_scale):
+        model, rng = mixed_model(noise_scale), RngStream(12)
+        design = PickFreeze(model, n, rng)
+        z = design.z.copy()
+        for i, v, fv in design.columns():
+            alone = MIXED_LAWS[i].inv_cdf(rng.substream(1).substream(i).uniforms(n))
+            assert v.tobytes() == alone.tobytes()
+            if noise_scale:
+                eps = rng.substream(2).substream(i + 1).standard_normals(n)
+                assert fv.tobytes() == eps.tobytes()
+            else:
+                zi = z.copy()
+                zi[:, i] = alone
+                assert fv.tobytes() == model.eval_fn(zi).tobytes()
+        assert design.z.tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("n", [1, *BLOCK_SIZES])
+    def test_gradient_noise_matches_per_column_draws(self, n):
+        rng = RngStream(13)
+        g = gradient_matrix(mixed_model(1.0), n, 0.5, rng)
+        noise = rng.substream(2)
+        base = noise.substream(0).standard_normals(n)
+        for i in range(len(MIXED_LAWS)):
+            eps = noise.substream(i + 1).standard_normals(n)
+            assert g[:, i].tobytes() == ((eps - base) / 0.5).tobytes()
