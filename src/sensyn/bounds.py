@@ -15,8 +15,9 @@ All checks of a run are pure functions of one set of ten independent
 replicate batches (:func:`batch_statistics`).  Each batch draws one
 pick-freeze design and reads every statistic the checks need from its rows:
 sigma2 and the upper indices, the slope matrix of a noise-free model (its
-first draws are the design's pairs), and the gradients (from the design's
-base points).  The ten slope matrices are decomposed as one stack, in one
+first draws are the design's pairs), and the gradients (the design's
+quotients for a noise-free multilinear model, else forward differences from
+its base points).  The ten slope matrices are decomposed as one stack, in one
 Jacobi pass, and so are the ten gradient matrices.  A check passes when
 the slack ``rhs - lhs`` is no more negative than five combined batch-means
 standard errors: with ten near-normal batch means the slack over its
@@ -44,7 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dgsm import dgsm_from_gradients, gradient_matrix
+from .dgsm import (DesignGradients, dgsm_from_gradients, gradient_matrix,
+                   noise_free_multilinear)
 from .errors import InputDomainError
 from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model
@@ -123,10 +125,13 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     slope matrix keeps the design's pairs that clear the slope window and
     redraws the partners of the others on substream 1, where a stochastic
     model, whose common-mode noise must cancel, draws its own slope matrix
-    instead.  With ``gradients`` the forward differences start from the
-    design's z and f(z), on substream 3.  A noise-free batch costs n*(d+1)
-    rows, plus n*d for gradients and one per redrawn slope partner.  Only
-    vectors and d x d matrices outlive a batch.
+    instead.  With ``gradients`` a noise-free multilinear model reads them
+    off the design (:class:`~sensyn.dgsm.DesignGradients`), and any other
+    model takes forward differences from the design's z and f(z), on
+    substream 3.  A noise-free batch costs n*(d+1) rows, plus one per
+    redrawn slope partner, plus for gradients one per design pair closer
+    than h on a multilinear model and n*d on any other.  Only vectors and
+    d x d matrices outlive a batch.
     """
     upper, sigma2, c_gas, v, c_as = [], [], [], [], []
     for b in range(N_BATCHES):
@@ -134,7 +139,10 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
         design = PickFreeze(model, n, batch.substream(0))
         slopes = (DesignSlopes(model, design.z, design.fz, batch.substream(1), slope_window)
                   if gas and model.noise_scale == 0.0 else None)
-        up, s2 = upper_from_design(design, on_column=slopes)
+        grads = (DesignGradients(model, design.z, design.fz, h)
+                 if gradients and noise_free_multilinear(model) else None)
+        up, s2 = upper_from_design(design,
+                                   on_column=[c for c in (slopes, grads) if c is not None])
         upper.append(up)
         sigma2.append(s2)
         if gas:
@@ -142,8 +150,9 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
                                         slope_window=slope_window)
                          if slopes is None else slopes.matrix())
         if gradients:
-            g = gradient_matrix(model, n, h, batch.substream(3),
-                                base=(design.z, design.fz))
+            g = (gradient_matrix(model, n, h, batch.substream(3),
+                                 base=(design.z, design.fz))
+                 if grads is None else grads.matrix())
             v.append(dgsm_from_gradients(g))
             c_as.append(c_as_from_gradients(g))
     return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,
@@ -280,7 +289,7 @@ def dgsm_bounds(stats: BatchStatistics, threshold: float = 0.9) -> list[BoundChe
     general = {"distribution_constants": dconst}
 
     checks = []
-    if model.multilinear and model.noise_scale == 0.0 and unit_width:
+    if noise_free_multilinear(model) and unit_width:
         checks.append(_residual(_inequality("linear_dgsm_equality", stats.upper,
                                             [v / 12.0 for v in v_rows])))
     else:

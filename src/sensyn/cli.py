@@ -165,6 +165,8 @@ def _check_analyze(args, model) -> None:
     _check_sampling(args, model)
     _require(args.m1 is None or args.n == args.m1 * args.m2,
              "when m1 and m2 are given, n must equal m1*m2")
+    _require("sobol" not in args.methods or args.n >= 2,
+             f"--n must be at least 2 for the sobol method, got {args.n}")
 
 
 def _check_bounds(args, model) -> None:

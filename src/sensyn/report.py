@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dgsm import dgsm_from_gradients, gradient_matrix
+from .dgsm import (DesignGradients, dgsm_from_gradients, gradient_matrix,
+                   noise_free_multilinear)
 from .errors import DegenerateSpectrumError, InputDomainError
 from .linalg import normalized_cumsum, select_m, sym_eig
 from .models import Model
@@ -57,14 +58,21 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     freeze column f(v_i, z_-i) per input.  sigma2 and the upper indices come
     from the design alone, the lower indices take it as two of their three
     points and draw the third, and its noise, on the design's own
-    substreams 3 and 4, and the gradients (``dgsm``, ``as``) use its z and
-    f(z) as their base.  The slope matrix (``gas``) keeps each design pair (z_i, v_i) that
-    clears the slope window and redraws the partner of the others, but only
-    when ``m1 == n``, ``m2 == 1`` and the model is noise-free; a stochastic
-    model needs its common-mode noise, so then, as without ``sobol``, the
-    slope matrix draws its own samples on substream 3 and the gradients
-    theirs on substream 2.  For example4 at n = 10,000 this takes the report
-    from 283,023 model rows to 140,000 plus one per redrawn partner.
+    substreams 3 and 4.  The gradients (``dgsm``, ``as``) of a noise-free
+    multilinear model are the design's quotients
+    (:class:`~sensyn.dgsm.DesignGradients`), at one forward-difference row
+    per pair closer than ``h``; any other model's are forward differences
+    from the design's z and f(z), n*d rows.  The slope matrix (``gas``)
+    keeps each design pair (z_i, v_i) that clears the slope window and
+    redraws the partner of the others, but only when ``m1 == n``,
+    ``m2 == 1`` and the model is noise-free; a stochastic model needs its
+    common-mode noise, so then, as without ``sobol``, the slope matrix
+    draws its own samples on substream 3 and the gradients theirs on
+    substream 2.  For example4 at n = 10,000 this takes the report from
+    283,023 model rows to 140,000 plus one per redrawn partner.  For
+    example1 at n = 10,000 the report costs n*(2d+2) = 220,000 rows, plus
+    one per redrawn partner and one per short step: 278,044 at seed 0,
+    where forward differences took 377,848.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
@@ -77,18 +85,21 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     root = RngStream(seed)
     fields: dict = {}
     subspaces: dict = {}
-    base = c_gas = None
+    gradients = "dgsm" in methods or "as" in methods
+    base = c_gas = g = None
 
     if "sobol" in methods:
         share_gas = ("gas" in methods and m1 == n and m2 == 1
                      and model.noise_scale == 0.0)
-        est, base, c_gas = _shared_design(model, n, root, share_gas,
-                                          slope_window)
+        design_h = h if gradients and noise_free_multilinear(model) else None
+        est, base, c_gas, g = _shared_design(model, n, root, share_gas, design_h,
+                                             slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
                       sobol_upper=est.upper)
 
-    if "dgsm" in methods or "as" in methods:
-        g = gradient_matrix(model, n, h, root.substream(2), base=base)
+    if gradients:
+        if g is None:
+            g = gradient_matrix(model, n, h, root.substream(2), base=base)
         if "dgsm" in methods:
             v = dgsm_from_gradients(g)
             fields.update(dgsm_raw=v, dgsm_normalized=normalize(v))
@@ -115,14 +126,18 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 
 
 def _shared_design(model: Model, n: int, root: RngStream, share_gas: bool,
-                   slope_window: float):
-    """Sobol' estimates, the design's base points and outputs, and (when
-    ``share_gas``) the slope matrix read off the same design."""
+                   design_h: float | None, slope_window: float):
+    """Sobol' estimates, the design's base points and outputs, the slope
+    matrix read off the same design when ``share_gas`` and its gradients
+    (short step ``design_h``) when that is given, each None when not read."""
     design = PickFreeze(model, n, root.substream(1))
     slopes = (DesignSlopes(model, design.z, design.fz, root.substream(3), slope_window)
               if share_gas else None)
-    est = sobol_from_design(design, on_column=slopes)
-    return est, (design.z, design.fz), None if slopes is None else slopes.matrix()
+    grads = (DesignGradients(model, design.z, design.fz, design_h)
+             if design_h is not None else None)
+    est = sobol_from_design(design, on_column=[c for c in (slopes, grads) if c is not None])
+    return (est, (design.z, design.fz), None if slopes is None else slopes.matrix(),
+            None if grads is None else grads.matrix())
 
 
 def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,

@@ -104,16 +104,17 @@ def _upper(fz: np.ndarray, fv: np.ndarray, sigma2: float) -> float:
 
 
 def upper_from_design(design: PickFreeze,
-                      on_column=None) -> tuple[np.ndarray, float]:
+                      on_column=()) -> tuple[np.ndarray, float]:
     """Upper indices of a design, and the variance of f(z) that normalizes
-    them.  ``on_column(i, v_i, f(v_i, z_-i))``, if given, sees every freeze
-    column after its index is reduced."""
+    them.  Each callable of ``on_column`` is called as
+    ``(i, v_i, f(v_i, z_-i))`` with every freeze column after its index is
+    reduced; the callables share ``v_i``, so none may overwrite it."""
     sigma2 = _checked_variance(design.fz, "upper Sobol' indices")
     out = np.empty(design.model.d)
     for i, v, fv in design.columns():
         out[i] = _upper(design.fz, fv, sigma2)
-        if on_column is not None:
-            on_column(i, v, fv)
+        for consumer in on_column:
+            consumer(i, v, fv)
     return out, sigma2
 
 
@@ -145,7 +146,7 @@ def prefix_upper(design: PickFreeze, sizes) -> np.ndarray:
     return out
 
 
-def sobol_from_design(design: PickFreeze, on_column=None) -> SobolEstimate:
+def sobol_from_design(design: PickFreeze, on_column=()) -> SobolEstimate:
     """Upper and lower indices, and the variance of f(z), from one design.
 
     The lower indices take x = z and y = v from the design and draw a fresh
@@ -159,8 +160,8 @@ def sobol_from_design(design: PickFreeze, on_column=None) -> SobolEstimate:
     the d columns f(x_i, w_-i), n*(d+1) evaluations, whose noise is drawn
     on substream 4 (child 0 for f(w), child i + 1 for f(x_i, w_-i)).  Small
     negative estimates are Monte Carlo noise and are reported as-is.
-    ``on_column(i, v_i, f(v_i, z_-i))``, if given, sees every freeze column
-    after its indices are reduced.
+    ``on_column`` holds callables that see every freeze column after its
+    indices are reduced, as in :func:`upper_from_design`.
     """
     model, n, x, fx = design.model, design.n, design.z, design.fz
     sigma2 = _checked_variance(fx, "Sobol' indices")
@@ -172,8 +173,8 @@ def sobol_from_design(design: PickFreeze, on_column=None) -> SobolEstimate:
         upper[i] = _upper(fx, fv, sigma2)
         fxw = model.evaluate_column(w, i, x[:, i], noise=eps)
         lower[i] = np.mean((fx - fv) * (fxw - fw)) / sigma2
-        if on_column is not None:
-            on_column(i, v, fv)
+        for consumer in on_column:
+            consumer(i, v, fv)
     return SobolEstimate(lower=lower, upper=upper, sigma2_hat=sigma2, n=n,
                          seed=design.rng.seed)
 

@@ -13,6 +13,7 @@ from sensyn import (InputDomainError, Model, RngStream, Uniform, bounds, cli,
 from sensyn.bounds import (N_BATCHES, BatchStatistics, applicable_checks,
                            batch_statistics, dgsm_bounds, gas_bound_general,
                            gas_bound_uniform, quadratic_identity)
+from sensyn.dgsm import DesignGradients
 
 
 def scaled(model, factor):
@@ -294,6 +295,43 @@ class TestBatchEngine:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["bounds", "--model", "example4", "--n", "10000"]) == 0
         assert (rows[0], calls[0]) == (113_324, 130)
+
+    def test_example1_reads_its_gradients_off_each_design(self, tmp_path, monkeypatch):
+        short = [0]  # design pairs closer than h: one forward-difference row each
+
+        class Counted(DesignGradients):
+            def __call__(self, i, v, fv):
+                short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
+                super().__call__(i, v, fv)
+        monkeypatch.setattr(bounds, "DesignGradients", Counted)
+        calls, rows, replaced, _ = run_bounds(
+            ["--model", "example1", "--n", "10000", "--seed", "0"], tmp_path, monkeypatch)
+        assert calls == engine_calls(N_BATCHES, 0, 0)
+        # per batch of n = 1,000 rows and d = 10: n(d+1) design rows and one
+        # row per short step; no slope matrix (210,000 rows with n*d
+        # forward-difference rows per batch)
+        n, d = 1_000, 10
+        assert rows == N_BATCHES * n * (d + 1) + replaced + short[0]
+        assert (rows, replaced, short[0]) == (110_198, 0, 198)
+
+    @pytest.mark.parametrize("model", [make_example1(), make_linear([1.0, -2.0, 0.5])],
+                             ids=["example1", "linear"])
+    def test_design_gradients_match_the_forward_differences(self, model, monkeypatch):
+        def run():
+            return batch_statistics(model, 2_000, RngStream(8),
+                                    gas=bounds.needs_slope_matrix(model), gradients=True)
+        read = run()
+        with monkeypatch.context() as patch:  # the batches of forward differences
+            patch.setattr(bounds, "noise_free_multilinear", lambda model: False)
+            fd = run()
+        np.testing.assert_allclose(read.dgsm, fd.dgsm, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(read.c_as, fd.c_as, rtol=0.0,
+                                   atol=1e-13 * np.max(fd.c_as))
+        read_checks, fd_checks = (applicable_checks(stats, m=None, epsilon=0.01,
+                                                    threshold=0.9) for stats in (read, fd))
+        assert [c.name for c in read_checks] == [c.name for c in fd_checks]
+        for a, b in zip(read_checks, fd_checks):
+            np.testing.assert_array_equal(a.passed, b.passed)
 
     def test_quadratic_shares_one_loop_between_identity_and_dgsm(self, tmp_path,
                                                                  monkeypatch):

@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensyn import Model, Uniform, _front, cli
+from sensyn import bounds as bounds_mod
+from sensyn import report as report_mod
 from sensyn.cli import main
 from sensyn.models import indicator_upper_sobol, make_builtin
 from sensyn.report import build_report, rank
@@ -103,6 +105,24 @@ class TestAnalyze:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["meta"]["model"] == "quadratic_normal(d=2)"
+
+    @pytest.mark.parametrize("methods, kinds", [
+        ("all", ("as", "gas")),  # the design's gradients
+        ("dgsm,as", ("as",)),  # forward differences
+    ])
+    def test_ignored_input_scores_exactly_zero(self, methods, kinds, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--model", "linear", "--c", "1,2,0", "--methods", methods,
+                     "--n", "2000", "--seed", "4", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        fields = [data["scores"]["dgsm_raw"], data["scores"]["dgsm_normalized"]]
+        if methods == "all":
+            fields += [data["scores"]["sobol_lower"], data["scores"]["sobol_upper"]]
+        for kind in kinds:
+            fields.append(data["spectra"][f"{kind}_first_eigenvector"])
+            fields += [data["scores"][f"{kind}_scores_{at}{form}"]
+                       for at in ("m", "full") for form in ("", "_normalized")]
+        assert [field[2] for field in fields] == [0.0] * len(fields)
 
 
 class TestExitCodes:
@@ -267,6 +287,10 @@ class TestExitCodes:
         (["analyze", "--model", "example4", "--n", "0"], "--n must be at least 1"),
         (["analyze", "--model", "example4", "--methods", "gas", "--n", "-5"],
          "--n must be at least 1"),
+        (["analyze", "--model", "example4", "--n", "1"],
+         "--n must be at least 2 for the sobol method, got 1"),
+        (["analyze", "--model", "example1", "--methods", "sobol,gas", "--m1", "1"],
+         "--n must be at least 2 for the sobol method, got 1"),
         (["bounds", "--model", "example4", "--n", "0"], "--n must be at least 1"),
         (["bounds", "--model", "example4", "--n", "5"],
          "--n must be at least 20 for bounds (10 batches of at least 2 rows), got 5"),
@@ -282,7 +306,8 @@ class TestExitCodes:
         (["convergence", "--model", "example4", "--seed", "-1"],
          "--seed must fit in an unsigned 64-bit word"),
     ], ids=["convergence-dgsm", "convergence-as-dgsm", "sizes-decreasing",
-            "sizes-repeated", "analyze-n-zero", "analyze-n-negative", "bounds-n-zero",
+            "sizes-repeated", "analyze-n-zero", "analyze-n-negative",
+            "analyze-n-1-sobol", "analyze-m1-1-sobol", "bounds-n-zero",
             "bounds-n-5", "bounds-n-19",
             "m1-zero", "m2-zero", "analyze-seed-negative", "bounds-seed-too-large",
             "convergence-seed-negative"])
@@ -292,6 +317,13 @@ class TestExitCodes:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert model_rows == []
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("methods", ["dgsm", "gas", "dgsm,as,gas"])
+    def test_one_point_runs_without_sobol(self, methods, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["analyze", "--model", "example4", "--methods", methods,
+                     "--n", "1", "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["n"] == 1
 
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "--model", "example4", "--m=x"], "--m: 'x' is not an integer"),
@@ -498,6 +530,14 @@ class TestBoundsCommand:
         assert general and general[0]["details"]["kappa"] == pytest.approx(
             4.5983066034243985e-4, rel=1e-9)
 
+    def test_ignored_input_has_both_sides_zero(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert main(["bounds", "--model", "linear", "--c", "1,2,0", "--n", "2000",
+                     "--seed", "4", "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["bounds"]}
+        # as_score_bound_unit_cube is left out: its spill term is round-off there
+        for name in DGSM_CHECKS:
+            assert (checks[name]["lhs"][2], checks[name]["rhs"][2]) == (0.0, 0.0), name
 
     @pytest.mark.parametrize("argv, names, skipped", [
         (["--model", "example1"], [*DGSM_CHECKS, "as_score_bound_general"], 1),
@@ -725,6 +765,39 @@ class TestPlotCommand:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "example1", "--noise", "1"],
+        ["analyze", "--model", "example4"],
+        ["analyze", "--model", "quadratic", "--A", "diag:2,0", "--b", "0,1"],
+        ["analyze", "--model", "example2"],
+        ["analyze", "--model", "example1", "--methods", "dgsm,as"],
+        ["bounds", "--model", "example1", "--noise", "1"],
+        ["bounds", "--model", "example4"],
+        ["bounds", "--model", "quadratic", "--A", "diag:2,0", "--b", "0,1"],
+        ["bounds", "--model", "example2"],
+    ], ids=["analyze-example1-noisy", "analyze-example4", "analyze-quadratic",
+            "analyze-example2", "analyze-example1-dgsm-as", "bounds-example1-noisy",
+            "bounds-example4", "bounds-quadratic", "bounds-example2"])
+    def test_forward_difference_gradients_keep_their_bytes(self, argv, tmp_path,
+                                                           monkeypatch):
+        # a noisy or non-multilinear model, or gradients without a design,
+        # never reads gradients off a design, and writes what the forward
+        # differences alone write
+        def unused(*args, **kwargs):
+            raise AssertionError("these gradients are forward differences")
+        blobs = []
+        for forced in (False, True):
+            with monkeypatch.context() as patch:
+                for module in (report_mod, bounds_mod):
+                    if forced:
+                        patch.setattr(module, "noise_free_multilinear", lambda model: False)
+                    else:
+                        patch.setattr(module, "DesignGradients", unused)
+                out = tmp_path / f"forced-{forced}.json"
+                assert main([*argv, "--n", "2000", "--seed", "6", "--out", str(out)]) == 0
+                blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["analyze", "--model", "example4", "--methods", "all",
                 "--n", "2000", "--seed", "9"]

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, Model, Normal, RngStream,
+from sensyn import (InputDomainError, Model, Normal, RngStream, Uniform,
                     cheeger_constant, dgsm, estimate_variance, gradient_matrix,
                     make_example1, make_example2, make_example4, make_linear,
                     make_quadratic_normal, upper_sobol)
+from sensyn.dgsm import DesignGradients
+from sensyn.variance import PickFreeze, upper_from_design
 
 
 class TestGradientMatrix:
@@ -44,6 +46,72 @@ class TestGradientMatrix:
         for h in (0.0, -1e-3):
             with pytest.raises(InputDomainError):
                 gradient_matrix(make_linear([1.0]), 10, h, RngStream(0))
+
+
+def example1_gradients(z: np.ndarray) -> np.ndarray:
+    """Closed-form partial derivatives of example1 at the rows of z."""
+    g = np.tile(np.arange(1.0, 11.0), (len(z), 1))
+    g[:, 0] += 10.0 * z[:, 1]
+    g[:, 1] += 10.0 * z[:, 0]
+    g[:, 8] -= 10.0 * z[:, 9]
+    g[:, 9] -= 10.0 * z[:, 8]
+    return g
+
+
+class TestDesignGradients:
+    @pytest.mark.parametrize("h", [1e-3, 0.2])
+    def test_example1_exact_at_the_base_points(self, h, monkeypatch):
+        model, n = make_example1(), 4_000
+        design = PickFreeze(model, n, RngStream(3))
+        grads = DesignGradients(model, design.z, design.fz, h)
+        steps = []
+        rows = []
+
+        def counted(self, z, rng=None, noise=None, _fn=Model.evaluate):
+            rows.append(len(z))
+            return _fn(self, z, rng=rng, noise=noise)
+        monkeypatch.setattr(Model, "evaluate", counted)
+        upper_from_design(design, on_column=[
+            grads, lambda i, v, fv: steps.append(v - design.z[:, i])])
+        np.testing.assert_allclose(grads.matrix(), example1_gradients(design.z),
+                                   rtol=0.0, atol=1e-9)
+        # each freeze column, then, if any of its pairs is closer than h, one
+        # call holding one row per such pair
+        short = [int(np.count_nonzero(np.abs(s) < h)) for s in steps]
+        expected = []
+        for k in short:
+            expected += [n, k] if k else [n]
+        assert rows == expected
+        # P(|v - z| < h) = 2h - h**2 for two unit-width uniforms
+        assert sum(short) / (n * model.d) == pytest.approx(2 * h - h * h, abs=0.01)
+
+    def test_coincident_pair_takes_the_forward_difference(self):
+        model = make_linear([3.0, -1.0])
+        z = np.array([[0.2, 0.7], [0.5, 0.1]])
+        grads = DesignGradients(model, z, model.evaluate(z), 1e-3)
+        for i in range(2):
+            grads(i, z[:, i].copy(), model.evaluate(z))
+        np.testing.assert_allclose(grads.matrix(), [[3.0, -1.0]] * 2, rtol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_quotient_names_the_input(self):
+        model = Model(label="huge", family="custom", multilinear=True,
+                      marginals=(Uniform(0.0, 1.0),) * 2,
+                      eval_fn=lambda z: 1.7e308 * (2.0 * z[:, 1] - 1.0))
+        z = np.array([[0.5, 0.0], [0.5, 0.1]])
+        grads = DesignGradients(model, z, model.evaluate(z), 1e-3)
+        for i in range(2):
+            v = 1.0 - z[:, i]
+            grads(i, v, model.evaluate_column(z, i, v))
+        with pytest.raises(InputDomainError, match="input 2"):
+            grads.matrix()
+
+    @pytest.mark.parametrize("model", [make_example1(noise_scale=1.0), make_example4()],
+                             ids=["noisy", "not-multilinear"])
+    def test_needs_a_noise_free_multilinear_model(self, model):
+        z = np.full((2, model.d), 0.5)
+        with pytest.raises(InputDomainError, match="multilinear"):
+            DesignGradients(model, z, np.zeros(2), 1e-3)
 
 
 class TestDgsm:

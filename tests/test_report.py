@@ -14,6 +14,7 @@ from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
                     gradient_matrix, lower_sobol, make_example1,
                     make_example2, make_example4, make_linear, normalize,
                     rank, report, sample_inputs, subspace, upper_sobol)
+from sensyn.dgsm import DesignGradients
 from sensyn.subspace import SlopeSample
 
 
@@ -247,6 +248,20 @@ def counting_partners(monkeypatch) -> list:
     return replaced
 
 
+def counting_short_steps(monkeypatch) -> list:
+    """Count the design pairs closer than h, which the design's gradients
+    take as forward differences."""
+    short = [0]
+
+    class Counted(DesignGradients):
+        def __call__(self, i, v, fv):
+            short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
+            super().__call__(i, v, fv)
+
+    monkeypatch.setattr(report, "DesignGradients", Counted)
+    return short
+
+
 def recorded_matrices(monkeypatch) -> dict:
     """The AS and GAS matrices ``build_report`` decomposes, by kind."""
     seen = {}
@@ -278,6 +293,39 @@ class TestSharedDesign:
         assert (rows[0], replaced[0]) == (163_105, 23_105)
         # P(|u - u'| < 0.35) = 1 - 0.65**2 for two unit uniforms
         assert replaced[0] / (n * d) == pytest.approx(1 - 0.65**2, abs=0.01)
+
+    def test_example1_row_count(self, monkeypatch):
+        rows = counting_rows(monkeypatch)
+        replaced = counting_partners(monkeypatch)
+        short = counting_short_steps(monkeypatch)
+        n, d = 10_000, 10
+        build_report(make_example1(), seed=0, n=n)
+        # the design and the lower estimator's third point: n*(2d+2); the
+        # gradients are the design's quotients, but for one forward-difference
+        # row per pair closer than h; one row per redrawn slope partner
+        # (377,848 rows with n*d forward-difference rows)
+        assert rows[0] == n * (2 * d + 2) + replaced[0] + short[0]
+        assert (rows[0], replaced[0], short[0]) == (278_044, 57_848, 196)
+        # P(|v - z| < h) = 2h - h**2 for two unit-width uniforms
+        assert short[0] / (n * d) == pytest.approx(2e-3, abs=1e-3)
+
+    def test_example1_gradients_match_the_forward_differences(self, monkeypatch):
+        model = make_example1()
+        read = build_report(model, seed=11, n=20_000)
+        monkeypatch.setattr(report, "noise_free_multilinear", lambda model: False)
+        fd = build_report(model, seed=11, n=20_000)
+        np.testing.assert_allclose(read.dgsm_raw, fd.dgsm_raw, rtol=1e-12, atol=0.0)
+        a, b = read.subspaces["as"], fd.subspaces["as"]
+        np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=0.0,
+                                   atol=1e-13 * b.eigenvalues[0])
+        for field in ("first_eigenvector", "scores_m", "scores_full"):
+            np.testing.assert_allclose(getattr(a, field), getattr(b, field),
+                                       rtol=0.0, atol=1e-10)
+        # nothing else reads the gradients
+        for x, y in [(read.sobol_lower, fd.sobol_lower), (read.sobol_upper, fd.sobol_upper),
+                     (read.subspaces["gas"].eigenvalues, fd.subspaces["gas"].eigenvalues),
+                     (read.subspaces["gas"].scores_full, fd.subspaces["gas"].scores_full)]:
+            assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("seed", [0, 9])
