@@ -18,8 +18,9 @@ sigma2 and the upper indices, the slope matrix of a noise-free model (its
 first draws are the design's pairs), and the gradients (the design's
 quotients for a noise-free multilinear model, else forward differences from
 its base points).  The ten slope matrices are decomposed as one stack, in one
-Jacobi pass, and so are the ten gradient matrices.  A check passes when
-the slack ``rhs - lhs`` is no more negative than five combined batch-means
+Jacobi pass, and so are the ten gradient matrices; a noise-free multilinear
+model's slope matrices are its gradient matrices.  A check passes when the
+slack ``rhs - lhs`` is no more negative than five combined batch-means
 standard errors: with ten near-normal batch means the slack over its
 standard error is approximately Student-t with 9 degrees of freedom
 (Schmeiser 1982, "Batch size effects in the analysis of simulation
@@ -52,7 +53,7 @@ from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
 from .subspace import (DEFAULT_SLOPE_WINDOW, DesignSlopes, c_as_from_gradients,
-                       estimate_c_gas, psd_spectrum, scores)
+                       check_slope_window, estimate_c_gas, psd_spectrum, scores)
 from .variance import PickFreeze, upper_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
@@ -121,40 +122,48 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
 
     Batch b draws one :class:`~sensyn.variance.PickFreeze` design on
     substream 0 of ``rng.substream(100 + b)``; sigma2 is the variance of its
-    f(z) and the upper indices reduce its freeze columns.  With ``gas`` the
-    slope matrix keeps the design's pairs that clear the slope window and
-    redraws the partners of the others on substream 1, where a stochastic
-    model, whose common-mode noise must cancel, draws its own slope matrix
-    instead.  With ``gradients`` a noise-free multilinear model reads them
-    off the design (:class:`~sensyn.dgsm.DesignGradients`), and any other
-    model takes forward differences from the design's z and f(z), on
-    substream 3.  A noise-free batch costs n*(d+1) rows, plus one per
-    redrawn slope partner, plus for gradients one per design pair closer
-    than h on a multilinear model and n*d on any other.  Only vectors and
+    f(z) and the upper indices reduce its freeze columns.  A noise-free
+    multilinear model reads its gradients off the design
+    (:class:`~sensyn.dgsm.DesignGradients`) whenever ``gas`` or
+    ``gradients`` is asked for, and their outer-product matrix is both its
+    gradient matrix and its slope matrix; the slope window is not read.  For
+    any other model, ``gas`` keeps the design's pairs that clear the slope
+    window and redraws the partners of the others on substream 1, where a
+    stochastic model, whose common-mode noise must cancel, draws its own
+    slope matrix instead; ``gradients`` takes forward differences from the
+    design's z and f(z), on substream 3.
+    A noise-free batch costs n*(d+1) rows, plus on a multilinear model one
+    per design pair closer than h, and on any other one per redrawn slope
+    partner with ``gas`` and n*d with ``gradients``.  Only vectors and
     d x d matrices outlive a batch.
     """
+    if gas:
+        check_slope_window(slope_window)
+    exact = noise_free_multilinear(model)
     upper, sigma2, c_gas, v, c_as = [], [], [], [], []
     for b in range(N_BATCHES):
         batch = rng.substream(100 + b)
         design = PickFreeze(model, n, batch.substream(0))
         slopes = (DesignSlopes(model, design.z, design.fz, batch.substream(1), slope_window)
-                  if gas and model.noise_scale == 0.0 else None)
+                  if gas and model.noise_scale == 0.0 and not exact else None)
         grads = (DesignGradients(model, design.z, design.fz, h)
-                 if gradients and noise_free_multilinear(model) else None)
+                 if (gas or gradients) and exact else None)
         up, s2 = upper_from_design(design,
                                    on_column=[c for c in (slopes, grads) if c is not None])
         upper.append(up)
         sigma2.append(s2)
-        if gas:
+        if gas and not exact:
             c_gas.append(estimate_c_gas(model, n, 1, batch.substream(1),
                                         slope_window=slope_window)
                          if slopes is None else slopes.matrix())
-        if gradients:
+        if grads is not None or gradients:
             g = (gradient_matrix(model, n, h, batch.substream(3),
                                  base=(design.z, design.fz))
                  if grads is None else grads.matrix())
             v.append(dgsm_from_gradients(g))
             c_as.append(c_as_from_gradients(g))
+    if exact:
+        c_gas = c_as
     return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,
                            v if gradients else None, c_as if gradients else None)
 

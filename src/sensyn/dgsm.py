@@ -11,7 +11,9 @@ deliberately left intact.
 A noise-free multilinear model needs none of those rows where a pick-freeze
 design is at hand: it is affine in each input with the others fixed, so the
 quotient of a design pair is the exact partial derivative at the base point
-(:class:`DesignGradients`).
+(:class:`DesignGradients`).  Every finite slope of such a model is that
+derivative too, so its slope matrix on the design is the outer-product
+matrix of these gradients.
 """
 
 from __future__ import annotations
@@ -68,8 +70,15 @@ def noise_free_multilinear(model: Model) -> bool:
     Every difference quotient along one input is then the exact partial
     derivative, so where a pick-freeze design is drawn such a model reads
     its gradients off it (:class:`DesignGradients`) instead of spending
-    forward-difference rows, and ``bounds`` checks its DGSM equality.  A
-    false promise biases both.
+    forward-difference rows, takes their outer-product matrix as its slope
+    matrix instead of redrawing and weighting slope partners
+    (:class:`~sensyn.subspace.DesignSlopes`), and ``bounds`` checks its DGSM
+    equality.  A false promise biases all three.  The slope matrix so read
+    does not depend on the slope window.  Its expectation is the windowed
+    matrix's at every window, because the window tilts each base coordinate
+    symmetrically about its mean on the symmetric marginal laws
+    (``Uniform``, ``Normal``), and the other inputs' derivatives are affine
+    in it.
     """
     return model.multilinear and model.noise_scale == 0.0
 

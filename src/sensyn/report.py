@@ -19,8 +19,8 @@ from .output import (METHOD_NAMES, ConvergenceTable, SensitivityReport,
                      SubspaceSummary)
 from .randkit import RngStream
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
-                       DesignSlopes, c_as_from_gradients, estimate_c_gas,
-                       psd_spectrum, slope_vectors)
+                       DesignSlopes, c_as_from_gradients, check_slope_window,
+                       estimate_c_gas, psd_spectrum, slope_vectors)
 from .variance import PickFreeze, prefix_upper, sobol_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
@@ -50,7 +50,9 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
                  m_override: int | None = None,
                  slope_window: float = DEFAULT_SLOPE_WINDOW) -> SensitivityReport:
     """Run the selected methods with a fixed stream layout and assemble the
-    report; identical arguments give identical reports.
+    report; identical arguments give identical reports.  ``m_override``,
+    ``threshold`` and, with ``gas``, ``slope_window`` are checked before any
+    row is drawn.
 
     With ``sobol`` selected, the methods share one pick-freeze design on
     substream 1 of the seed's stream, in the layout of every other design
@@ -62,17 +64,20 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     multilinear model are the design's quotients
     (:class:`~sensyn.dgsm.DesignGradients`), at one forward-difference row
     per pair closer than ``h``; any other model's are forward differences
-    from the design's z and f(z), n*d rows.  The slope matrix (``gas``)
-    keeps each design pair (z_i, v_i) that clears the slope window and
-    redraws the partner of the others, but only when ``m1 == n``,
-    ``m2 == 1`` and the model is noise-free; a stochastic model needs its
-    common-mode noise, so then, as without ``sobol``, the slope matrix
-    draws its own samples on substream 3 and the gradients theirs on
+    from the design's z and f(z), n*d rows.  The slope matrix (``gas``) is
+    read off the design only when ``m1 == n``, ``m2 == 1`` and the model is
+    noise-free.  A multilinear model's is then the outer-product matrix of
+    the design's gradients, the AS matrix, and the slope window is not
+    read; any other model's keeps each design pair
+    (z_i, v_i) that clears the slope window and redraws the partner of the
+    others (:class:`~sensyn.subspace.DesignSlopes`).  A stochastic model
+    needs its common-mode noise, so then, as without ``sobol``, the slope
+    matrix draws its own samples on substream 3 and the gradients theirs on
     substream 2.  For example4 at n = 10,000 this takes the report from
     283,023 model rows to 140,000 plus one per redrawn partner.  For
-    example1 at n = 10,000 the report costs n*(2d+2) = 220,000 rows, plus
-    one per redrawn partner and one per short step: 278,044 at seed 0,
-    where forward differences took 377,848.
+    example1 at n = 10,000 the report costs n*(2d+2) = 220,000 rows plus
+    one per short step: 220,196 at seed 0, where redrawn slope partners
+    took 278,044 and forward differences 377,848.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
@@ -80,6 +85,12 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         raise InputDomainError(f"unknown methods {sorted(unknown)}")
     if not methods:
         raise InputDomainError("at least one method is required")
+    if m_override is not None and not 1 <= m_override <= model.d:
+        raise InputDomainError(f"m must lie in 1..{model.d}")
+    if not 0.0 <= threshold < 1.0:
+        raise InputDomainError("threshold must lie in [0, 1)")
+    if "gas" in methods:
+        check_slope_window(slope_window)
     if m1 is None:
         m1 = n
     root = RngStream(seed)
@@ -91,9 +102,12 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     if "sobol" in methods:
         share_gas = ("gas" in methods and m1 == n and m2 == 1
                      and model.noise_scale == 0.0)
-        design_h = h if gradients and noise_free_multilinear(model) else None
-        est, base, c_gas, g = _shared_design(model, n, root, share_gas, design_h,
-                                             slope_window)
+        exact = noise_free_multilinear(model)
+        design_h = h if exact and (gradients or share_gas) else None
+        est, base, c_gas, g = _shared_design(model, n, root, share_gas and not exact,
+                                             design_h, slope_window)
+        if share_gas and exact:  # every slope is the exact partial derivative
+            c_gas = c_as_from_gradients(g)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
                       sobol_upper=est.upper)
 
@@ -106,7 +120,7 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         if "as" in methods:
             subspaces["as"] = _decompose("AS", c_as_from_gradients(g), model, n,
                                          threshold, m_override)
-    base = None  # the design's arrays go before the slope matrix draws its own
+    base = g = None  # the design's arrays go before the slope matrix draws its own
 
     if "gas" in methods:
         if c_gas is None:
@@ -128,8 +142,9 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 def _shared_design(model: Model, n: int, root: RngStream, share_gas: bool,
                    design_h: float | None, slope_window: float):
     """Sobol' estimates, the design's base points and outputs, the slope
-    matrix read off the same design when ``share_gas`` and its gradients
-    (short step ``design_h``) when that is given, each None when not read."""
+    matrix read off the same design by :class:`DesignSlopes` when
+    ``share_gas`` and its gradients (short step ``design_h``) when that is
+    given, each None when not read."""
     design = PickFreeze(model, n, root.substream(1))
     slopes = (DesignSlopes(model, design.z, design.fz, root.substream(3), slope_window)
               if share_gas else None)
@@ -196,9 +211,11 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
         raise InputDomainError(f"need at least one seed, got {n_seeds}")
     if method not in ("upper_sobol", "gas_scores"):
         raise InputDomainError("method must be 'upper_sobol' or 'gas_scores'")
-    reference = np.asarray(reference, dtype=int)
-    if reference.shape != (model.d,):
+    reference = np.asarray(reference)
+    if (reference.shape != (model.d,)
+            or not np.array_equal(np.sort(reference), np.arange(1, model.d + 1))):
         raise InputDomainError("reference must be a permutation of 1..d")
+    reference = reference.astype(int)
 
     root = RngStream(base_seed)
     values = np.empty((n_seeds, len(sizes), model.d))

@@ -166,10 +166,15 @@ def _partners(dist: InputDistribution, a: np.ndarray, gap: float,
     return np.where(low, dist.mu + x, dist.mu - x), mass
 
 
-def _slope_gaps(model: Model, slope_window: float) -> np.ndarray:
-    """Separation floor of the (base, freeze) pairs of each input."""
+def check_slope_window(slope_window: float) -> None:
+    """Reject a slope window outside [0, 0.9)."""
     if not 0.0 <= slope_window < 0.9:
         raise InputDomainError("slope_window must lie in [0, 0.9)")
+
+
+def _slope_gaps(model: Model, slope_window: float) -> np.ndarray:
+    """Separation floor of the (base, freeze) pairs of each input."""
+    check_slope_window(slope_window)
     return np.array([max(slope_window * dist.scale, _COINCIDENT_TOL * dist.scale)
                      for dist in model.marginals])
 
@@ -384,7 +389,11 @@ class DesignSlopes(SlopeSample):
     costs one row, and a base with no admissible partner none (its
     quotient is 0).  The matrix is weighted as in :class:`SlopeSample`.
     Common-mode noise cannot be shared with a design whose evaluations drew
-    their own noise, so a stochastic model is refused.
+    their own noise, so a stochastic model is refused.  A noise-free
+    multilinear model needs none of this: its every quotient is the exact
+    partial derivative, so the estimators read its slope matrix off the
+    design's gradients (:class:`~sensyn.dgsm.DesignGradients`) and draw no
+    partner.
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -313,6 +314,34 @@ class TestBatchEngine:
         n, d = 1_000, 10
         assert rows == N_BATCHES * n * (d + 1) + replaced + short[0]
         assert (rows, replaced, short[0]) == (110_198, 0, 198)
+
+    def test_linear_reads_its_slope_matrix_off_each_design(self, tmp_path, monkeypatch):
+        short = [0]  # design pairs closer than h: one forward-difference row each
+
+        class Counted(DesignGradients):
+            def __call__(self, i, v, fv):
+                short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
+                super().__call__(i, v, fv)
+        monkeypatch.setattr(bounds, "DesignGradients", Counted)
+        calls, rows, replaced, _ = run_bounds(
+            ["--model", "linear", "--c", "1,-2,0.5,3", "--n", "2000", "--seed", "0"],
+            tmp_path, monkeypatch)
+        assert calls == engine_calls(N_BATCHES, 0, 0)
+        # per batch of n = 200 rows and d = 4: n(d+1) design rows and one row
+        # per short step; the slope matrix is the gradient matrix, so no
+        # partner is redrawn (14,637 rows with 4,623 redrawn partners)
+        n, d = 200, 4
+        assert rows == N_BATCHES * n * (d + 1) + short[0]
+        assert (rows, replaced, short[0]) == (10_014, 0, 14)
+        stats = batch_statistics(make_linear([1.0, -2.0, 0.5, 3.0]), 2_000 // N_BATCHES,
+                                 RngStream(0), gas=True, gradients=True)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stats.c_gas, stats.c_as))
+        # every input passes every check, as with the windowed slope matrix
+        written = json.loads((tmp_path / "b.json").read_text())["bounds"]
+        assert {c["name"]: c["passed"] for c in written} == dict.fromkeys(
+            ["gas_bound_uniform(m=1)", "gas_bound_uniform(m=4)", "linear_dgsm_equality",
+             "dgsm_bound_unit_cube", "dgsm_bound_general", "as_score_bound_unit_cube"],
+            [True] * d)
 
     @pytest.mark.parametrize("model", [make_example1(), make_linear([1.0, -2.0, 0.5])],
                              ids=["example1", "linear"])

@@ -15,7 +15,8 @@ from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
                     make_example2, make_example4, make_linear, normalize,
                     rank, report, sample_inputs, subspace, upper_sobol)
 from sensyn.dgsm import DesignGradients
-from sensyn.subspace import SlopeSample
+from sensyn.subspace import DesignSlopes, SlopeSample
+from sensyn.variance import PickFreeze, upper_from_design
 
 
 def nan_rows_model() -> Model:
@@ -111,6 +112,20 @@ class TestBuildReport:
         report = build_report(make_example2(), seed=11, n=10_000,
                               methods=("gas",))
         assert report.u1_alignment >= 0.99
+
+    @pytest.mark.parametrize("name, bad, match", [
+        ("example4", {"m_override": 7}, r"m must lie in 1\.\.4"),
+        ("example4", {"m_override": 0}, r"m must lie in 1\.\.4"),
+        ("example4", {"threshold": 1.5}, r"threshold must lie in \[0, 1\)"),
+        ("example4", {"threshold": -0.1}, r"threshold must lie in \[0, 1\)"),
+        ("example4", {"slope_window": 0.95}, r"slope_window must lie in \[0, 0\.9\)"),
+        # the design path of a multilinear model reads no window, but checks it
+        ("example1", {"slope_window": 0.95}, r"slope_window must lie in \[0, 0\.9\)")])
+    def test_bad_setting_fails_before_any_row(self, name, bad, match, monkeypatch):
+        rows = counting_rows(monkeypatch)
+        with pytest.raises(InputDomainError, match=match):
+            build_report(MODELS[name](), seed=1, n=2_000, **bad)
+        assert rows[0] == 0
 
     def test_m_override(self):
         report = build_report(make_example4(), seed=3, n=500,
@@ -302,16 +317,20 @@ class TestSharedDesign:
         build_report(make_example1(), seed=0, n=n)
         # the design and the lower estimator's third point: n*(2d+2); the
         # gradients are the design's quotients, but for one forward-difference
-        # row per pair closer than h; one row per redrawn slope partner
-        # (377,848 rows with n*d forward-difference rows)
-        assert rows[0] == n * (2 * d + 2) + replaced[0] + short[0]
-        assert (rows[0], replaced[0], short[0]) == (278_044, 57_848, 196)
+        # row per pair closer than h, and the slope matrix is their matrix, so
+        # no slope partner is redrawn (278,044 rows with 57,848 redrawn
+        # partners, 377,848 with n*d forward-difference rows as well)
+        assert rows[0] == n * (2 * d + 2) + short[0]
+        assert (rows[0], replaced[0], short[0]) == (220_196, 0, 196)
         # P(|v - z| < h) = 2h - h**2 for two unit-width uniforms
         assert short[0] / (n * d) == pytest.approx(2e-3, abs=1e-3)
 
     def test_example1_gradients_match_the_forward_differences(self, monkeypatch):
         model = make_example1()
+        seen = recorded_matrices(monkeypatch)
         read = build_report(model, seed=11, n=20_000)
+        # on the design path the slope matrix is the gradient matrix
+        assert seen["GAS"].tobytes() == seen["AS"].tobytes()
         monkeypatch.setattr(report, "noise_free_multilinear", lambda model: False)
         fd = build_report(model, seed=11, n=20_000)
         np.testing.assert_allclose(read.dgsm_raw, fd.dgsm_raw, rtol=1e-12, atol=0.0)
@@ -322,10 +341,15 @@ class TestSharedDesign:
             np.testing.assert_allclose(getattr(a, field), getattr(b, field),
                                        rtol=0.0, atol=1e-10)
         # nothing else reads the gradients
-        for x, y in [(read.sobol_lower, fd.sobol_lower), (read.sobol_upper, fd.sobol_upper),
-                     (read.subspaces["gas"].eigenvalues, fd.subspaces["gas"].eigenvalues),
-                     (read.subspaces["gas"].scores_full, fd.subspaces["gas"].scores_full)]:
+        for x, y in [(read.sobol_lower, fd.sobol_lower), (read.sobol_upper, fd.sobol_upper)]:
             assert x.tobytes() == y.tobytes()
+        # without the predicate the slope matrix is the windowed one, its
+        # partners redrawn on the report's substream 3
+        root = RngStream(11)
+        design = PickFreeze(model, 20_000, root.substream(1))
+        slopes = DesignSlopes(model, design.z, design.fz, root.substream(3), 0.35)
+        upper_from_design(design, on_column=[slopes])
+        assert seen["GAS"].tobytes() == slopes.matrix().tobytes()
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("seed", [0, 9])
@@ -382,7 +406,8 @@ class TestSharedDesign:
 def affine(model: Model, a: float, b: float) -> Model:
     """``a * f + b`` on the same inputs."""
     return Model(label="affine", family="custom", marginals=model.marginals,
-                 eval_fn=lambda z: a * model.eval_fn(z) + b)
+                 eval_fn=lambda z: a * model.eval_fn(z) + b,
+                 multilinear=model.multilinear)
 
 
 class TestAffineInvariance:
@@ -414,6 +439,60 @@ class TestAffineInvariance:
             want = a * a * was
             np.testing.assert_allclose(now, want, rtol=tol,
                                        atol=tol * np.max(np.abs(want)))
+
+
+def permuted(model: Model, perm) -> Model:
+    """``model`` with its inputs reordered: input j of the result is input
+    ``perm[j]`` of ``model``, so its scores are ``model``'s indexed by perm."""
+    inverse = np.argsort(perm)
+    return Model(label=model.label, family="custom",
+                 marginals=tuple(model.marginals[k] for k in perm),
+                 eval_fn=lambda z: model.eval_fn(z[:, inverse]),
+                 multilinear=model.multilinear, differentiable=model.differentiable)
+
+
+class TestPermutedInputs:
+    """Reordering the inputs reorders every score.  Column i of a design
+    draws on child i of its stream, so a reordered model draws other values
+    for each input: only a model whose estimates carry no sampling error
+    can agree to rounding."""
+
+    PERM = [2, 0, 3, 1]
+
+    def test_linear_scores_permute_to_rounding(self, monkeypatch):
+        seen = recorded_matrices(monkeypatch)
+        c = np.array([1.0, -2.0, 0.5, 3.0])
+        base = build_report(make_linear(c), seed=5, n=2_000)
+        base_gas = seen["GAS"]
+        moved = build_report(make_linear(c[self.PERM]), seed=5, n=2_000)
+        pairs = [(base.dgsm_raw, moved.dgsm_raw)]
+        pairs += [(base.subspaces[kind].scores_full, moved.subspaces[kind].scores_full)
+                  for kind in ("as", "gas")]
+        for was, now in pairs:
+            np.testing.assert_allclose(now, was[self.PERM], rtol=1e-12, atol=0.0)
+        want = base_gas[np.ix_(self.PERM, self.PERM)]
+        np.testing.assert_allclose(seen["GAS"], want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    def test_example4_scores_permute_within_their_errors(self):
+        model = make_example4()
+        moved = permuted(model, self.PERM)
+        replicates = 20
+
+        def estimates(m, first_seed):
+            reports = [build_report(m, seed=first_seed + r, n=4_000,
+                                    methods=("sobol", "gas"))
+                       for r in range(replicates)]
+            return {"sobol_upper": np.array([r.sobol_upper for r in reports]),
+                    "gas": np.array([r.subspaces["gas"].scores_full for r in reports])}
+
+        base, now = estimates(model, 0), estimates(moved, 1_000)
+        for name in ("sobol_upper", "gas"):
+            was = base[name][:, self.PERM]
+            se = np.sqrt((was.var(axis=0, ddof=1) + now[name].var(axis=0, ddof=1))
+                         / replicates)
+            gap = np.abs(now[name].mean(axis=0) - was.mean(axis=0))
+            assert np.all(gap <= 6.0 * se), (name, gap / se)
 
 
 class TestBadModelOutput:
@@ -475,6 +554,14 @@ class TestConvergenceStudy:
         for sizes, n_seeds in (((10, 100), 0), ((10, 100), -2), ((1, 100), 3)):
             with pytest.raises(InputDomainError, match="at least"):
                 convergence_study(model, "upper_sobol", sizes, n_seeds, reference)
+
+    @pytest.mark.parametrize("reference", [[1, 1, 1, 1], [0, 7, 2, 3], [1, 2, 3],
+                                           [1.7, 2, 3, 4]])
+    def test_reference_must_be_a_permutation(self, reference, monkeypatch):
+        rows = counting_rows(monkeypatch)
+        with pytest.raises(InputDomainError, match="permutation of 1..d"):
+            convergence_study(make_example4(), "upper_sobol", (10, 100), 2, reference)
+        assert rows[0] == 0
 
     @pytest.mark.parametrize("name", ["row_local", "example1_noisy", "linear"])
     def test_upper_sobol_sizes_read_one_design_per_seed(self, name):

@@ -524,7 +524,10 @@ class TestSlopeOracle:
     within six standard errors of the mean of 20 independent replicates (up
     to 35 entries per case are random), on the fresh path (estimate_c_gas)
     and the design path (the bounds batches, which read a pick-freeze
-    design)."""
+    design).  example1 is noise-free and multilinear, so its design-path
+    matrix is the outer-product matrix of its design gradients, which reads
+    no window: its two window cases there run one estimator, and the CI's
+    ``cmp t0.json p1.json`` pins that the window leaves its bytes alone."""
 
     REPLICATES = 20
     # the former estimator's C01 of the quadratic, 0.523 at window 0.35 and
