@@ -48,7 +48,7 @@ import numpy as np
 
 from .dgsm import (DesignGradients, dgsm_from_gradients, gradient_matrix,
                    noise_free_multilinear)
-from .errors import InputDomainError
+from .errors import InputDomainError, ModelOutputError
 from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
@@ -133,23 +133,32 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     slope matrix instead; ``gradients`` takes forward differences from the
     design's z and f(z), on substream 3.
     A noise-free batch costs n*(d+1) rows, plus on a multilinear model one
-    per design pair closer than h, and on any other one per redrawn slope
-    partner with ``gas`` and n*d with ``gradients``.  Only vectors and
-    d x d matrices outlive a batch.
+    per design pair closer than h and the design gradients' probe of its
+    promise, min(n, 8) rows per input, and on any other one per redrawn
+    slope partner with ``gas`` and n*d with ``gradients``.  Only vectors and
+    d x d matrices outlive a batch.  A model with an ``output_range`` has
+    every design output checked against it, at no row's cost, since
+    :func:`gas_bound_general` takes its kappa from that range; an output
+    outside it raises :class:`~sensyn.errors.ModelOutputError`.
     """
     if gas:
         check_slope_window(slope_window)
     exact = noise_free_multilinear(model)
+
+    def column_in_range(i, column, fv):
+        _check_range(model, fv)
+
     upper, sigma2, c_gas, v, c_as = [], [], [], [], []
     for b in range(N_BATCHES):
         batch = rng.substream(100 + b)
         design = PickFreeze(model, n, batch.substream(0))
+        _check_range(model, design.fz)
         slopes = (DesignSlopes(model, design.z, design.fz, batch.substream(1), slope_window)
                   if gas and model.noise_scale == 0.0 and not exact else None)
         grads = (DesignGradients(model, design.z, design.fz, h)
                  if (gas or gradients) and exact else None)
-        up, s2 = upper_from_design(design,
-                                   on_column=[c for c in (slopes, grads) if c is not None])
+        up, s2 = upper_from_design(
+            design, on_column=[column_in_range, *(c for c in (slopes, grads) if c is not None)])
         upper.append(up)
         sigma2.append(s2)
         if gas and not exact:
@@ -166,6 +175,18 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
         c_gas = c_as
     return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,
                            v if gradients else None, c_as if gradients else None)
+
+
+def _check_range(model: Model, y: np.ndarray) -> None:
+    """Refuse outputs outside the model's declared range, if it has one."""
+    if model.output_range is None:
+        return
+    lo, hi = model.output_range
+    bad = np.flatnonzero((y < lo) | (y > hi))
+    if bad.size:
+        raise ModelOutputError(
+            f"model {model.label!r} returned {y[bad[0]]:.6g}, outside its declared "
+            f"output range [{lo:g}, {hi:g}], at {bad.size} of {y.size} rows")
 
 
 def _skipped(name: str, d: int, reason: str) -> BoundCheck:

@@ -13,18 +13,20 @@ design is at hand: it is affine in each input with the others fixed, so the
 quotient of a design pair is the exact partial derivative at the base point
 (:class:`DesignGradients`).  Every finite slope of such a model is that
 derivative too, so its slope matrix on the design is the outer-product
-matrix of these gradients.
+matrix of these gradients, and its main-effect variances follow from their
+means (:func:`~sensyn.variance.lower_from_gradients`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, ModelOutputError
 from .models import Model, noise_columns, sample_inputs
 from .randkit import RngStream
 
 _BASE, _NOISE = 0, 2
+PROBE_ROWS = 8  # design rows per input on which the multilinear promise is probed
 
 
 def gradient_matrix(model: Model, n: int, h: float, rng: RngStream,
@@ -72,8 +74,12 @@ def noise_free_multilinear(model: Model) -> bool:
     its gradients off it (:class:`DesignGradients`) instead of spending
     forward-difference rows, takes their outer-product matrix as its slope
     matrix instead of redrawing and weighting slope partners
-    (:class:`~sensyn.subspace.DesignSlopes`), and ``bounds`` checks its DGSM
-    equality.  A false promise biases all three.  The slope matrix so read
+    (:class:`~sensyn.subspace.DesignSlopes`), takes its lower Sobol' indices
+    from their means instead of a third point
+    (:func:`~sensyn.variance.lower_from_gradients`), and ``bounds`` checks
+    its DGSM equality.  A false promise biases all four, so
+    :class:`DesignGradients` probes it on a few design rows per input
+    before any of them is formed.  The slope matrix so read
     does not depend on the slope window.  Its expectation is the windowed
     matrix's at every window, because the window tilts each base coordinate
     symmetrically about its mean on the symmetric marginal laws
@@ -94,6 +100,13 @@ class DesignGradients:
     take :func:`gradient_matrix`'s forward difference at step h instead:
     one row each, in one call per input, and no quotient's rounding exceeds
     the forward difference's.  Every other gradient costs no row.
+
+    Before it reads a column it probes the promise on the first
+    ``PROBE_ROWS`` design rows: a function affine in input i takes at the
+    midpoint ((z_i + v_i)/2, z_-i) the mean of f(z) and f(v_i, z_-i).  A
+    defect above 64 eps times the largest |f| of those rows raises
+    :class:`~sensyn.errors.ModelOutputError` naming the input.  The probe
+    costs one call of min(n, ``PROBE_ROWS``) rows per input.
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray, h: float):
@@ -105,6 +118,7 @@ class DesignGradients:
         self.g = np.empty(z.shape)
 
     def __call__(self, i: int, v: np.ndarray, fv: np.ndarray) -> None:
+        self._probe(i, v, fv)
         step = v - self.z[:, i]
         near = np.flatnonzero(np.abs(step) < self.h)
         step[near] = self.h  # their quotients are set by the forward difference
@@ -113,6 +127,18 @@ class DesignGradients:
             x = self.z.take(near, axis=0)
             x[:, i] += self.h
             self.g[near, i] = (self.model.evaluate(x) - self.fz[near]) / self.h
+
+    def _probe(self, i: int, v: np.ndarray, fv: np.ndarray) -> None:
+        k = min(PROBE_ROWS, len(v))
+        x = self.z[:k].copy()
+        x[:, i] = 0.5 * (x[:, i] + v[:k])
+        mid, fz, fv = self.model.evaluate(x), self.fz[:k], fv[:k]
+        defect = float(np.max(np.abs(mid - (0.5 * fz + 0.5 * fv))))
+        if defect > 64.0 * np.finfo(np.float64).eps * np.max(np.abs([mid, fz, fv])):
+            raise ModelOutputError(
+                f"model {self.model.label!r} declares itself multilinear, but is not "
+                f"affine in input {i + 1}: at the midpoint of a design pair its output "
+                f"differs from the mean of the pair's outputs by {defect:.3g}")
 
     def matrix(self) -> np.ndarray:
         """The (n, d) gradients, checked finite as :func:`gradient_matrix`'s are."""

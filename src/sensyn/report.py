@@ -21,7 +21,8 @@ from .randkit import RngStream
 from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
                        DesignSlopes, c_as_from_gradients, check_slope_window,
                        estimate_c_gas, psd_spectrum, slope_vectors)
-from .variance import PickFreeze, prefix_upper, sobol_from_design
+from .variance import (PickFreeze, SobolEstimate, lower_from_gradients,
+                       prefix_upper, sobol_from_design, upper_from_design)
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
 
@@ -58,26 +59,35 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     substream 1 of the seed's stream, in the layout of every other design
     (:class:`~sensyn.variance.PickFreeze`): base points z with f(z) and one
     freeze column f(v_i, z_-i) per input.  sigma2 and the upper indices come
-    from the design alone, the lower indices take it as two of their three
+    from the design alone.
+
+    A noise-free multilinear model reads its gradients off the design
+    (:class:`~sensyn.dgsm.DesignGradients`): each quotient is the exact
+    partial derivative, and only a pair closer than ``h`` costs one
+    forward-difference row.  The gradients are read whenever ``sobol`` is
+    selected, since its lower indices are their means scaled by each input's
+    variance (:func:`~sensyn.variance.lower_from_gradients`), and they serve
+    ``dgsm`` and ``as`` too.  With ``gas``, ``m1 == n`` and ``m2 == 1`` its
+    slope matrix is their outer-product matrix, the AS matrix, and the slope
+    window is not read.  Before any of this, the design gradients probe the
+    multilinear promise on min(n, 8) rows per input.  Such a report costs
+    n*(d+1) rows, plus one per short step and the probe's: example1 at
+    n = 10,000 and seed 0 costs 110,000 + 196 + 80 = 110,276, where Owen's
+    third point took 220,196, redrawn slope partners 278,044 and forward
+    differences 377,848.
+
+    Any other model's lower indices take the design as two of their three
     points and draw the third, and its noise, on the design's own
-    substreams 3 and 4.  The gradients (``dgsm``, ``as``) of a noise-free
-    multilinear model are the design's quotients
-    (:class:`~sensyn.dgsm.DesignGradients`), at one forward-difference row
-    per pair closer than ``h``; any other model's are forward differences
-    from the design's z and f(z), n*d rows.  The slope matrix (``gas``) is
-    read off the design only when ``m1 == n``, ``m2 == 1`` and the model is
-    noise-free.  A multilinear model's is then the outer-product matrix of
-    the design's gradients, the AS matrix, and the slope window is not
-    read; any other model's keeps each design pair
-    (z_i, v_i) that clears the slope window and redraws the partner of the
-    others (:class:`~sensyn.subspace.DesignSlopes`).  A stochastic model
-    needs its common-mode noise, so then, as without ``sobol``, the slope
-    matrix draws its own samples on substream 3 and the gradients theirs on
-    substream 2.  For example4 at n = 10,000 this takes the report from
-    283,023 model rows to 140,000 plus one per redrawn partner.  For
-    example1 at n = 10,000 the report costs n*(2d+2) = 220,000 rows plus
-    one per short step: 220,196 at seed 0, where redrawn slope partners
-    took 278,044 and forward differences 377,848.
+    substreams 3 and 4 (:func:`~sensyn.variance.sobol_from_design`), and
+    its gradients are forward differences from the design's z and f(z),
+    n*d rows.  With ``gas``, ``m1 == n``, ``m2 == 1`` and no noise, its
+    slope matrix keeps each design pair (z_i, v_i) that clears the slope
+    window and redraws the partner of the others
+    (:class:`~sensyn.subspace.DesignSlopes`).  A stochastic model needs its
+    common-mode noise, so then, as without ``sobol``, the slope matrix draws
+    its own samples on substream 3 and the gradients theirs on substream 2.
+    For example4 at n = 10,000 this takes the report from 283,023 model
+    rows to 140,000 plus one per redrawn partner.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
@@ -102,12 +112,8 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     if "sobol" in methods:
         share_gas = ("gas" in methods and m1 == n and m2 == 1
                      and model.noise_scale == 0.0)
-        exact = noise_free_multilinear(model)
-        design_h = h if exact and (gradients or share_gas) else None
-        est, base, c_gas, g = _shared_design(model, n, root, share_gas and not exact,
-                                             design_h, slope_window)
-        if share_gas and exact:  # every slope is the exact partial derivative
-            c_gas = c_as_from_gradients(g)
+        est, base, c_gas, g = _shared_design(model, n, h, root, share_gas,
+                                             slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
                       sobol_upper=est.upper)
 
@@ -139,20 +145,24 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         **fields)
 
 
-def _shared_design(model: Model, n: int, root: RngStream, share_gas: bool,
-                   design_h: float | None, slope_window: float):
-    """Sobol' estimates, the design's base points and outputs, the slope
-    matrix read off the same design by :class:`DesignSlopes` when
-    ``share_gas`` and its gradients (short step ``design_h``) when that is
-    given, each None when not read."""
+def _shared_design(model: Model, n: int, h: float, root: RngStream,
+                   share_gas: bool, slope_window: float):
+    """Sobol' estimates from one design, its base points and outputs, the
+    slope matrix read off it when ``share_gas`` (else None), and the
+    gradients of a noise-free multilinear model (else None)."""
     design = PickFreeze(model, n, root.substream(1))
+    base = design.z, design.fz
+    if noise_free_multilinear(model):  # every quotient is the exact derivative
+        grads = DesignGradients(model, design.z, design.fz, h)
+        upper, sigma2 = upper_from_design(design, on_column=[grads])
+        g = grads.matrix()
+        est = SobolEstimate(lower=lower_from_gradients(g, model.marginals, sigma2),
+                            upper=upper, sigma2_hat=sigma2, n=n, seed=design.rng.seed)
+        return est, base, c_as_from_gradients(g) if share_gas else None, g
     slopes = (DesignSlopes(model, design.z, design.fz, root.substream(3), slope_window)
               if share_gas else None)
-    grads = (DesignGradients(model, design.z, design.fz, design_h)
-             if design_h is not None else None)
-    est = sobol_from_design(design, on_column=[c for c in (slopes, grads) if c is not None])
-    return (est, (design.z, design.fz), None if slopes is None else slopes.matrix(),
-            None if grads is None else grads.matrix())
+    est = sobol_from_design(design, on_column=[] if slopes is None else [slopes])
+    return est, base, None if slopes is None else slopes.matrix(), None
 
 
 def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,

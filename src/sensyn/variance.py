@@ -6,13 +6,20 @@ f(v_i, z_-i), n*(d+1) evaluations per replicate.  The upper indices and the
 variance come from these alone.  The lower indices use a product-of-
 differences correlation estimator over three independent points, which keeps
 the variance of small indices low; two of the three points are the design's
-z and v, so only a fresh third point and its d swapped columns are new, and
-a replicate of both estimators costs n*(2*d+2) evaluations.  For the
-evaluations of input i the estimators overwrite column i of a base design in
-place (:meth:`~sensyn.models.Model.evaluate_column`, which restores it even
-when the model fails), instead of copying the design once per input, and
-they reduce the outputs one column at a time, so no (n, d) array of outputs
-is held.
+z and v, so only a fresh third point and its d swapped columns are new.  A
+replicate of both estimators so costs n*(2*d+2) evaluations, in
+:func:`estimate_sobol` and in a report on a model that is not noise-free
+and multilinear.  A report on a noise-free multilinear model draws no third
+point: its main-effect variances follow from the means of its gradients
+(:func:`lower_from_gradients`), which its design gives at one row per short
+step after a probe of min(n, 8) rows per input, so both estimators cost it
+n*(d+1) evaluations and those rows.
+
+For the evaluations of input i the estimators overwrite column i of a base
+design in place (:meth:`~sensyn.models.Model.evaluate_column`, which
+restores it even when the model fails), instead of copying the design once
+per input, and they reduce the outputs one column at a time, so no (n, d)
+array of outputs is held.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .errors import InputDomainError, ZeroVarianceError
 from .models import Model, noise_columns, sample_inputs
-from .randkit import RngStream, draw_columns
+from .randkit import RngStream, Uniform, draw_columns
 
 # substream roles within one design: base, freeze columns, noise, and the
 # lower estimator's third point and its noise
@@ -161,7 +168,11 @@ def sobol_from_design(design: PickFreeze, on_column=()) -> SobolEstimate:
     on substream 4 (child 0 for f(w), child i + 1 for f(x_i, w_-i)).  Small
     negative estimates are Monte Carlo noise and are reported as-is.
     ``on_column`` holds callables that see every freeze column after its
-    indices are reduced, as in :func:`upper_from_design`.
+    indices are reduced, as in :func:`upper_from_design`.  A report takes
+    this estimator for every model but a noise-free multilinear one, whose
+    lower indices come from its design gradients instead
+    (:func:`lower_from_gradients`); the standalone :func:`lower_sobol` and
+    :func:`estimate_sobol` take it for every model.
     """
     model, n, x, fx = design.model, design.n, design.z, design.fz
     sigma2 = _checked_variance(fx, "Sobol' indices")
@@ -177,6 +188,25 @@ def sobol_from_design(design: PickFreeze, on_column=()) -> SobolEstimate:
             consumer(i, v, fv)
     return SobolEstimate(lower=lower, upper=upper, sigma2_hat=sigma2, n=n,
                          seed=design.rng.seed)
+
+
+def lower_from_gradients(g: np.ndarray, marginals, sigma2: float) -> np.ndarray:
+    """Lower indices of a noise-free multilinear model from its (n, d)
+    gradients at n points drawn from its input law, normalized by
+    ``sigma2``.
+
+    Such a model is f = a(x_-i) + x_i b(x_-i) in each input i, so its
+    partial derivative b does not depend on x_i, E[f | x_i] is affine in x_i
+    with slope E[b], and the main-effect variance is exactly
+    Var(x_i) * E[d_i f]**2.  The estimate takes the mean of ``g[:, i]`` for
+    E[d_i f] and the law's own variance for Var(x_i): scale**2/12 for a
+    ``Uniform`` law, sigma**2 for a ``Normal`` one.  It draws no row of its
+    own; a report reads ``g`` off its design
+    (:class:`~sensyn.dgsm.DesignGradients`).
+    """
+    var_x = np.array([m.scale**2 / 12.0 if isinstance(m, Uniform) else m.sigma**2
+                      for m in marginals])
+    return var_x * np.mean(g, axis=0) ** 2 / sigma2
 
 
 def lower_sobol(model: Model, n: int, rng: RngStream) -> np.ndarray:

@@ -8,13 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, Model, RngStream, Uniform, bounds, cli,
+from sensyn import (InputDomainError, Model, ModelOutputError, RngStream,
+                    Uniform, bounds, cli,
                     make_example1, make_example2, make_example4, make_linear,
                     make_quadratic_normal, subspace, variance)
 from sensyn.bounds import (N_BATCHES, BatchStatistics, applicable_checks,
                            batch_statistics, dgsm_bounds, gas_bound_general,
                            gas_bound_uniform, quadratic_identity)
-from sensyn.dgsm import DesignGradients
+from sensyn.dgsm import PROBE_ROWS, DesignGradients
 
 
 def scaled(model, factor):
@@ -93,6 +94,27 @@ class TestGeneralSlopeBound:
         stats = batch_statistics(make_example1(), 100, RngStream(0), gas=True)
         with pytest.raises(InputDomainError):
             gas_bound_general(stats, 0.01, 1)
+
+    def test_output_outside_the_declared_range_is_refused(self):
+        # example2's outputs are 0 and 1; a range of (0, 0.1) would shrink
+        # kappa a hundredfold, so the batches refuse it before any check
+        model = dataclasses.replace(make_example2(), output_range=(0.0, 0.1))
+        with pytest.raises(ModelOutputError, match=r"outside its declared output range"):
+            batch_statistics(model, 200, RngStream(0), gas=True)
+
+    def test_range_check_keeps_rows_and_bytes(self, tmp_path, monkeypatch):
+        # the check reads only the design's outputs: with it and without it
+        # example2 at its range of (0, 1) costs the same rows and writes the
+        # same bytes
+        argv = ["--model", "example2", "--n", "2000", "--seed", "4"]
+        runs = []
+        for checked in (True, False):
+            with monkeypatch.context() as patch:
+                if not checked:
+                    patch.setattr(bounds, "_check_range", lambda model, y: None)
+                _, rows, _, _ = run_bounds(argv, tmp_path, patch)
+            runs.append((rows, (tmp_path / "b.json").read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestQuadraticIdentity:
@@ -308,12 +330,13 @@ class TestBatchEngine:
         calls, rows, replaced, _ = run_bounds(
             ["--model", "example1", "--n", "10000", "--seed", "0"], tmp_path, monkeypatch)
         assert calls == engine_calls(N_BATCHES, 0, 0)
-        # per batch of n = 1,000 rows and d = 10: n(d+1) design rows and one
-        # row per short step; no slope matrix (210,000 rows with n*d
-        # forward-difference rows per batch)
+        # per batch of n = 1,000 rows and d = 10: n(d+1) design rows, 8d rows
+        # of the multilinear probe and one row per short step; no slope matrix
+        # (110,198 rows without the probe, 210,000 with n*d forward-difference
+        # rows per batch)
         n, d = 1_000, 10
-        assert rows == N_BATCHES * n * (d + 1) + replaced + short[0]
-        assert (rows, replaced, short[0]) == (110_198, 0, 198)
+        assert rows == N_BATCHES * (n * (d + 1) + PROBE_ROWS * d) + replaced + short[0]
+        assert (rows, replaced, short[0]) == (110_998, 0, 198)
 
     def test_linear_reads_its_slope_matrix_off_each_design(self, tmp_path, monkeypatch):
         short = [0]  # design pairs closer than h: one forward-difference row each
@@ -327,12 +350,13 @@ class TestBatchEngine:
             ["--model", "linear", "--c", "1,-2,0.5,3", "--n", "2000", "--seed", "0"],
             tmp_path, monkeypatch)
         assert calls == engine_calls(N_BATCHES, 0, 0)
-        # per batch of n = 200 rows and d = 4: n(d+1) design rows and one row
-        # per short step; the slope matrix is the gradient matrix, so no
-        # partner is redrawn (14,637 rows with 4,623 redrawn partners)
+        # per batch of n = 200 rows and d = 4: n(d+1) design rows, 8d rows of
+        # the multilinear probe and one row per short step; the slope matrix
+        # is the gradient matrix, so no partner is redrawn (10,014 rows
+        # without the probe, 14,637 with 4,623 redrawn partners)
         n, d = 200, 4
-        assert rows == N_BATCHES * n * (d + 1) + short[0]
-        assert (rows, replaced, short[0]) == (10_014, 0, 14)
+        assert rows == N_BATCHES * (n * (d + 1) + PROBE_ROWS * d) + short[0]
+        assert (rows, replaced, short[0]) == (10_334, 0, 14)
         stats = batch_statistics(make_linear([1.0, -2.0, 0.5, 3.0]), 2_000 // N_BATCHES,
                                  RngStream(0), gas=True, gradients=True)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(stats.c_gas, stats.c_as))

@@ -1,13 +1,18 @@
 """Finite-difference gradients and derivative-based measures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, Model, Normal, RngStream, Uniform,
-                    cheeger_constant, dgsm, estimate_variance, gradient_matrix,
-                    make_example1, make_example2, make_example4, make_linear,
+from sensyn import (InputDomainError, Model, ModelOutputError, Normal,
+                    RngStream, Uniform, build_report, cheeger_constant, dgsm,
+                    estimate_variance, gradient_matrix, make_example1,
+                    make_example2, make_example4, make_linear,
                     make_quadratic_normal, upper_sobol)
-from sensyn.dgsm import DesignGradients
+from sensyn import cli as cli_mod
+from sensyn.bounds import batch_statistics
+from sensyn.dgsm import PROBE_ROWS, DesignGradients
 from sensyn.variance import PickFreeze, upper_from_design
 
 
@@ -75,12 +80,13 @@ class TestDesignGradients:
             grads, lambda i, v, fv: steps.append(v - design.z[:, i])])
         np.testing.assert_allclose(grads.matrix(), example1_gradients(design.z),
                                    rtol=0.0, atol=1e-9)
-        # each freeze column, then, if any of its pairs is closer than h, one
-        # call holding one row per such pair
+        # each freeze column, the probe of its first PROBE_ROWS rows, then, if
+        # any of its pairs is closer than h, one call holding one row per
+        # such pair
         short = [int(np.count_nonzero(np.abs(s) < h)) for s in steps]
         expected = []
         for k in short:
-            expected += [n, k] if k else [n]
+            expected += [n, PROBE_ROWS, k] if k else [n, PROBE_ROWS]
         assert rows == expected
         # P(|v - z| < h) = 2h - h**2 for two unit-width uniforms
         assert sum(short) / (n * model.d) == pytest.approx(2 * h - h * h, abs=0.01)
@@ -112,6 +118,58 @@ class TestDesignGradients:
         z = np.full((2, model.d), 0.5)
         with pytest.raises(InputDomainError, match="multilinear"):
             DesignGradients(model, z, np.zeros(2), 1e-3)
+
+
+def falsely_multilinear(name: str) -> Model:
+    """example4, or a quadratic under normal inputs, declared multilinear;
+    each is affine in input 1 and not in input 2."""
+    model = {"example4": make_example4,
+             "quadratic": lambda: make_quadratic_normal(
+                 [[0.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 0.5]], [0.2, -0.4, 0.1])}[name]()
+    return dataclasses.replace(model, multilinear=True)
+
+
+class TestMultilinearProbe:
+    @pytest.mark.parametrize("name", ["example4", "quadratic"])
+    def test_false_promise_is_refused_naming_the_input(self, name):
+        model = falsely_multilinear(name)
+        match = r"declares itself multilinear.*input 2"
+        with pytest.raises(ModelOutputError, match=match):
+            build_report(model, seed=0, n=2_000)
+        with pytest.raises(ModelOutputError, match=match):
+            batch_statistics(model, 200, RngStream(0), gradients=True)
+
+    def test_cli_refuses_before_writing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "make_builtin",
+                            lambda name, **params: falsely_multilinear("example4"))
+        out = tmp_path / "r.json"
+        assert cli_mod.main(["analyze", "--model", "example4", "--n", "500",
+                             "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [
+        make_example1(), make_linear([1.0, -2.0, 0.5, 3.0]), make_linear([1.0, -1.0]),
+        make_linear([1e6, 1.0, -3.0], intervals=[(-1.0, 1.0), (1e3, 1e3 + 1.0), (0.0, 1e-3)])],
+        ids=["example1", "linear", "linear-cancelling", "linear-scales"])
+    def test_models_that_keep_the_promise_pass(self, model):
+        for seed in range(50):
+            design = PickFreeze(model, 100, RngStream(seed))
+            grads = DesignGradients(model, design.z, design.fz, 1e-3)
+            upper_from_design(design, on_column=[grads])
+
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_probe_reads_at_most_eight_rows_per_input(self, n, monkeypatch):
+        model = make_linear([1.0, 2.0, 3.0])
+        design = PickFreeze(model, n, RngStream(1))
+        grads = DesignGradients(model, design.z, design.fz, 1e-300)  # no short step
+        rows = []
+
+        def counted(self, z, rng=None, noise=None, _fn=Model.evaluate):
+            rows.append(len(z))
+            return _fn(self, z, rng=rng, noise=noise)
+        monkeypatch.setattr(Model, "evaluate", counted)
+        upper_from_design(design, on_column=[grads])
+        assert rows == [n, min(n, PROBE_ROWS)] * model.d
 
 
 class TestDgsm:

@@ -14,9 +14,10 @@ from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
                     gradient_matrix, lower_sobol, make_example1,
                     make_example2, make_example4, make_linear, normalize,
                     rank, report, sample_inputs, subspace, upper_sobol)
-from sensyn.dgsm import DesignGradients
+from sensyn.dgsm import PROBE_ROWS, DesignGradients
 from sensyn.subspace import DesignSlopes, SlopeSample
-from sensyn.variance import PickFreeze, upper_from_design
+from sensyn.variance import (PickFreeze, lower_from_gradients, sobol_from_design,
+                             upper_from_design)
 
 
 def nan_rows_model() -> Model:
@@ -315,13 +316,16 @@ class TestSharedDesign:
         short = counting_short_steps(monkeypatch)
         n, d = 10_000, 10
         build_report(make_example1(), seed=0, n=n)
-        # the design and the lower estimator's third point: n*(2d+2); the
-        # gradients are the design's quotients, but for one forward-difference
-        # row per pair closer than h, and the slope matrix is their matrix, so
-        # no slope partner is redrawn (278,044 rows with 57,848 redrawn
-        # partners, 377,848 with n*d forward-difference rows as well)
-        assert rows[0] == n * (2 * d + 2) + short[0]
-        assert (rows[0], replaced[0], short[0]) == (220_196, 0, 196)
+        # the design: n*(d+1); the gradients are the design's quotients, but
+        # for one forward-difference row per pair closer than h, after the
+        # probe of the multilinear promise on the first 8 rows per input,
+        # 8d; the lower indices are the gradients' means and the slope matrix
+        # is their matrix, so no third point is drawn and no slope partner is
+        # redrawn (220,196 rows with Owen's third point, n*(d+1) more;
+        # 278,044 with 57,848 redrawn partners as well, 377,848 with n*d
+        # forward-difference rows as well)
+        assert rows[0] == n * (d + 1) + short[0] + PROBE_ROWS * d
+        assert (rows[0], replaced[0], short[0]) == (110_276, 0, 196)
         # P(|v - z| < h) = 2h - h**2 for two unit-width uniforms
         assert short[0] / (n * d) == pytest.approx(2e-3, abs=1e-3)
 
@@ -340,16 +344,34 @@ class TestSharedDesign:
         for field in ("first_eigenvector", "scores_m", "scores_full"):
             np.testing.assert_allclose(getattr(a, field), getattr(b, field),
                                        rtol=0.0, atol=1e-10)
-        # nothing else reads the gradients
-        for x, y in [(read.sobol_lower, fd.sobol_lower), (read.sobol_upper, fd.sobol_upper)]:
-            assert x.tobytes() == y.tobytes()
+        # the upper indices read no gradient
+        assert read.sobol_upper.tobytes() == fd.sobol_upper.tobytes()
+        # the lower indices are the design gradients' means; without the
+        # predicate they are Owen's, from a third point on substream 3 of the
+        # design's stream
+        root = RngStream(11)
+        design = PickFreeze(model, 20_000, root.substream(1))
+        grads = DesignGradients(model, design.z, design.fz, 1e-3)
+        _, sigma2 = upper_from_design(design, on_column=[grads])
+        lower = lower_from_gradients(grads.matrix(), model.marginals, sigma2)
+        assert read.sobol_lower.tobytes() == lower.tobytes()
+        owen = sobol_from_design(PickFreeze(model, 20_000, root.substream(1)))
+        assert fd.sobol_lower.tobytes() == owen.lower.tobytes()
         # without the predicate the slope matrix is the windowed one, its
         # partners redrawn on the report's substream 3
-        root = RngStream(11)
         design = PickFreeze(model, 20_000, root.substream(1))
         slopes = DesignSlopes(model, design.z, design.fz, root.substream(3), 0.35)
         upper_from_design(design, on_column=[slopes])
         assert seen["GAS"].tobytes() == slopes.matrix().tobytes()
+
+    @pytest.mark.parametrize("model", [make_example1(noise_scale=1.0), make_example4()],
+                             ids=["example1-noisy", "example4"])
+    def test_other_models_keep_the_three_point_lower_indices(self, model):
+        # a noisy or non-multilinear model's lower indices are Owen's, on the
+        # report's design and its third point, byte for byte
+        read = build_report(model, seed=5, n=3_000)
+        design = PickFreeze(model, 3_000, RngStream(5).substream(1))
+        assert read.sobol_lower.tobytes() == sobol_from_design(design).lower.tobytes()
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @pytest.mark.parametrize("seed", [0, 9])

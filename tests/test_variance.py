@@ -1,12 +1,16 @@
 """Variance and Sobol' index estimators against analytic oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from sensyn import (InputDomainError, Model, RngStream, Uniform,
-                    ZeroVarianceError, analytic_anova, estimate_sobol,
-                    estimate_variance, lower_sobol, make_example1,
-                    make_example4, make_linear, upper_sobol)
+from sensyn import (InputDomainError, Model, Normal, RngStream, Uniform,
+                    ZeroVarianceError, analytic_anova, build_report,
+                    estimate_sobol, estimate_variance, lower_sobol,
+                    make_example1, make_example4, make_linear, upper_sobol)
+from sensyn.dgsm import DesignGradients
+from sensyn.variance import PickFreeze, lower_from_gradients, sobol_from_design
 
 
 def pure_interaction_model():
@@ -140,3 +144,64 @@ class TestCombined:
                           for s in range(n_seeds)])
         ratio = small.std(ddof=1) / large.std(ddof=1)
         assert 1.2 <= ratio <= 1.7
+
+
+GRADIENT_CASES = {"example1": make_example1,
+                  "linear": lambda: make_linear([1.0, 2.0, 3.0, 4.0])}
+N_SEEDS = 200
+
+
+@functools.cache
+def paired_lower(name: str):
+    """The oracle's lower indices, and, over N_SEEDS seeds at n = 2,000, the
+    design gradients' (:func:`lower_from_gradients`) and Owen's
+    (:func:`sobol_from_design`) estimates of them, each pair on one design."""
+    model = GRADIENT_CASES[name]()
+    new, owen = [], []
+    for seed in range(N_SEEDS):
+        design = PickFreeze(model, 2_000, RngStream(seed))
+        grads = DesignGradients(model, design.z, design.fz, 1e-3)
+        est = sobol_from_design(design, on_column=[grads])
+        new.append(lower_from_gradients(grads.matrix(), model.marginals, est.sigma2_hat))
+        owen.append(est.lower)
+    return analytic_anova(model).lower, np.array(new), np.array(owen)
+
+
+class TestLowerFromGradients:
+    def test_formula_on_known_laws(self):
+        # Var(x_i) * mean(g_i)**2 / sigma2, with Var(x) = scale**2/12 for a
+        # uniform law and sigma**2 for a normal one
+        g = np.array([[1.0, -2.0], [3.0, 0.0]])
+        got = lower_from_gradients(g, (Uniform(1.0, 3.0), Normal(5.0, 3.0)), 2.0)
+        np.testing.assert_allclose(got, [4.0 / 12.0 * 4.0 / 2.0, 9.0 * 1.0 / 2.0],
+                                   rtol=1e-15)
+
+    def test_normal_inputs_against_their_anova(self):
+        # f = x1 + 2 x2 x3 with x ~ N((0, 1, 2), diag(1, 0.25, 1)): the main
+        # effects are 1, (2 E x3)**2 Var x2 = 4 and (2 E x2)**2 Var x3 = 4,
+        # the variance 1 + 4 (E[x2**2] E[x3**2] - (E x2 E x3)**2) = 10
+        model = Model(label="normal_product", family="custom", multilinear=True,
+                      marginals=(Normal(0.0, 1.0), Normal(1.0, 0.5), Normal(2.0, 1.0)),
+                      eval_fn=lambda x: x[:, 0] + 2.0 * x[:, 1] * x[:, 2])
+        report = build_report(model, seed=3, n=20_000, methods=("sobol",))
+        np.testing.assert_allclose(report.sobol_lower, [0.1, 0.4, 0.4], atol=0.02)
+
+    @pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
+    def test_lower_rmse_than_owen_on_every_input(self, name):
+        truth, new, owen = paired_lower(name)
+        rmse_new = np.sqrt(np.mean((new - truth) ** 2, axis=0))
+        rmse_owen = np.sqrt(np.mean((owen - truth) ** 2, axis=0))
+        # measured on these seeds: summed 0.0302 against 0.0521 on example1,
+        # 0.0272 against 0.0458 on linear, and at most 0.64 of Owen's per input
+        assert np.all(rmse_new < rmse_owen)
+
+    @pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
+    def test_mean_within_its_error_bars(self, name):
+        # the square of the mean gradient is biased up by Var(g_i)/n, 0.4 %
+        # of example1's smallest main effect at n = 2,000, far below the
+        # standard error of a mean over N_SEEDS seeds; 3 standard errors is
+        # a two-sided band of 99.7 % per input (measured: at most 1.54 on
+        # example1 and 1.94 on linear)
+        truth, new, _ = paired_lower(name)
+        se = new.std(axis=0, ddof=1) / np.sqrt(N_SEEDS)
+        assert np.all(np.abs(new.mean(axis=0) - truth) <= 3.0 * se)
