@@ -59,7 +59,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     shared.add_argument("--out", default=None, help="output path")
     shared.add_argument("--slope-window", type=float, default=None,
                         help="minimum pair separation, as a fraction of the "
-                             "marginal scale, in slope-matrix sampling")
+                             "marginal scale, in slope-matrix sampling (default "
+                             "0 for a differentiable model, 0.35 otherwise)")
 
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--n", type=int, default=None,

@@ -52,8 +52,8 @@ from .errors import InputDomainError, ModelOutputError
 from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
-from .subspace import (DEFAULT_SLOPE_WINDOW, DesignSlopes, c_as_from_gradients,
-                       check_slope_window, estimate_c_gas, psd_spectrum, scores)
+from .subspace import (DesignSlopes, _slope_window, c_as_from_gradients,
+                       estimate_c_gas, psd_spectrum, scores)
 from .variance import PickFreeze, upper_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
@@ -94,9 +94,9 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class BatchStatistics:
-    """Per-batch estimates, one list entry per batch (``None``: not requested);
-    the spectra of each kind are decomposed on first use, as one stack, and
-    shared by every check."""
+    """Per-batch estimates, one list entry per batch (``None``: not requested),
+    and the slope window of ``c_gas``; the spectra of each kind are
+    decomposed on first use, as one stack, and shared by every check."""
 
     model: Model
     n: int
@@ -105,6 +105,7 @@ class BatchStatistics:
     c_gas: list[np.ndarray] | None = None
     dgsm: list[np.ndarray] | None = None
     c_as: list[np.ndarray] | None = None
+    slope_window: float | None = None
 
     @cached_property
     def gas_spectra(self) -> list[SpectralDecomposition]:
@@ -117,7 +118,7 @@ class BatchStatistics:
 
 def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
                      gradients: bool = False, h: float = 1e-3,
-                     slope_window: float = DEFAULT_SLOPE_WINDOW) -> BatchStatistics:
+                     slope_window: float | None = None) -> BatchStatistics:
     """Statistics of ``N_BATCHES`` replicate batches of size n.
 
     Batch b draws one :class:`~sensyn.variance.PickFreeze` design on
@@ -128,21 +129,23 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     ``gradients`` is asked for, and their outer-product matrix is both its
     gradient matrix and its slope matrix; the slope window is not read.  For
     any other model, ``gas`` keeps the design's pairs that clear the slope
-    window and redraws the partners of the others on substream 1, where a
-    stochastic model, whose common-mode noise must cancel, draws its own
-    slope matrix instead; ``gradients`` takes forward differences from the
-    design's z and f(z), on substream 3.
+    window (by default 0 for a differentiable model, so every pair, and
+    ``DEFAULT_SLOPE_WINDOW`` otherwise) and redraws the partners of the
+    others on substream 1, where a stochastic model, whose common-mode noise
+    must cancel, draws its own slope matrix instead; ``gradients`` takes
+    forward differences from the design's z and f(z), on substream 3.
     A noise-free batch costs n*(d+1) rows, plus on a multilinear model one
     per design pair closer than h and the design gradients' probe of its
     promise, min(n, 8) rows per input, and on any other one per redrawn
-    slope partner with ``gas`` and n*d with ``gradients``.  Only vectors and
+    slope partner with ``gas`` (none at window 0) and n*d with
+    ``gradients``, so example4's ten batches of n = 1,000 with both cost
+    90,000 rows.  Only vectors and
     d x d matrices outlive a batch.  A model with an ``output_range`` has
     every design output checked against it, at no row's cost, since
     :func:`gas_bound_general` takes its kappa from that range; an output
     outside it raises :class:`~sensyn.errors.ModelOutputError`.
     """
-    if gas:
-        check_slope_window(slope_window)
+    slope_window = _slope_window(model, slope_window) if gas else None
     exact = noise_free_multilinear(model)
 
     def column_in_range(i, column, fv):
@@ -174,7 +177,8 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     if exact:
         c_gas = c_as
     return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,
-                           v if gradients else None, c_as if gradients else None)
+                           v if gradients else None, c_as if gradients else None,
+                           slope_window)
 
 
 def _check_range(model: Model, y: np.ndarray) -> None:

@@ -48,7 +48,6 @@ from .models import (analytic_anova, builtin_names, indicator_upper_sobol,
 from .output import METHOD_NAMES
 from .randkit import RngStream
 from .report import build_report, convergence_study, rank
-from .subspace import DEFAULT_SLOPE_WINDOW
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
 
@@ -139,8 +138,9 @@ def _model_from_args(args):
 def _check_shared(args) -> None:
     _require(0 <= args.seed < 2**64,
              f"--seed must fit in an unsigned 64-bit word, got {args.seed}")
-    _require(0.0 <= args.slope_window < 0.9,
-             f"--slope-window must lie in [0, 0.9), got {args.slope_window:g}")
+    if args.slope_window is not None:  # None: the model's default window
+        _require(0.0 <= args.slope_window < 0.9,
+                 f"--slope-window must lie in [0, 0.9), got {args.slope_window:g}")
 
 
 def _check_sampling(args, model) -> None:
@@ -220,7 +220,7 @@ def cmd_bounds(args, model) -> int:
                                           threshold=args.threshold)
     payload = {
         "meta": {"model": model.label, "seed": args.seed, "n_per_batch": n_batch,
-                 "epsilon": args.epsilon},
+                 "epsilon": args.epsilon, "slope_window": stats.slope_window},
         "bounds": [output.bound_check_to_dict(c) for c in checks],
     }
     out = Path(args.out if args.out else f"{args.model}_bounds.json")
@@ -266,8 +266,6 @@ def run(args) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        if args.slope_window is None:
-            args.slope_window = DEFAULT_SLOPE_WINDOW
         _check_shared(args)
         # a model's warning (a ridge direction it normalized) is a one-line note
         with warnings.catch_warnings(record=True) as caught:

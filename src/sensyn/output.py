@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 METHOD_NAMES = ("sobol", "dgsm", "as", "gas")
 SUBSPACE_METHODS = ("as", "gas")
+# version 2 added meta.schema_version and meta.slope_window
+_SCHEMA_VERSION = 2
 
 # A per-input vector: a float array in a report built in memory, a tuple of
 # floats in one read back from JSON.
@@ -66,8 +68,11 @@ class SensitivityReport:
     Sobol' indices are kept raw (lower and upper are compared on a common
     scale); all other measures also carry sum-normalized versions for
     display.  ``subspaces`` maps each computed subspace method of
-    ``SUBSPACE_METHODS`` to its summary.  Each field's metadata names the
-    JSON section that holds it, so the serializers walk the fields.
+    ``SUBSPACE_METHODS`` to its summary.  ``slope_window`` is the window
+    of the GAS matrix (``None`` without ``gas``, or in a report read from
+    schema version 1, which did not record it).  Each field's metadata
+    names the JSON section that holds it, so the serializers walk the
+    fields.
     """
 
     model_label: str = _in("meta", key="model")
@@ -80,6 +85,7 @@ class SensitivityReport:
     noise_scale: float = _in("meta")
     threshold: float = _in("meta")
     methods: tuple[str, ...] = _in("meta")
+    slope_window: float | None = _in("meta", None)
     sigma2_hat: float | None = _in("scores", None)
     sobol_lower: Vector | None = _in("scores", None)
     sobol_upper: Vector | None = _in("scores", None)
@@ -109,6 +115,7 @@ class ConvergenceTable:
     mean_scores: np.ndarray  # (len(sizes), d) seed-averaged scores
     full_match_fraction: np.ndarray
     top3_match_fraction: np.ndarray
+    slope_window: float | None = None  # of a gas_scores table's slope samples
 
 
 def format_float(x: float) -> str:
@@ -206,8 +213,9 @@ def _walk(report: SensitivityReport):
 
 
 def report_to_dict(report: SensitivityReport) -> dict:
-    """JSON layout of a report: metadata, per-method scores, spectra."""
-    out: dict = {"meta": {}, "scores": {}, "spectra": {}}
+    """JSON layout of a report: metadata, led by the schema version, then
+    per-method scores and spectra."""
+    out: dict = {"meta": {"schema_version": _SCHEMA_VERSION}, "scores": {}, "spectra": {}}
     for section, key, _, value in _walk(report):
         out[section][key] = _opt(value)
     return out
@@ -265,18 +273,40 @@ def _member(obj, key: str, owner: str):
     raise InputDomainError(f"{owner + '.' if owner else ''}{key} is missing")
 
 
+def _schema_version(data) -> int:
+    """``meta.schema_version`` of a report: 1 when it has none, as in
+    every report written before version 2."""
+    meta = data.get("meta") if isinstance(data, dict) else None
+    if not isinstance(meta, dict) or "schema_version" not in meta:
+        return 1  # a malformed report is refused by the walk over its fields
+    try:
+        version = _typed(meta["schema_version"], "int", "is")
+    except ValueError as exc:
+        raise InputDomainError(f"meta.schema_version {exc}") from None
+    if version not in (1, _SCHEMA_VERSION):
+        raise InputDomainError(f"meta.schema_version is {version}, not 1 or {_SCHEMA_VERSION}")
+    return version
+
+
 def report_from_dict(data: dict) -> SensitivityReport:
     """Inverse of ``report_to_dict``, with each vector a tuple of floats and
-    a summary for each subspace method that ``meta.methods`` lists.
+    a summary for each subspace method that ``meta.methods`` lists.  A
+    report of schema version 1, which has no ``meta.schema_version`` and no
+    ``meta.slope_window``, reads with ``slope_window`` None.
 
     A missing field, a section that is no JSON object, a null that ``needs``
     forbids, or a field that cannot hold its value, such as a non-finite
     number, a ``meta.d`` below 1 or a vector whose length is not ``meta.d``,
-    raises ``InputDomainError`` naming the field (``scores.sobol_upper``)."""
+    raises ``InputDomainError`` naming the field (``scores.sobol_upper``),
+    and so does a schema version other than 1 and 2."""
+    version = _schema_version(data)
     values: dict = {}
     summaries: dict = {method: {} for method in SUBSPACE_METHODS}
     for section, key, method, name, annotation, needs in _SCHEMA:
         target = values if method is None else summaries[method]
+        if version == 1 and key == "slope_window":
+            target[name] = None
+            continue
         value = _member(_member(data, section, ""), key, section)
         # meta.methods is never null and precedes every field of a method
         if value is None and needs is not None and (not needs or needs in values["methods"]):
@@ -341,10 +371,13 @@ def convergence_to_dict(table: ConvergenceTable) -> dict:
         cells.append({"size": size, "seed_index": seed_idx,
                       "rank": [int(r) for r in perm],
                       "scores": table.score_vectors[(size, seed_idx)].tolist()})
+    meta = {"model": table.model_label, "method": table.method,
+            "sizes": list(table.sizes), "n_seeds": table.n_seeds,
+            "reference": [int(r) for r in table.reference]}
+    if table.method == "gas_scores":
+        meta["slope_window"] = table.slope_window
     return {
-        "meta": {"model": table.model_label, "method": table.method,
-                 "sizes": list(table.sizes), "n_seeds": table.n_seeds,
-                 "reference": [int(r) for r in table.reference]},
+        "meta": meta,
         "mean_scores": table.mean_scores.tolist(),
         "full_match_fraction": table.full_match_fraction.tolist(),
         "top3_match_fraction": table.top3_match_fraction.tolist(),

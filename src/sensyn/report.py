@@ -18,9 +18,9 @@ from .models import Model
 from .output import (METHOD_NAMES, ConvergenceTable, SensitivityReport,
                      SubspaceSummary)
 from .randkit import RngStream
-from .subspace import (DEFAULT_SLOPE_WINDOW, SubspaceResult,
-                       DesignSlopes, c_as_from_gradients, check_slope_window,
-                       estimate_c_gas, psd_spectrum, slope_vectors)
+from .subspace import (SubspaceResult, DesignSlopes, _slope_window,
+                       c_as_from_gradients, estimate_c_gas, psd_spectrum,
+                       slope_vectors)
 from .variance import (PickFreeze, SobolEstimate, lower_from_gradients,
                        prefix_upper, sobol_from_design, upper_from_design)
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
@@ -49,11 +49,13 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
                  n: int = 10_000, m1: int | None = None, m2: int = 1,
                  h: float = 1e-3, threshold: float = 0.9,
                  m_override: int | None = None,
-                 slope_window: float = DEFAULT_SLOPE_WINDOW) -> SensitivityReport:
+                 slope_window: float | None = None) -> SensitivityReport:
     """Run the selected methods with a fixed stream layout and assemble the
     report; identical arguments give identical reports.  ``m_override``,
     ``threshold`` and, with ``gas``, ``slope_window`` are checked before any
-    row is drawn.
+    row is drawn.  ``slope_window`` defaults to the model's: 0 for a
+    differentiable model, ``DEFAULT_SLOPE_WINDOW`` otherwise; the report
+    records the window used with ``gas``, and None without it.
 
     With ``sobol`` selected, the methods share one pick-freeze design on
     substream 1 of the seed's stream, in the layout of every other design
@@ -83,11 +85,12 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     n*d rows.  With ``gas``, ``m1 == n``, ``m2 == 1`` and no noise, its
     slope matrix keeps each design pair (z_i, v_i) that clears the slope
     window and redraws the partner of the others
-    (:class:`~sensyn.subspace.DesignSlopes`).  A stochastic model needs its
+    (:class:`~sensyn.subspace.DesignSlopes`); at a differentiable model's
+    default window of 0 no partner is redrawn.  A stochastic model needs its
     common-mode noise, so then, as without ``sobol``, the slope matrix draws
     its own samples on substream 3 and the gradients theirs on substream 2.
     For example4 at n = 10,000 this takes the report from 283,023 model
-    rows to 140,000 plus one per redrawn partner.
+    rows to 140,000.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
@@ -99,8 +102,7 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         raise InputDomainError(f"m must lie in 1..{model.d}")
     if not 0.0 <= threshold < 1.0:
         raise InputDomainError("threshold must lie in [0, 1)")
-    if "gas" in methods:
-        check_slope_window(slope_window)
+    slope_window = _slope_window(model, slope_window) if "gas" in methods else None
     if m1 is None:
         m1 = n
     root = RngStream(seed)
@@ -141,12 +143,12 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     return SensitivityReport(
         model_label=model.label, d=model.d, seed=seed, n=n, m1=m1, m2=m2, h=h,
         noise_scale=model.noise_scale, threshold=threshold, methods=methods,
-        subspaces=subspaces, reference_direction=model.reference_direction,
-        **fields)
+        slope_window=slope_window, subspaces=subspaces,
+        reference_direction=model.reference_direction, **fields)
 
 
 def _shared_design(model: Model, n: int, h: float, root: RngStream,
-                   share_gas: bool, slope_window: float):
+                   share_gas: bool, slope_window: float | None):
     """Sobol' estimates from one design, its base points and outputs, the
     slope matrix read off it when ``share_gas`` (else None), and the
     gradients of a noise-free multilinear model (else None)."""
@@ -190,7 +192,7 @@ def _summary(result: SubspaceResult) -> SubspaceSummary:
 
 def convergence_study(model: Model, method: str, sizes, n_seeds: int,
                       reference, *, base_seed: int = 0,
-                      slope_window: float = DEFAULT_SLOPE_WINDOW) -> ConvergenceTable:
+                      slope_window: float | None = None) -> ConvergenceTable:
     """Fraction of seeds whose ranking matches a reference, per sample size.
 
     ``method`` is ``"upper_sobol"`` (pick-freeze indices) or ``"gas_scores"``
@@ -208,7 +210,8 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
     stream (:func:`prefix_upper`); for ``gas_scores`` it is the slope
     sample of :func:`slope_vectors`, and each size's scores are the weighted
     mean of its prefix's squared slopes, the diagonal of the slope matrix of
-    those rows (:meth:`~sensyn.subspace.SlopeSample.diagonal`).
+    those rows (:meth:`~sensyn.subspace.SlopeSample.diagonal`), at
+    ``slope_window`` or by default the model's, which the table records.
     """
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
@@ -227,6 +230,7 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
         raise InputDomainError("reference must be a permutation of 1..d")
     reference = reference.astype(int)
 
+    slope_window = _slope_window(model, slope_window) if method == "gas_scores" else None
     root = RngStream(base_seed)
     values = np.empty((n_seeds, len(sizes), model.d))
     for seed_idx in range(n_seeds):
@@ -255,4 +259,5 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
         model_label=model.label, method=method, sizes=sizes, n_seeds=n_seeds,
         reference=reference, ranks=ranks, score_vectors=score_vectors,
         mean_scores=values.mean(axis=0),
-        full_match_fraction=full / n_seeds, top3_match_fraction=top3 / n_seeds)
+        full_match_fraction=full / n_seeds, top3_match_fraction=top3 / n_seeds,
+        slope_window=slope_window)

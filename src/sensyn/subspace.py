@@ -17,9 +17,13 @@ noise-free models:
 
 * ``slope_window``: each quotient's (base, partner) coordinate pair follows
   the product law conditioned on a minimum separation (a fixed fraction of
-  the marginal's scale), independently for each input.  Raw quotients have
-  heavy tails whenever the integrand does not smooth out as the pair
-  coincides (discontinuous response, evaluation noise); a separation floor
+  the marginal's scale), independently for each input.  By default the
+  window is 0 for a differentiable model, whose quotients have finite
+  variance, so its matrix is the paper's raw-quotient one and no partner
+  is redrawn; it is :data:`DEFAULT_SLOPE_WINDOW` for a model declared
+  ``differentiable=False`` (:func:`_slope_window`).  Raw quotients of a
+  discontinuous response have heavy tails, since a straddling pair's
+  squared quotient ``1/(b - z_i)**2`` has infinite mean; a separation floor
   keeps each quotient's step away from 0 while leaving multilinear slopes
   untouched and quadratic second moments, off the diagonal too, exactly
   unbiased under normal marginals (the pair sum is independent of the pair
@@ -38,7 +42,8 @@ noise-free models:
 * evaluation noise is drawn once per replicate and shared by the replicate's
   evaluations, so common-mode noise cancels inside each difference quotient.
   This is what keeps the slope matrix stable on stochastic models while
-  derivative measures degrade.
+  derivative measures degrade, and why a noisy differentiable model needs
+  no window either.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .models import Model, sample_inputs
 from .randkit import (InputDistribution, Normal, RngStream, Uniform, law_runs,
                       normal_cdf, normal_inv_cdf)
 
-DEFAULT_SLOPE_WINDOW = 0.35
+DEFAULT_SLOPE_WINDOW = 0.35  # the window of a non-differentiable model
 _COINCIDENT_TOL = 1e-12
 _CHUNK = 4096
 # coordinates per weight chunk and pairs per partner-redraw group: a normal
@@ -170,6 +175,16 @@ def check_slope_window(slope_window: float) -> None:
     """Reject a slope window outside [0, 0.9)."""
     if not 0.0 <= slope_window < 0.9:
         raise InputDomainError("slope_window must lie in [0, 0.9)")
+
+
+def _slope_window(model: Model, slope_window: float | None) -> float:
+    """The window a slope matrix of ``model`` uses, checked: ``slope_window``
+    if given, else 0 for a differentiable model, whose quotients have finite
+    variance, and :data:`DEFAULT_SLOPE_WINDOW` for a discontinuous one."""
+    if slope_window is None:
+        return 0.0 if model.differentiable else DEFAULT_SLOPE_WINDOW
+    check_slope_window(slope_window)
+    return slope_window
 
 
 def _slope_gaps(model: Model, slope_window: float) -> np.ndarray:
@@ -310,7 +325,7 @@ def _normalized(num: np.ndarray, den: np.ndarray, slope_window: float, n: int) -
 
 
 def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
-                  slope_window: float = DEFAULT_SLOPE_WINDOW):
+                  slope_window: float | None = None):
     """Yield, for each of ``m2`` fresh freeze vectors, the
     :class:`SlopeSample` of the ``m1`` base points drawn on ``rng``.
 
@@ -325,9 +340,11 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
     models draw one noise variate per base point, shared by all of its
     evaluations.  Substreams of ``rng``: 0 the base, 1 the freeze vectors
     (child j), 2 the noise and 3 the redraws (child j, then child i).
+    ``slope_window`` defaults to the model's (:func:`_slope_window`).
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
+    slope_window = _slope_window(model, slope_window)
     gaps = _slope_gaps(model, slope_window)
     runs = law_runs(model.marginals)
 
@@ -363,14 +380,16 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
 
 
 def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
-                   slope_window: float = DEFAULT_SLOPE_WINDOW) -> np.ndarray:
+                   slope_window: float | None = None) -> np.ndarray:
     """Monte Carlo estimate of the finite-slope sensitivity matrix.
 
     Weighs the quotients of ``m1`` base points, each paired with ``m2``
     fresh freeze vectors (:func:`slope_vectors`, which states the cost), as
     :class:`SlopeSample` does; the weights depend on the base points only,
-    so every freeze vector has the same weight sums.
+    so every freeze vector has the same weight sums.  ``slope_window``
+    defaults to the model's (:func:`_slope_window`).
     """
+    slope_window = _slope_window(model, slope_window)
     for j, sample in enumerate(slope_vectors(model, m1, m2, rng, slope_window)):
         part, den = sample.sums()
         num = part if j == 0 else num + part
@@ -387,7 +406,8 @@ class DesignSlopes(SlopeSample):
     a group of inputs at a time (:class:`_PartnerRedraws`, on ``rng``), and
     each input's redrawn rows are evaluated in one call: a redrawn pair
     costs one row, and a base with no admissible partner none (its
-    quotient is 0).  The matrix is weighted as in :class:`SlopeSample`.
+    quotient is 0); at a differentiable model's default window of 0 no
+    pair is redrawn.  The matrix is weighted as in :class:`SlopeSample`.
     Common-mode noise cannot be shared with a design whose evaluations drew
     their own noise, so a stochastic model is refused.  A noise-free
     multilinear model needs none of this: its every quotient is the exact
@@ -397,10 +417,10 @@ class DesignSlopes(SlopeSample):
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,
-                 rng: RngStream, slope_window: float = DEFAULT_SLOPE_WINDOW):
+                 rng: RngStream, slope_window: float | None = None):
         if model.noise_scale > 0.0:
             raise InputDomainError("a design's slopes need a noise-free model")
-        super().__init__(model, z, np.empty(z.shape), slope_window)
+        super().__init__(model, z, np.empty(z.shape), _slope_window(model, slope_window))
         self.fz = fz
         self.redraws = _PartnerRedraws(model, z, self.gaps, rng.substream(_REDRAW))
 
@@ -462,9 +482,10 @@ def estimate_c_as(model: Model, n: int, h: float, rng: RngStream) -> np.ndarray:
 def subspace_analysis(model: Model, kind: str, rng: RngStream, *,
                       n: int = 10_000, m2: int = 1, h: float = 1e-3,
                       threshold: float = 0.9,
-                      slope_window: float = DEFAULT_SLOPE_WINDOW) -> SubspaceResult:
+                      slope_window: float | None = None) -> SubspaceResult:
     """Estimate one sensitivity matrix, decompose it, and pick its rank by
-    the cumulative-eigenvalue rule."""
+    the cumulative-eigenvalue rule; ``slope_window`` defaults to the
+    model's (:func:`_slope_window`)."""
     kind = kind.upper()
     if kind == "AS":
         matrix = estimate_c_as(model, n, h, rng)

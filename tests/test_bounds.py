@@ -294,18 +294,31 @@ class TestBatchEngine:
         # the gradient base all come from it
         assert calls == engine_calls(N_BATCHES, 0, N_BATCHES)
         # per batch of n = 1,000 rows and d = 4: n(d+1) design rows, n*d
-        # gradient rows, and one row per redrawn slope partner (136,648 rows
-        # with two per replaced pair, 182,920 with one substream per
-        # statistic, 376,147 with one loop per check)
+        # gradient rows, and one row per redrawn slope partner, none at a
+        # differentiable model's default window of 0 (113,324 rows with
+        # 23,324 partners at window 0.35, 136,648 with two rows per replaced
+        # pair, 182,920 with one substream per statistic, 376,147 with one
+        # loop per check)
+        n, d = 1_000, 4
+        assert rows == N_BATCHES * (n * (d + 1) + n * d) + replaced
+        assert (rows, replaced) == (90_000, 0)
+
+    def test_example4_redraws_the_partners_inside_a_window(self, tmp_path, monkeypatch):
+        # the same batches at window 0.35: one row per partner inside it
+        calls, rows, replaced, _ = run_bounds(
+            ["--model", "example4", "--n", "10000", "--seed", "0", "--slope-window", "0.35"],
+            tmp_path, monkeypatch)
+        assert calls == engine_calls(N_BATCHES, 0, N_BATCHES)
         n, d = 1_000, 4
         assert rows == N_BATCHES * (n * (d + 1) + n * d) + replaced
         assert (rows, replaced) == (113_324, 23_324)
 
     def test_example4_reference_total(self, tmp_path, monkeypatch):
         # the benchmark's reference command at the default seed: per batch,
-        # 5 design calls, 4 gradient calls and one call per input for its
-        # redrawn slope partners (136,648 rows in 170 calls with two calls
-        # and two rows per replaced pair)
+        # 5 design calls and 4 gradient calls, and at the default window of 0
+        # no redrawn slope partner (113,324 rows in 130 calls at window 0.35,
+        # with one call per input for its partners; 136,648 rows in 170 calls
+        # with two calls and two rows per replaced pair)
         monkeypatch.delenv("SENSYN_SEED", raising=False)
         rows, calls = [0], [0]
 
@@ -317,7 +330,7 @@ class TestBatchEngine:
         monkeypatch.chdir(tmp_path)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["bounds", "--model", "example4", "--n", "10000"]) == 0
-        assert (rows[0], calls[0]) == (113_324, 130)
+        assert (rows[0], calls[0]) == (90_000, 90)
 
     def test_example1_reads_its_gradients_off_each_design(self, tmp_path, monkeypatch):
         short = [0]  # design pairs closer than h: one forward-difference row each

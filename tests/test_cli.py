@@ -67,6 +67,24 @@ class TestAnalyze:
         np.testing.assert_allclose(upper[:2], 0.289, atol=0.02)
         np.testing.assert_allclose(upper[2:], 0.237, atol=0.02)
 
+    @pytest.mark.parametrize("argv, window", [
+        (["--model", "example4"], 0.0),
+        (["--model", "example1", "--noise", "1", "--methods", "gas"], 0.0),
+        (["--model", "example2", "--methods", "sobol,gas"], 0.35),
+        (["--model", "example4", "--methods", "sobol,dgsm"], None)],
+        ids=["example4", "example1-noisy", "example2", "no-gas"])
+    def test_meta_records_the_default_window(self, argv, window, tmp_path):
+        # the window of the model's own default, the bytes of that window given
+        blobs = []
+        for extra in ([], [] if window is None else ["--slope-window", str(window)]):
+            out = tmp_path / f"r{len(blobs)}.json"
+            assert main(["analyze", *argv, "--n", "500", "--seed", "3", *extra,
+                         "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        meta = json.loads(blobs[0])["meta"]
+        assert (meta["schema_version"], meta["slope_window"]) == (2, window)
+
     def test_strict_threshold_rule(self, tmp_path):
         out = tmp_path / "g.json"
         code = main(["analyze", "--model", "example1", "--noise", "0",
@@ -519,6 +537,23 @@ class TestBoundsCommand:
         names = [c["name"] for c in data["bounds"]]
         assert "quadratic_identity" in names
 
+    @pytest.mark.parametrize("argv, window", [
+        (["--model", "example2", "--n", "2000"], 0.35),
+        (["--model", "example4", "--n", "2000"], 0.0),
+        (["--model", "quadratic", "--A", "diag:2,0", "--b", "0,1", "--n", "2000"], 0.0),
+        (["--model", "example1", "--n", "2000"], None)],
+        ids=["example2", "example4", "quadratic", "no-slope-matrix"])
+    def test_default_window_writes_the_bytes_of_that_window(self, argv, window, tmp_path):
+        # example2 is discontinuous and keeps window 0.35; the meta records
+        # the window, null where no check reads a slope matrix
+        blobs = []
+        for extra in ([], ["--slope-window", "0.35" if window is None else str(window)]):
+            out = tmp_path / f"b{len(blobs)}.json"
+            assert main(["bounds", *argv, "--seed", "2", *extra, "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["meta"]["slope_window"] == window
+
     def test_example2_bounds_with_kappa(self, tmp_path):
         out = tmp_path / "b2.json"
         code = main(["bounds", "--model", "example2", "--epsilon", "0.01",
@@ -600,6 +635,14 @@ class TestConvergenceCommand:
             assert table["full_match_fraction"][-1] == 1.0
         assert (tmp_path / "conv.svg").exists()
 
+    def test_gas_table_records_the_window(self, tmp_path):
+        out = tmp_path / "conv.json"
+        assert main(["convergence", "--model", "example4", "--sizes", "10,100",
+                     "--seeds", "2", "--out", str(out)]) == 0
+        sobol, gas = json.loads(out.read_text())["tables"]
+        assert "slope_window" not in sobol["meta"]
+        assert gas["meta"]["slope_window"] == 0.0
+
     def test_example2_reference_is_closed_form(self, tmp_path, model_rows):
         out = tmp_path / "conv.json"
         assert main(["convergence", "--model", "example2", "--sizes", "10,100",
@@ -619,6 +662,17 @@ class TestPlotCommand:
         main(["analyze", "--model", "example4", "--methods", "all",
               "--n", "1000", "--seed", "4", "--out", str(out)])
         return out
+
+    def test_version_1_report_draws_as_its_version_2(self, report_path, tmp_path):
+        data = json.loads(report_path.read_text())
+        del data["meta"]["schema_version"], data["meta"]["slope_window"]
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(data))
+        for kind in ("bars", "spectrum", "eigvec"):
+            for path in (report_path, old):
+                assert main(["plot", str(path), "--kind", kind,
+                             "--out", str(path.with_suffix(".svg"))]) == 0
+            assert old.with_suffix(".svg").read_bytes() == report_path.with_suffix(".svg").read_bytes()
 
     @pytest.mark.parametrize("kind", ["bars", "spectrum", "eigvec"])
     def test_kinds(self, report_path, tmp_path, kind):

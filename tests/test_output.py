@@ -90,6 +90,58 @@ class TestJson:
         assert json.loads(text)["all_passed"] is True
 
 
+class TestSchemaVersion:
+    """Version 2 added ``meta.schema_version`` and ``meta.slope_window``; a
+    version-1 report, which has neither, still reads and draws."""
+
+    def test_version_2_leads_meta_and_records_the_window(self, example4_report):
+        meta = report_to_dict(example4_report)["meta"]
+        assert list(meta)[0] == "schema_version" and meta["schema_version"] == 2
+        assert meta["slope_window"] == 0.0  # example4 is differentiable
+        sobol = build_report(make_example4(), seed=1, n=300, methods=("sobol",))
+        assert report_to_dict(sobol)["meta"]["slope_window"] is None
+        windowed = build_report(make_example4(), seed=1, n=300, slope_window=0.35)
+        assert report_to_dict(windowed)["meta"]["slope_window"] == 0.35
+        back = report_from_dict(json.loads(dumps_json(report_to_dict(windowed))))
+        assert back.slope_window == 0.35
+
+    def test_version_1_report_reads_without_a_window(self, example4_report):
+        v2 = json.loads(dumps_json(report_to_dict(example4_report)))
+        v1 = copy.deepcopy(v2)
+        del v1["meta"]["schema_version"], v1["meta"]["slope_window"]
+        old, new = report_from_dict(v1), report_from_dict(v2)
+        assert (old.slope_window, new.slope_window) == (None, 0.0)
+        assert replace(old, slope_window=0.0) == new
+        for chart in (bars_chart, spectrum_chart, eigvec_chart):
+            assert chart(old) == chart(new)
+        v1["meta"]["schema_version"] = 1  # an explicit version 1 reads alike
+        assert report_from_dict(v1) == old
+
+    @pytest.mark.parametrize("version, message", [
+        (3, "meta.schema_version is 3, not 1 or 2"),
+        (2.0, "meta.schema_version is 2.0, not an integer"),
+        (None, "meta.schema_version is None, not an integer")])
+    def test_other_versions_are_refused(self, example4_report, version, message):
+        data = json.loads(dumps_json(report_to_dict(example4_report)))
+        data["meta"]["schema_version"] = version
+        with pytest.raises(InputDomainError, match=f"^{message}$"):
+            report_from_dict(data)
+
+    def test_version_2_needs_the_window(self, example4_report):
+        data = json.loads(dumps_json(report_to_dict(example4_report)))
+        del data["meta"]["slope_window"]
+        with pytest.raises(InputDomainError, match="^meta.slope_window is missing$"):
+            report_from_dict(data)
+
+    def test_convergence_gas_table_records_the_window(self):
+        model = make_linear([1.0, 4.0])
+        tables = {method: convergence_to_dict(convergence_study(
+            model, method, (16, 64), 2, rank([1.0, 4.0])))
+            for method in ("upper_sobol", "gas_scores")}
+        assert tables["gas_scores"]["meta"]["slope_window"] == 0.0
+        assert "slope_window" not in tables["upper_sobol"]["meta"]
+
+
 class TestCsv:
     def test_layout_and_column_count(self, example4_report):
         text = report_to_csv(example4_report)

@@ -301,10 +301,20 @@ class TestSharedDesign:
         rows = counting_rows(monkeypatch)
         replaced = counting_partners(monkeypatch)
         n, d = 10_000, 4
-        build_report(make_example4(), seed=0, n=n)
+        built = build_report(make_example4(), seed=0, n=n)
         # design f(z), f(v_i, z_-i): n*(d+1); lower estimator's third point
         # f(w), f(z_i, w_-i): n*(d+1); gradients at the design's base: n*d;
-        # slope matrix: one row per design pair inside the slope window
+        # slope matrix: one row per design pair inside the slope window, none
+        # at a differentiable model's default window of 0
+        assert rows[0] == n * (d + 1) + n * (d + 1) + n * d + replaced[0]
+        assert (rows[0], replaced[0]) == (140_000, 0)
+        assert built.slope_window == 0.0
+
+    def test_example4_row_count_at_a_window(self, monkeypatch):
+        rows = counting_rows(monkeypatch)
+        replaced = counting_partners(monkeypatch)
+        n, d = 10_000, 4
+        build_report(make_example4(), seed=0, n=n, slope_window=0.35)
         assert rows[0] == n * (d + 1) + n * (d + 1) + n * d + replaced[0]
         assert (rows[0], replaced[0]) == (163_105, 23_105)
         # P(|u - u'| < 0.35) = 1 - 0.65**2 for two unit uniforms
@@ -336,7 +346,7 @@ class TestSharedDesign:
         # on the design path the slope matrix is the gradient matrix
         assert seen["GAS"].tobytes() == seen["AS"].tobytes()
         monkeypatch.setattr(report, "noise_free_multilinear", lambda model: False)
-        fd = build_report(model, seed=11, n=20_000)
+        fd = build_report(model, seed=11, n=20_000, slope_window=0.35)
         np.testing.assert_allclose(read.dgsm_raw, fd.dgsm_raw, rtol=1e-12, atol=0.0)
         a, b = read.subspaces["as"], fd.subspaces["as"]
         np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=0.0,
@@ -384,8 +394,12 @@ class TestSharedDesign:
              one_layout_lower_sobol(model, 400, RngStream(seed))),
             (gradient_matrix(model, 300, 1e-3, RngStream(seed)),
              former_gradient_matrix(model, 300, 1e-3, RngStream(seed))),
-            (estimate_c_gas(model, 300, 1, RngStream(seed)),
+            (estimate_c_gas(model, 300, 1, RngStream(seed), slope_window=0.35),
              former_estimate_c_gas(model, 300, 1, RngStream(seed))),
+            # the default window: 0 for a differentiable model, 0.35 otherwise
+            (estimate_c_gas(model, 300, 1, RngStream(seed)),
+             former_estimate_c_gas(model, 300, 1, RngStream(seed),
+                                   slope_window=0.0 if model.differentiable else 0.35)),
             (estimate_c_gas(model, 200, 3, RngStream(seed), slope_window=0.6),
              former_estimate_c_gas(model, 200, 3, RngStream(seed), slope_window=0.6)),
         ]
@@ -619,9 +633,10 @@ class TestConvergenceStudy:
                                           fewer.score_vectors[(100, k)])
             sample, = subspace.slope_vectors(model, 400, 1,
                                              RngStream(5).substream(k))
+            assert table.slope_window == sample.slope_window == 0.0
             for size in (10, 100):
                 prefix = SlopeSample(model, sample.z[:size],
-                                     sample.slopes[:size], 0.35)
+                                     sample.slopes[:size], sample.slope_window)
                 np.testing.assert_allclose(
                     table.score_vectors[(size, k)],
                     np.diag(prefix.matrix()), rtol=1e-12)
@@ -635,10 +650,15 @@ class TestConvergenceStudy:
         convergence_study(model, "upper_sobol", sizes, n_seeds, reference)
         assert rows[0] == n_seeds * 1000 * (d + 1)
         rows[0] = 0
-        convergence_study(model, "gas_scores", sizes, n_seeds, reference)
+        convergence_study(model, "gas_scores", sizes, n_seeds, reference,
+                          slope_window=0.35)
         # a redrawn slope partner is evaluated in its column, at no extra row
         assert rows[0] == n_seeds * 1000 * (d + 1)
         assert 0 < replaced[0] < n_seeds * 1000 * d
+        rows[0] = replaced[0] = 0
+        # and the default window of 0 redraws none
+        convergence_study(model, "gas_scores", sizes, n_seeds, reference)
+        assert (rows[0], replaced[0]) == (n_seeds * 1000 * (d + 1), 0)
 
     def test_table_shape(self):
         model = make_linear([1.0, 5.0])

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from sensyn import (EmptySlopeWindowError, InputDomainError, Model, Normal,
-                    RngStream,
-                    SpectralDecomposition, Uniform, analytic_anova,
+from sensyn import (DEFAULT_SLOPE_WINDOW, EmptySlopeWindowError, InputDomainError,
+                    Model, Normal, RngStream,
+                    SpectralDecomposition, Uniform, analytic_anova, build_report,
                     c_as_from_gradients, dgsm_from_gradients, estimate_c_as,
                     estimate_c_gas, gradient_matrix, indicator_upper_sobol,
                     make_example1, make_example2, make_example4, make_linear,
                     make_quadratic_normal, normalized_cumsum, rank, scores,
                     subspace_analysis, sym_eig)
 from sensyn.bounds import batch_statistics
-from sensyn import subspace
+from sensyn import report, subspace
 from sensyn.models import sample_inputs
 from sensyn.subspace import DesignSlopes, _partners, slope_vectors
 
@@ -121,7 +121,7 @@ class TestSlopeMatrix:
     def test_quadratic_diagonal_unbiased_with_window(self):
         matrix = estimate_c_gas(
             make_quadratic_normal(np.diag([2.0, 0.0]), [0.0, 1.0]),
-            100_000, 1, RngStream(8))
+            100_000, 1, RngStream(8), slope_window=0.35)
         np.testing.assert_allclose(np.diag(matrix), [2.0, 1.0], rtol=0.02)
 
     def test_example1_full_rank_scores_match_analytic_ranking(self):
@@ -559,6 +559,59 @@ class TestSlopeOracle:
         # exact entries (linear inputs) carry only round-off
         tol = np.maximum(6.0 * se, 1e-12 * np.abs(want).max())
         assert np.all(np.abs(mean - want) <= tol), (mean - want) / np.maximum(se, 1e-300)
+
+
+def _within_six_se(runs, want):
+    """Whether the mean of the replicate matrices ``runs`` lies within six
+    of its standard errors of ``want`` in every entry (exact entries within
+    round-off)."""
+    runs = np.asarray(runs)
+    se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
+    tol = np.maximum(6.0 * se, 1e-12 * np.abs(want).max())
+    return np.all(np.abs(runs.mean(axis=0) - want) <= tol)
+
+
+class TestDefaultWindow:
+    """Without a window the slope matrix is the paper's: window 0 for a
+    differentiable model, ``DEFAULT_SLOPE_WINDOW`` for a discontinuous one."""
+
+    REPLICATES = 20
+
+    def test_window_follows_the_model(self):
+        assert subspace._slope_window(make_example4(), None) == 0.0
+        assert subspace._slope_window(make_example1(1.0), None) == 0.0
+        assert subspace._slope_window(make_example2(), None) == DEFAULT_SLOPE_WINDOW == 0.35
+        assert subspace._slope_window(make_example2(), 0.0) == 0.0  # an explicit window wins
+
+    def test_example4_report_is_the_window_0_closed_form(self, monkeypatch):
+        seen = []
+
+        def recording(kind, matrix, *args, _fn=report._decompose):
+            if kind == "GAS":
+                seen.append(matrix)
+            return _fn(kind, matrix, *args)
+        monkeypatch.setattr(report, "_decompose", recording)
+        reports = [build_report(make_example4(), seed=seed, n=5_000)
+                   for seed in range(self.REPLICATES)]
+        assert {r.slope_window for r in reports} == {0.0}
+        want = example4_c_gas(0.0)
+        assert _within_six_se(seen, want)
+        # C22 is 1.576 at window 0 and 1.178 at 0.35, C11 1.222 at both
+        assert not _within_six_se(seen, example4_c_gas(0.35))
+        # so the full-rank scores rank input 2 above input 1, by more than
+        # six standard errors of their mean gap and in every replicate
+        gaps = np.array([r.subspaces["gas"].scores_full[1] - r.subspaces["gas"].scores_full[0]
+                         for r in reports])
+        assert gaps.mean() > 6.0 * gaps.std(ddof=1) / np.sqrt(len(gaps))
+        assert np.all(gaps > 0.0)
+        assert gaps.mean() == pytest.approx(want[1, 1] - want[0, 0], abs=0.05)
+
+    def test_noisy_example1_fresh_path_is_its_gradient_matrix(self):
+        # the shared noise draw cancels inside every quotient, so no window
+        # is needed to keep them finite
+        runs = [estimate_c_gas(make_example1(1.0), 2_000, 1, RngStream(43).substream(r))
+                for r in range(self.REPLICATES)]
+        assert _within_six_se(runs, example1_c_gas())
 
 
 class TestLargeWindow:
