@@ -14,10 +14,10 @@
 All checks of a run are pure functions of one set of ten independent
 replicate batches (:func:`batch_statistics`).  Each batch draws one
 pick-freeze design and reads every statistic the checks need from its rows:
-sigma2 and the upper indices, the slope matrix of a noise-free model (its
-first draws are the design's pairs), and the gradients (the design's
-quotients for a noise-free multilinear model, else forward differences from
-its base points).  The ten slope matrices are decomposed as one stack, in one
+sigma2 and the upper indices, the slope matrix (its first draws are the
+design's pairs, read on their noise-free outputs), and the gradients (the
+design's quotients for a noise-free multilinear model, else forward
+differences from its base points).  The ten slope matrices are decomposed as one stack, in one
 Jacobi pass, and so are the ten gradient matrices; a noise-free multilinear
 model's slope matrices are its gradient matrices.  A check passes when the
 slack ``rhs - lhs`` is no more negative than five combined batch-means
@@ -53,7 +53,7 @@ from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
 from .subspace import (DesignSlopes, _slope_window, c_as_from_gradients,
-                       estimate_c_gas, psd_spectrum, scores)
+                       psd_spectrum, scores)
 from .variance import PickFreeze, upper_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
@@ -131,17 +131,17 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     any other model, ``gas`` keeps the design's pairs that clear the slope
     window (by default 0 for a differentiable model, so every pair, and
     ``DEFAULT_SLOPE_WINDOW`` otherwise) and redraws the partners of the
-    others on substream 1, where a stochastic model, whose common-mode noise
-    must cancel, draws its own slope matrix instead; ``gradients`` takes
-    forward differences from the design's z and f(z), on substream 3.
-    A noise-free batch costs n*(d+1) rows, plus on a multilinear model one
-    per design pair closer than h and the design gradients' probe of its
-    promise, min(n, 8) rows per input, and on any other one per redrawn
-    slope partner with ``gas`` (none at window 0) and n*d with
-    ``gradients``, so example4's ten batches of n = 1,000 with both cost
-    90,000 rows.  Only vectors and
-    d x d matrices outlive a batch.  A model with an ``output_range`` has
-    every design output checked against it, at no row's cost, since
+    others on substream 1, on the design's noise-free outputs, so a
+    stochastic model's slope matrix is that of its noise-free part;
+    ``gradients`` takes forward differences from the design's z and f(z),
+    noise included, on substream 3.  A batch costs n*(d+1) rows, plus on a
+    noise-free multilinear model one per design pair closer than h and the
+    design gradients' probe of its promise, min(n, 8) rows per input, and
+    on any other one per redrawn slope partner with ``gas`` (none at window
+    0) and n*d with ``gradients``, so example4's ten batches of n = 1,000
+    with both cost 90,000 rows.  Only vectors and d x d matrices outlive a
+    batch.  A model with an ``output_range`` has every noise-free design
+    output checked against it, at no row's cost, since
     :func:`gas_bound_general` takes its kappa from that range; an output
     outside it raises :class:`~sensyn.errors.ModelOutputError`.
     """
@@ -155,19 +155,17 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
     for b in range(N_BATCHES):
         batch = rng.substream(100 + b)
         design = PickFreeze(model, n, batch.substream(0))
-        _check_range(model, design.fz)
-        slopes = (DesignSlopes(model, design.z, design.fz, batch.substream(1), slope_window)
-                  if gas and model.noise_scale == 0.0 and not exact else None)
-        grads = (DesignGradients(model, design.z, design.fz, h)
+        _check_range(model, design.clean_fz)
+        slopes = (DesignSlopes(model, design.z, design.clean_fz, batch.substream(1), slope_window)
+                  if gas and not exact else None)
+        grads = (DesignGradients(model, design.z, design.clean_fz, h)
                  if (gas or gradients) and exact else None)
         up, s2 = upper_from_design(
             design, on_column=[column_in_range, *(c for c in (slopes, grads) if c is not None)])
         upper.append(up)
         sigma2.append(s2)
-        if gas and not exact:
-            c_gas.append(estimate_c_gas(model, n, 1, batch.substream(1),
-                                        slope_window=slope_window)
-                         if slopes is None else slopes.matrix())
+        if slopes is not None:
+            c_gas.append(slopes.matrix())
         if grads is not None or gradients:
             g = (gradient_matrix(model, n, h, batch.substream(3),
                                  base=(design.z, design.fz))

@@ -237,10 +237,10 @@ def cmd_convergence(args, model) -> int:
         reference = rank(oracle.upper)
     else:  # every other built-in is example2, whose ridge gives exact indices
         reference = rank(indicator_upper_sobol(model.reference_direction))
-    tables = [convergence_study(model, method, args.sizes, args.seeds, reference,
-                                base_seed=args.seed, slope_window=args.slope_window)
-              for name, method in (("sobol", "upper_sobol"), ("gas", "gas_scores"))
-              if name in args.methods]
+    methods = [method for name, method in (("sobol", "upper_sobol"), ("gas", "gas_scores"))
+               if name in args.methods]
+    tables = convergence_study(model, methods, args.sizes, args.seeds, reference,
+                               base_seed=args.seed, slope_window=args.slope_window)
     out = Path(args.out if args.out else f"{args.model}_convergence.json")
     payload = {"tables": [output.convergence_to_dict(t) for t in tables]}
     output.write_text(out, output.dumps_json(payload) + "\n")

@@ -82,15 +82,19 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     points and draw the third, and its noise, on the design's own
     substreams 3 and 4 (:func:`~sensyn.variance.sobol_from_design`), and
     its gradients are forward differences from the design's z and f(z),
-    n*d rows.  With ``gas``, ``m1 == n``, ``m2 == 1`` and no noise, its
-    slope matrix keeps each design pair (z_i, v_i) that clears the slope
-    window and redraws the partner of the others
+    n*d rows.  With ``gas``, ``m1 == n`` and ``m2 == 1``, its slope matrix
+    keeps each design pair (z_i, v_i) that clears the slope window and
+    redraws the partner of the others on substream 3
     (:class:`~sensyn.subspace.DesignSlopes`); at a differentiable model's
-    default window of 0 no partner is redrawn.  A stochastic model needs its
-    common-mode noise, so then, as without ``sobol``, the slope matrix draws
-    its own samples on substream 3 and the gradients theirs on substream 2.
-    For example4 at n = 10,000 this takes the report from 283,023 model
-    rows to 140,000.
+    default window of 0 no partner is redrawn.  It reads the design's
+    noise-free outputs, so a stochastic model's slope matrix is that of its
+    noise-free part, while every other estimate reads the noisy outputs.
+    This takes example4 at n = 10,000 from 283,023 model rows, when each
+    method drew its own points, to 140,000, and example1 with noise 1 from
+    430,000 to 320,000.  Without ``sobol``, or with another m1 or m2, the
+    slope matrix draws its own samples on substream 3
+    (:func:`~sensyn.subspace.estimate_c_gas`) and the gradients theirs on
+    substream 2.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
@@ -112,8 +116,7 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     base = c_gas = g = None
 
     if "sobol" in methods:
-        share_gas = ("gas" in methods and m1 == n and m2 == 1
-                     and model.noise_scale == 0.0)
+        share_gas = "gas" in methods and m1 == n and m2 == 1
         est, base, c_gas, g = _shared_design(model, n, h, root, share_gas,
                                              slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
@@ -150,18 +153,19 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 def _shared_design(model: Model, n: int, h: float, root: RngStream,
                    share_gas: bool, slope_window: float | None):
     """Sobol' estimates from one design, its base points and outputs, the
-    slope matrix read off it when ``share_gas`` (else None), and the
-    gradients of a noise-free multilinear model (else None)."""
+    slope matrix read off its noise-free outputs when ``share_gas`` (else
+    None), and the gradients of a noise-free multilinear model (else
+    None)."""
     design = PickFreeze(model, n, root.substream(1))
     base = design.z, design.fz
     if noise_free_multilinear(model):  # every quotient is the exact derivative
-        grads = DesignGradients(model, design.z, design.fz, h)
+        grads = DesignGradients(model, design.z, design.clean_fz, h)
         upper, sigma2 = upper_from_design(design, on_column=[grads])
         g = grads.matrix()
         est = SobolEstimate(lower=lower_from_gradients(g, model.marginals, sigma2),
                             upper=upper, sigma2_hat=sigma2, n=n, seed=design.rng.seed)
         return est, base, c_as_from_gradients(g) if share_gas else None, g
-    slopes = (DesignSlopes(model, design.z, design.fz, root.substream(3), slope_window)
+    slopes = (DesignSlopes(model, design.z, design.clean_fz, root.substream(3), slope_window)
               if share_gas else None)
     est = sobol_from_design(design, on_column=[] if slopes is None else [slopes])
     return est, base, None if slopes is None else slopes.matrix(), None
@@ -190,29 +194,37 @@ def _summary(result: SubspaceResult) -> SubspaceSummary:
                            normalize(sel), normalize(full))
 
 
-def convergence_study(model: Model, method: str, sizes, n_seeds: int,
+def convergence_study(model: Model, method, sizes, n_seeds: int,
                       reference, *, base_seed: int = 0,
-                      slope_window: float | None = None) -> ConvergenceTable:
+                      slope_window: float | None = None):
     """Fraction of seeds whose ranking matches a reference, per sample size.
 
     ``method`` is ``"upper_sobol"`` (pick-freeze indices) or ``"gas_scores"``
-    (full-rank slope scores with one freeze vector per base point).  Both a
-    full-permutation match and a softer top-3 match are recorded; tiny-sample
-    rankings of near-tied inputs make the full match a harsh yardstick.
+    (full-rank slope scores with one freeze vector per base point), and the
+    study returns its table; a sequence of those names returns their tables
+    in its order.  Both a full-permutation match and a softer top-3 match
+    are recorded; tiny-sample rankings of near-tied inputs make the full
+    match a harsh yardstick.
 
     Seed k draws one design at the largest size on substream k of
     ``RngStream(base_seed)``, and every size reduces the first ``size`` rows
     of it.  The rows are i.i.d., so each size's estimate has the law of one
     drawn at that size alone (the sizes' estimates of one seed are
-    correlated), and a seed costs the rows of its largest size only.  For
+    correlated), and a seed costs the rows of its largest size only.  With
     ``upper_sobol`` that design is a :class:`PickFreeze`, and each size's
     scores are those of ``upper_sobol(model, size, stream)`` on the same
-    stream (:func:`prefix_upper`); for ``gas_scores`` it is the slope
-    sample of :func:`slope_vectors`, and each size's scores are the weighted
-    mean of its prefix's squared slopes, the diagonal of the slope matrix of
-    those rows (:meth:`~sensyn.subspace.SlopeSample.diagonal`), at
-    ``slope_window`` or by default the model's, which the table records.
+    stream (:func:`prefix_upper`).  With ``gas_scores`` too, the slope
+    scores are read off the same design (:class:`DesignSlopes`, on the
+    noise-free outputs, its partner redraws on substream 5 of the seed's
+    stream): n_max*(d+1) rows per seed for both tables, plus one per
+    redrawn partner.  Alone, ``gas_scores`` draws the slope sample of
+    :func:`slope_vectors`, which redraws a partner at no row's cost.
+    Either way each size's scores are the weighted mean of its prefix's
+    squared slopes, the diagonal of the slope matrix of those rows
+    (:meth:`~sensyn.subspace.SlopeSample.diagonal`), at ``slope_window``
+    or by default the model's, which the table records.
     """
+    methods = (method,) if isinstance(method, str) else tuple(method)
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise InputDomainError("need at least one sample size")
@@ -222,7 +234,8 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
         raise InputDomainError(f"every sample size must be at least 2, got {sizes[0]}")
     if n_seeds < 1:
         raise InputDomainError(f"need at least one seed, got {n_seeds}")
-    if method not in ("upper_sobol", "gas_scores"):
+    if (not methods or len(set(methods)) < len(methods)
+            or not set(methods) <= {"upper_sobol", "gas_scores"}):
         raise InputDomainError("method must be 'upper_sobol' or 'gas_scores'")
     reference = np.asarray(reference)
     if (reference.shape != (model.d,)
@@ -230,19 +243,35 @@ def convergence_study(model: Model, method: str, sizes, n_seeds: int,
         raise InputDomainError("reference must be a permutation of 1..d")
     reference = reference.astype(int)
 
-    slope_window = _slope_window(model, slope_window) if method == "gas_scores" else None
+    gas = "gas_scores" in methods
+    slope_window = _slope_window(model, slope_window) if gas else None
     root = RngStream(base_seed)
-    values = np.empty((n_seeds, len(sizes), model.d))
+    values = {m: np.empty((n_seeds, len(sizes), model.d)) for m in methods}
     for seed_idx in range(n_seeds):
         cell = root.substream(seed_idx)
-        if method == "upper_sobol":
-            values[seed_idx] = prefix_upper(PickFreeze(model, sizes[-1], cell),
-                                            sizes)
+        if "upper_sobol" in methods:
+            design = PickFreeze(model, sizes[-1], cell)
+            # substreams 0-4 are the design's (PickFreeze)
+            slopes = (DesignSlopes(model, design.z, design.clean_fz, cell.substream(5),
+                                   slope_window) if gas else None)
+            values["upper_sobol"][seed_idx] = prefix_upper(
+                design, sizes, on_column=[slopes] if gas else [])
         else:
-            sample, = slope_vectors(model, sizes[-1], 1, cell, slope_window)
+            slopes, = slope_vectors(model, sizes[-1], 1, cell, slope_window)
+        if gas:
             for si, size in enumerate(sizes):
-                values[seed_idx, si] = sample.diagonal(size)
+                values["gas_scores"][seed_idx, si] = slopes.diagonal(size)
 
+    tables = [_convergence_table(model, m, sizes, n_seeds, reference, values[m],
+                                 slope_window if m == "gas_scores" else None)
+              for m in methods]
+    return tables[0] if isinstance(method, str) else tables
+
+
+def _convergence_table(model: Model, method: str, sizes: tuple, n_seeds: int,
+                       reference: np.ndarray, values: np.ndarray,
+                       slope_window: float | None) -> ConvergenceTable:
+    """The table of one method's (n_seeds, len(sizes), d) scores."""
     ranks: dict = {}
     score_vectors: dict = {}
     full = np.zeros(len(sizes))

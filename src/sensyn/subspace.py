@@ -39,16 +39,20 @@ noise-free models:
   the first draw (:class:`DesignSlopes`); there are no redraw rounds.  The
   weighted matrix need not be PSD; :func:`psd_spectrum` clamps the
   spectrum the scores read.
-* evaluation noise is drawn once per replicate and shared by the replicate's
-  evaluations, so common-mode noise cancels inside each difference quotient.
-  This is what keeps the slope matrix stable on stochastic models while
-  derivative measures degrade, and why a noisy differentiable model needs
-  no window either.
+* evaluation noise never enters a quotient.  A fresh sample
+  (:func:`slope_vectors`) draws one noise variate per base point and shares
+  it by the point's evaluations, so common-mode noise cancels inside each
+  quotient; a design (:class:`DesignSlopes`) reads the noise-free outputs
+  that a :class:`~sensyn.variance.PickFreeze` evaluates before it adds the
+  noise, so a noisy model's matrix there is its noise-free part's, byte for
+  byte.  This is what keeps the slope matrix stable on stochastic models
+  while derivative measures degrade, and why a noisy differentiable model
+  needs no window either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -397,29 +401,31 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
 
 
 class DesignSlopes(SlopeSample):
-    """The slope matrix of a noise-free pick-freeze design, gathered one
-    freeze column at a time.
+    """The slope matrix of a pick-freeze design, gathered one freeze column
+    at a time.
 
-    Called with ``(i, v_i, f(v_i, z_-i))`` for each input in turn, it
+    Called with ``(i, v_i, f0(v_i, z_-i))`` for each input in turn, where
+    f0 is the model's noise-free part (the outputs a
+    :class:`~sensyn.variance.PickFreeze` hands its column consumers), it
     keeps the quotient of every first-draw pair ``(z_i, v_i)`` that clears
     the separation floor and notes the others.  Their partners are redrawn
     a group of inputs at a time (:class:`_PartnerRedraws`, on ``rng``), and
-    each input's redrawn rows are evaluated in one call: a redrawn pair
-    costs one row, and a base with no admissible partner none (its
+    each input's redrawn rows are evaluated in one call of f0: a redrawn
+    pair costs one row, and a base with no admissible partner none (its
     quotient is 0); at a differentiable model's default window of 0 no
     pair is redrawn.  The matrix is weighted as in :class:`SlopeSample`.
-    Common-mode noise cannot be shared with a design whose evaluations drew
-    their own noise, so a stochastic model is refused.  A noise-free
-    multilinear model needs none of this: its every quotient is the exact
-    partial derivative, so the estimators read its slope matrix off the
-    design's gradients (:class:`~sensyn.dgsm.DesignGradients`) and draw no
-    partner.
+    ``fz`` is f0(z), so a stochastic model's matrix is that of its
+    noise-free part, whose quotients the shared noise draw of
+    :func:`slope_vectors` gives up to rounding.  A noise-free multilinear
+    model needs none of this: its every quotient is the exact partial
+    derivative, so the estimators read its slope matrix off the design's
+    gradients (:class:`~sensyn.dgsm.DesignGradients`) and draw no partner.
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,
                  rng: RngStream, slope_window: float | None = None):
         if model.noise_scale > 0.0:
-            raise InputDomainError("a design's slopes need a noise-free model")
+            model = replace(model, noise_scale=0.0)
         super().__init__(model, z, np.empty(z.shape), _slope_window(model, slope_window))
         self.fz = fz
         self.redraws = _PartnerRedraws(model, z, self.gaps, rng.substream(_REDRAW))

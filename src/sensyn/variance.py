@@ -24,7 +24,7 @@ array of outputs is held.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +66,16 @@ class PickFreeze:
     f(z), and per input i a fresh coordinate v_i whose output f(v_i, z_-i)
     :meth:`columns` evaluates when it is reached.
 
+    Every row is evaluated once, through the model's noise-free part f0
+    (``clean``, the model itself when it is noise-free), and a stochastic
+    model's noise ``noise_scale * eps`` is then added here, from the draws
+    :meth:`~sensyn.models.Model.evaluate` would take on the same
+    substreams, so ``fz`` and each f(v_i, z_-i) have the bytes of evaluating
+    the model itself.  ``clean_fz`` = f0(z) and the noise-free column
+    outputs serve the slope and gradient consumers, for which common-mode
+    noise would cancel anyway; for a noise-free model they are the same
+    arrays as the outputs, so the design costs no extra pass.
+
     Substreams of ``rng``: 0 the base, 2 the noise (child 0 for f(z)), and
     the freeze column of input i on child i of 1 with noise child i + 1.
     :func:`sobol_from_design` draws its third point on 3 and that point's
@@ -80,12 +90,17 @@ class PickFreeze:
         if n < 2:
             raise InputDomainError("pick-freeze estimation needs n >= 2")
         self.model, self.n, self.rng = model, n, rng
+        self.clean = replace(model, noise_scale=0.0) if model.noise_scale > 0.0 else model
         self.z = sample_inputs(model, n, rng.substream(_BASE))
         self.noise = rng.substream(_NOISE)
-        self.fz = model.evaluate(self.z, rng=self.noise.substream(0))
+        self.clean_fz = self.clean.evaluate(self.z)
+        eps = self.noise.substream(0).standard_normals(n) if model.noise_scale > 0.0 else None
+        self.fz = _with_noise(model, self.clean_fz, eps)
 
     def columns(self):
-        """Yield ``(i, v_i, f(v_i, z_-i))`` for every input in turn.
+        """Yield ``(i, v_i, f(v_i, z_-i), f0(v_i, z_-i))`` for every input in
+        turn: the outputs and their noise-free part (one array for a
+        noise-free model).
 
         ``z`` holds v_i only while column i is evaluated, so it is the base
         again whenever a column is handed out; ``v_i`` shares memory with no
@@ -96,7 +111,14 @@ class PickFreeze:
                               [freeze.substream(i) for i in range(model.d)], n)
         noise = noise_columns(model, n, self.noise)
         for i, (v, eps) in enumerate(zip(values, noise)):
-            yield i, v, model.evaluate_column(self.z, i, v, noise=eps)
+            clean = self.clean.evaluate_column(self.z, i, v)
+            yield i, v, _with_noise(model, clean, eps), clean
+
+
+def _with_noise(model: Model, clean: np.ndarray, eps: np.ndarray | None) -> np.ndarray:
+    """``clean`` plus ``noise_scale * eps``, as :meth:`~sensyn.models.Model.evaluate`
+    adds it; ``clean`` itself when ``eps`` is None (a noise-free model)."""
+    return clean if eps is None else clean + model.noise_scale * eps
 
 
 def _checked_variance(fz: np.ndarray, what: str) -> float:
@@ -114,14 +136,15 @@ def upper_from_design(design: PickFreeze,
                       on_column=()) -> tuple[np.ndarray, float]:
     """Upper indices of a design, and the variance of f(z) that normalizes
     them.  Each callable of ``on_column`` is called as
-    ``(i, v_i, f(v_i, z_-i))`` with every freeze column after its index is
+    ``(i, v_i, f0(v_i, z_-i))``, f0 the model's noise-free part
+    (:class:`PickFreeze`), with every freeze column after its index is
     reduced; the callables share ``v_i``, so none may overwrite it."""
     sigma2 = _checked_variance(design.fz, "upper Sobol' indices")
     out = np.empty(design.model.d)
-    for i, v, fv in design.columns():
+    for i, v, fv, clean in design.columns():
         out[i] = _upper(design.fz, fv, sigma2)
         for consumer in on_column:
-            consumer(i, v, fv)
+            consumer(i, v, clean)
     return out, sigma2
 
 
@@ -136,20 +159,24 @@ def upper_sobol(model: Model, n: int, rng: RngStream) -> np.ndarray:
     return upper_from_design(PickFreeze(model, n, rng))[0]
 
 
-def prefix_upper(design: PickFreeze, sizes) -> np.ndarray:
+def prefix_upper(design: PickFreeze, sizes, on_column=()) -> np.ndarray:
     """Upper indices of each prefix of a design: row k of the
     (len(sizes), d) result reduces the first ``sizes[k]`` rows, normalized
     by their own variance.  ``sizes`` increase, the last at most
     ``design.n``.  A design's rows are drawn in order, so on a design of
     :func:`upper_sobol` row k is what that function gives at ``sizes[k]``
     on the same stream, up to rounding where the model's output at a row
-    depends on the batch length (a BLAS matrix-vector product's does)."""
+    depends on the batch length (a BLAS matrix-vector product's does).
+    ``on_column`` sees every whole freeze column, as in
+    :func:`upper_from_design`."""
     sigma2 = [_checked_variance(design.fz[:s], "upper Sobol' indices")
               for s in sizes]
     out = np.empty((len(sizes), design.model.d))
-    for i, _, fv in design.columns():
+    for i, v, fv, clean in design.columns():
         for k, s in enumerate(sizes):
             out[k, i] = _upper(design.fz[:s], fv[:s], sigma2[k])
+        for consumer in on_column:
+            consumer(i, v, clean)
     return out
 
 
@@ -180,12 +207,12 @@ def sobol_from_design(design: PickFreeze, on_column=()) -> SobolEstimate:
     noise = design.rng.substream(_THIRD_NOISE)
     fw = model.evaluate(w, rng=noise.substream(0))
     upper, lower = np.empty(model.d), np.empty(model.d)
-    for (i, v, fv), eps in zip(design.columns(), noise_columns(model, n, noise)):
+    for (i, v, fv, clean), eps in zip(design.columns(), noise_columns(model, n, noise)):
         upper[i] = _upper(fx, fv, sigma2)
         fxw = model.evaluate_column(w, i, x[:, i], noise=eps)
         lower[i] = np.mean((fx - fv) * (fxw - fw)) / sigma2
         for consumer in on_column:
-            consumer(i, v, fv)
+            consumer(i, v, clean)
     return SobolEstimate(lower=lower, upper=upper, sigma2_hat=sigma2, n=n,
                          seed=design.rng.seed)
 

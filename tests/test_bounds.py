@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from sensyn import (InputDomainError, Model, ModelOutputError, RngStream,
-                    Uniform, bounds, cli,
+                    Uniform, bounds, c_as_from_gradients, cli, gradient_matrix,
                     make_example1, make_example2, make_example4, make_linear,
-                    make_quadratic_normal, subspace, variance)
+                    make_quadratic_normal, sample_inputs, subspace, variance)
 from sensyn.bounds import (N_BATCHES, BatchStatistics, applicable_checks,
                            batch_statistics, dgsm_bounds, gas_bound_general,
                            gas_bound_uniform, quadratic_identity)
-from sensyn.dgsm import PROBE_ROWS, DesignGradients
+from sensyn.dgsm import PROBE_ROWS, DesignGradients, dgsm_from_gradients
 
 
 def scaled(model, factor):
@@ -224,14 +224,16 @@ class TestScalingInvariance:
         np.testing.assert_array_equal(base.passed, big.passed)
 
 
-COUNTED = ("estimate_c_gas", "gradient_matrix")
-STANDALONE = ("upper_sobol", "estimate_variance")
+COUNTED = ("gradient_matrix",)
+STANDALONE = {"upper_sobol": variance, "estimate_variance": variance,
+              "estimate_c_gas": subspace}
 
 
 def count_engine_calls(monkeypatch):
     """Count the batch engine's pick-freeze designs, its calls of the counted
-    estimators, and any call of the standalone variance estimators."""
-    calls = dict.fromkeys(("PickFreeze",) + COUNTED + STANDALONE, 0)
+    estimators, and any call of the standalone variance and fresh slope
+    estimators."""
+    calls = dict.fromkeys(("PickFreeze",) + COUNTED + tuple(STANDALONE), 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -240,9 +242,9 @@ def count_engine_calls(monkeypatch):
         return counted
     for name in COUNTED:
         monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
-    for name in STANDALONE:
-        wrapper = counting(name, getattr(variance, name))
-        monkeypatch.setattr(variance, name, wrapper)
+    for name, module in STANDALONE.items():
+        wrapper = counting(name, getattr(module, name))
+        monkeypatch.setattr(module, name, wrapper)
         monkeypatch.setattr(bounds, name, wrapper, raising=False)
     monkeypatch.setattr(variance.PickFreeze, "__init__",
                         counting("PickFreeze", variance.PickFreeze.__init__))
@@ -277,6 +279,25 @@ def run_bounds(argv, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["bounds", *argv, "--out", "b.json"]) == 0
     return calls, rows[0], replaced[0], read
+
+
+def model_evaluated_batch(model, n, h, batch):
+    """sigma2, the upper indices, the DGSM and the gradient matrix of one
+    batch whose design rows the model evaluates itself, noise included, in
+    the design's stream layout (:class:`~sensyn.variance.PickFreeze`)."""
+    stream = batch.substream(0)
+    z = sample_inputs(model, n, stream.substream(0))
+    noise = stream.substream(2)
+    fz = model.evaluate(z, rng=noise.substream(0))
+    sigma2 = float(np.var(fz, ddof=1))
+    upper = np.empty(model.d)
+    for i, dist in enumerate(model.marginals):
+        x = z.copy()
+        x[:, i] = dist.inv_cdf(stream.substream(1).substream(i).uniforms(n))
+        fv = model.evaluate(x, rng=noise.substream(i + 1))
+        upper[i] = np.mean((fz - fv) ** 2) / (2.0 * sigma2)
+    g = gradient_matrix(model, n, h, batch.substream(3), base=(z, fz))
+    return sigma2, upper, dgsm_from_gradients(g), c_as_from_gradients(g)
 
 
 def engine_calls(designs, c_gas, gradients):
@@ -411,12 +432,39 @@ class TestBatchEngine:
                                     tmp_path, monkeypatch)
         assert calls == engine_calls(N_BATCHES, 0, 0)
 
-    def test_noisy_model_draws_its_own_slope_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_noisy_model_reads_its_slope_matrix_off_each_design(self, k, monkeypatch):
         calls = count_engine_calls(monkeypatch)
-        stats = batch_statistics(make_example1(noise_scale=1.0), 200,
-                                 RngStream(4), gas=True)
-        assert calls == engine_calls(N_BATCHES, N_BATCHES, 0)
-        assert len(stats.c_gas) == N_BATCHES
+        rows = [0]
+
+        def counting_evaluate(self, z, *args, _fn=Model.evaluate, **kwargs):
+            rows[0] += len(z)
+            return _fn(self, z, *args, **kwargs)
+        model, n, h = make_example1(noise_scale=k), 200, 1e-3
+        with monkeypatch.context() as patch:
+            patch.setattr(Model, "evaluate", counting_evaluate)
+            stats = batch_statistics(model, n, RngStream(4), gas=True, gradients=True)
+        # one design per batch, whose pairs are the slope pairs: n(d+1) design
+        # rows and n*d gradient rows per batch, no slope sample of its own and,
+        # at the default window of 0, no redrawn partner (n(d+1) more rows per
+        # batch with a slope sample of its own)
+        assert calls == engine_calls(N_BATCHES, 0, N_BATCHES)
+        assert rows[0] == N_BATCHES * (n * (model.d + 1) + n * model.d) == 42_000
+        # the slope matrices are those of the noise-free model's design path,
+        # byte for byte: the common-mode noise is left out, not cancelled
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "noise_free_multilinear", lambda model: False)
+            clean = batch_statistics(make_example1(), n, RngStream(4), gas=True)
+        assert [c.tobytes() for c in stats.c_gas] == [c.tobytes() for c in clean.c_gas]
+        # sigma2, the upper indices and the gradient statistics read the noisy
+        # outputs, with the bytes of the model evaluating every row itself
+        for b in range(N_BATCHES):
+            sigma2, upper, dgsm, c_as = model_evaluated_batch(
+                model, n, h, RngStream(4).substream(100 + b))
+            assert stats.sigma2[b] == sigma2
+            assert stats.upper[b].tobytes() == upper.tobytes()
+            assert stats.dgsm[b].tobytes() == dgsm.tobytes()
+            assert stats.c_as[b].tobytes() == c_as.tobytes()
 
     def test_uniform_checks_read_the_same_spectra(self, tmp_path, monkeypatch):
         counted = []  # matrices decomposed, per call

@@ -462,13 +462,15 @@ class TestBlockedDraws:
         model, rng = mixed_model(noise_scale), RngStream(12)
         design = PickFreeze(model, n, rng)
         z = design.z.copy()
-        for i, v, fv in design.columns():
+        for i, v, fv, clean in design.columns():
             alone = MIXED_LAWS[i].inv_cdf(rng.substream(1).substream(i).uniforms(n))
             assert v.tobytes() == alone.tobytes()
             if noise_scale:
                 eps = rng.substream(2).substream(i + 1).standard_normals(n)
                 assert fv.tobytes() == eps.tobytes()
+                assert not clean.any()  # the noise-free part of 0 + 1 * eps
             else:
+                assert clean is fv
                 zi = z.copy()
                 zi[:, i] = alone
                 assert fv.tobytes() == model.eval_fn(zi).tobytes()

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
                     ModelOutputError, RngStream, Uniform, analytic_anova,
-                    build_report, cli, convergence_study, estimate_c_gas,
-                    gradient_matrix, lower_sobol, make_example1,
+                    build_report, c_as_from_gradients, cli, convergence_study,
+                    dgsm_from_gradients, estimate_c_gas, gradient_matrix,
+                    indicator_upper_sobol, lower_sobol, make_example1,
                     make_example2, make_example4, make_linear, normalize,
                     rank, report, sample_inputs, subspace, upper_sobol)
 from sensyn.dgsm import PROBE_ROWS, DesignGradients
+from sensyn.output import convergence_to_dict
 from sensyn.subspace import DesignSlopes, SlopeSample
 from sensyn.variance import (PickFreeze, lower_from_gradients, sobol_from_design,
                              upper_from_design)
@@ -238,6 +240,13 @@ def former_estimate_c_gas(model, m1, m2, rng, slope_window=0.35):
     return num / m2 / den
 
 
+def model_evaluated_base(model, n, rng):
+    """The base points z of a pick-freeze design on ``rng`` and f(z) as the
+    model itself evaluates them, noise included."""
+    z = sample_inputs(model, n, rng.substream(0))
+    return z, model.evaluate(z, rng=rng.substream(2).substream(0))
+
+
 def counting_rows(monkeypatch) -> list:
     """Count the rows every ``Model.evaluate`` call receives."""
     rows = [0]
@@ -406,12 +415,43 @@ class TestSharedDesign:
         for got, former in pairs:
             assert got.tobytes() == former.tobytes()
 
-    def test_noisy_model_keeps_its_own_slope_samples(self, monkeypatch):
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_noisy_model_reads_its_slope_matrix_off_the_design(self, k, monkeypatch):
         seen = recorded_matrices(monkeypatch)
-        model = make_example1(noise_scale=1.0)
-        build_report(model, seed=4, n=2_000)
-        alone = estimate_c_gas(model, 2_000, 1, RngStream(4).substream(3))
-        assert seen["GAS"].tobytes() == alone.tobytes()
+        model, n, seed, h = make_example1(noise_scale=k), 2_000, 4, 1e-3
+        read = build_report(model, seed=seed, n=n)
+        noisy = dict(seen)
+        # the slope matrix is the noise-free model's on its design path, byte
+        # for byte: the common-mode noise is left out, not cancelled
+        with monkeypatch.context() as patch:
+            patch.setattr(report, "noise_free_multilinear", lambda model: False)
+            build_report(make_example1(), seed=seed, n=n)
+        assert noisy["GAS"].tobytes() == seen["GAS"].tobytes()
+        # every other field reads the noisy outputs, with the bytes of the
+        # model evaluating each design row itself
+        root = RngStream(seed)
+        z, fz = model_evaluated_base(model, n, root.substream(1))
+        assert read.sigma2_hat == float(np.var(fz, ddof=1))
+        assert read.sobol_upper.tobytes() == former_upper_sobol(
+            model, n, root.substream(1)).tobytes()
+        assert read.sobol_lower.tobytes() == one_layout_lower_sobol(
+            model, n, root.substream(1)).tobytes()
+        g = gradient_matrix(model, n, h, root.substream(2), base=(z, fz))
+        assert read.dgsm_raw.tobytes() == dgsm_from_gradients(g).tobytes()
+        assert noisy["AS"].tobytes() == c_as_from_gradients(g).tobytes()
+
+    def test_noisy_example1_row_count(self, monkeypatch):
+        rows = counting_rows(monkeypatch)
+        replaced = counting_partners(monkeypatch)
+        n, d = 10_000, 10
+        build_report(make_example1(noise_scale=1.0), seed=0, n=n)
+        # the design: n*(d+1); the lower indices' third point: n*(d+1); the
+        # forward-difference gradients from the design's base: n*d; the slope
+        # matrix reads the design's pairs, and at the default window of 0
+        # redraws none (430,000 rows with a slope sample of its own, n*(d+1)
+        # more)
+        assert rows[0] == 2 * n * (d + 1) + n * d + replaced[0]
+        assert (rows[0], replaced[0]) == (320_000, 0)
 
     @pytest.mark.parametrize("model_args", [["--model", "example1", "--noise", "1"],
                                             ["--model", "example4"]])
@@ -659,6 +699,79 @@ class TestConvergenceStudy:
         # and the default window of 0 redraws none
         convergence_study(model, "gas_scores", sizes, n_seeds, reference)
         assert (rows[0], replaced[0]) == (n_seeds * 1000 * (d + 1), 0)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_both_tables_read_one_design_per_seed(self, k, monkeypatch):
+        model = make_example1(noise_scale=k)
+        sizes, n_seeds, d = (10, 100, 1000), 4, model.d
+        reference = rank(analytic_anova(model).upper)
+        both = ("upper_sobol", "gas_scores")
+        rows = counting_rows(monkeypatch)
+        replaced = counting_partners(monkeypatch)
+        sobol, gas = convergence_study(model, both, sizes, n_seeds, reference)
+        # one design per seed serves both tables, n_max*(d+1) rows, and at the
+        # default window of 0 no partner is redrawn (twice the rows with a
+        # slope sample of its own)
+        assert (rows[0], replaced[0]) == (n_seeds * 1000 * (d + 1), 0) == (44_000, 0)
+        # the upper_sobol table is the lone table's, byte for byte, and at the
+        # largest size that of the model evaluating each design row itself
+        alone = convergence_study(model, "upper_sobol", sizes, n_seeds, reference)
+        assert convergence_to_dict(sobol) == convergence_to_dict(alone)
+        for seed_idx in range(n_seeds):
+            former = former_upper_sobol(model, 1000, RngStream(0).substream(seed_idx))
+            assert sobol.score_vectors[(1000, seed_idx)].tobytes() == former.tobytes()
+        # the gas_scores table is the noise-free model's, byte for byte
+        _, clean = convergence_study(make_example1(), both, sizes, n_seeds, reference)
+        assert gas.slope_window == clean.slope_window == 0.0
+        for key, scores in clean.score_vectors.items():
+            assert gas.score_vectors[key].tobytes() == scores.tobytes()
+        for field in ("mean_scores", "full_match_fraction", "top3_match_fraction"):
+            assert getattr(gas, field).tobytes() == getattr(clean, field).tobytes()
+
+    def test_both_tables_at_a_window_redraw_partners_one_row_each(self, monkeypatch):
+        model = make_example1(noise_scale=1.0)
+        n_seeds, d = 4, model.d
+        reference = rank(analytic_anova(model).upper)
+        both = ("upper_sobol", "gas_scores")
+        rows = counting_rows(monkeypatch)
+        replaced = counting_partners(monkeypatch)
+        _, gas = convergence_study(model, both, (10, 100, 1000), n_seeds, reference,
+                                   slope_window=0.35)
+        # the design's rows, plus one row per redrawn partner
+        assert rows[0] == n_seeds * 1000 * (d + 1) + replaced[0]
+        assert (rows[0], replaced[0]) == (67_191, 23_191)
+        # P(|u - u'| < 0.35) = 1 - 0.65**2 for two uniforms of one width
+        assert replaced[0] / (n_seeds * 1000 * d) == pytest.approx(1 - 0.65**2, abs=0.02)
+        # the sizes read prefixes of one design per seed, so a shorter
+        # ladder with the same largest size gives the same scores
+        _, fewer = convergence_study(model, both, (100, 1000), n_seeds, reference,
+                                     slope_window=0.35)
+        for seed_idx in range(n_seeds):
+            for size in (100, 1000):
+                assert (gas.score_vectors[(size, seed_idx)].tobytes()
+                        == fewer.score_vectors[(size, seed_idx)].tobytes())
+        # seed k's design is on substream k, its partners redrawn on
+        # substream 5 of that, clear of the design's substreams 0-4
+        cell = RngStream(0).substream(2)
+        design = PickFreeze(model, 1000, cell)
+        slopes = DesignSlopes(model, design.z, design.clean_fz, cell.substream(5), 0.35)
+        upper_from_design(design, on_column=[slopes])
+        for size in (10, 100, 1000):
+            assert gas.score_vectors[(size, 2)].tobytes() == slopes.diagonal(size).tobytes()
+
+    def test_example2_both_tables_row_count(self, monkeypatch):
+        model = make_example2()
+        reference = rank(indicator_upper_sobol(model.reference_direction))
+        rows = counting_rows(monkeypatch)
+        replaced = counting_partners(monkeypatch)
+        tables = convergence_study(model, ["upper_sobol", "gas_scores"],
+                                   (10, 100, 1000), 4, reference)
+        assert [t.method for t in tables] == ["upper_sobol", "gas_scores"]
+        # a discontinuous model's default window of 0.35 redraws the partners
+        # of the design pairs inside it, one row each (88,000 rows with a
+        # slope sample of its own, whose redraws cost no row)
+        assert rows[0] == 4 * 1000 * (model.d + 1) + replaced[0]
+        assert (rows[0], replaced[0]) == (51_867, 7_867)
 
     def test_table_shape(self):
         model = make_linear([1.0, 5.0])

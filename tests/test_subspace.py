@@ -613,6 +613,23 @@ class TestDefaultWindow:
                 for r in range(self.REPLICATES)]
         assert _within_six_se(runs, example1_c_gas())
 
+    def test_noisy_example1_design_path_is_its_gradient_matrix(self, monkeypatch):
+        # a report with sobol reads the slope matrix off its design's
+        # noise-free outputs, with every pair kept at the default window of 0
+        seen = []
+
+        def recording(kind, matrix, *args, _fn=report._decompose):
+            if kind == "GAS":
+                seen.append(matrix)
+            return _fn(kind, matrix, *args)
+        monkeypatch.setattr(report, "_decompose", recording)
+        monkeypatch.setattr(report, "estimate_c_gas", None)  # no slope sample of its own
+        for seed in range(self.REPLICATES):
+            build_report(make_example1(1.0), seed=43 + seed, n=2_000,
+                         methods=("sobol", "gas"))
+        assert len(seen) == self.REPLICATES
+        assert _within_six_se(seen, example1_c_gas())
+
 
 class TestLargeWindow:
     """At window 0.89 a uniform's central bases have no admissible partner."""
