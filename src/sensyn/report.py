@@ -52,10 +52,11 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
                  slope_window: float | None = None) -> SensitivityReport:
     """Run the selected methods with a fixed stream layout and assemble the
     report; identical arguments give identical reports.  ``m_override``,
-    ``threshold`` and, with ``gas``, ``slope_window`` are checked before any
-    row is drawn.  ``slope_window`` defaults to the model's: 0 for a
-    differentiable model, ``DEFAULT_SLOPE_WINDOW`` otherwise; the report
-    records the window used with ``gas``, and None without it.
+    ``threshold``, ``m1``, ``m2`` and, with ``gas``, ``slope_window`` are
+    checked before any row is drawn.  ``slope_window`` defaults to the
+    model's: 0 for a differentiable model, ``DEFAULT_SLOPE_WINDOW``
+    otherwise; the report records the window used with ``gas``, and None
+    without it.
 
     With ``sobol`` selected, the methods share one pick-freeze design on
     substream 1 of the seed's stream, in the layout of every other design
@@ -106,9 +107,11 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         raise InputDomainError(f"m must lie in 1..{model.d}")
     if not 0.0 <= threshold < 1.0:
         raise InputDomainError("threshold must lie in [0, 1)")
-    slope_window = _slope_window(model, slope_window) if "gas" in methods else None
     if m1 is None:
         m1 = n
+    if m1 < 1 or m2 < 1:
+        raise InputDomainError("sample sizes m1 and m2 must be at least 1")
+    slope_window = _slope_window(model, slope_window) if "gas" in methods else None
     root = RngStream(seed)
     fields: dict = {}
     subspaces: dict = {}
@@ -219,10 +222,9 @@ def convergence_study(model: Model, method, sizes, n_seeds: int,
     stream): n_max*(d+1) rows per seed for both tables, plus one per
     redrawn partner.  Alone, ``gas_scores`` draws the slope sample of
     :func:`slope_vectors`, which redraws a partner at no row's cost.
-    Either way each size's scores are the weighted mean of its prefix's
-    squared slopes, the diagonal of the slope matrix of those rows
-    (:meth:`~sensyn.subspace.SlopeSample.diagonal`), at ``slope_window``
-    or by default the model's, which the table records.
+    Either way each size's scores are the diagonal of the slope matrix of
+    its prefix's rows (:meth:`~sensyn.subspace.SlopeSample.diagonal`), at
+    ``slope_window`` or by default the model's, which the table records.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     sizes = tuple(int(s) for s in sizes)

@@ -4,31 +4,32 @@ Two symmetric matrices are estimated here:
 
 * the gradient outer-product matrix (AS), averaging ``grad f grad f'`` over
   sampled points, with forward-difference gradients; and
-* the finite-slope matrix (GAS), a weighted mean of outer products of
-  difference quotients ``(f(v_i, z_-i) - f(z)) / (v_i - z_i)`` where one
-  coordinate at a time is replaced by a fresh draw.
+* the finite-slope matrix (GAS), the mean of outer products of difference
+  quotients ``(f(v_i, z_-i) - f(z)) / (v_i - z_i)`` where one coordinate at
+  a time is replaced by a fresh draw.
 
 Scores attribute subspace energy back to inputs: the score of input i over
 the leading m eigenpairs is ``sum_j<=m lambda_j * u_ij**2``; at m = d it
 reproduces the matrix diagonal.
 
-Two implementation choices make the slope matrix usable beyond smooth
-noise-free models:
+The slope matrix keeps one rule per concern:
 
 * ``slope_window``: each quotient's (base, partner) coordinate pair follows
   the product law conditioned on a minimum separation (a fixed fraction of
   the marginal's scale), independently for each input.  By default the
   window is 0 for a differentiable model, whose quotients have finite
-  variance, so its matrix is the paper's raw-quotient one and no partner
-  is redrawn; it is :data:`DEFAULT_SLOPE_WINDOW` for a model declared
-  ``differentiable=False`` (:func:`_slope_window`).  Raw quotients of a
-  discontinuous response have heavy tails, since a straddling pair's
-  squared quotient ``1/(b - z_i)**2`` has infinite mean; a separation floor
-  keeps each quotient's step away from 0 while leaving multilinear slopes
-  untouched and quadratic second moments, off the diagonal too, exactly
-  unbiased under normal marginals (the pair sum is independent of the pair
-  gap).  Every base coordinate is kept, so the base evaluation f(z) stays
-  shared by the d quotients of a row; a first partner inside the window is
+  variance, and :data:`DEFAULT_SLOPE_WINDOW` for a model declared
+  ``differentiable=False`` (:func:`_slope_window`).  At window 0 the matrix
+  is the paper's plain mean of raw outer products (:class:`SlopeSample`);
+  only a partner within 1e-12 of the scale of its base is redrawn, so that
+  no quotient is 0/0.  Raw quotients of a discontinuous response have
+  heavy tails, since a straddling pair's squared quotient
+  ``1/(b - z_i)**2`` has infinite mean; a window above 0 keeps each
+  quotient's step away from 0 while leaving multilinear slopes untouched
+  and quadratic second moments, off the diagonal too, exactly unbiased
+  under normal marginals (the pair sum is independent of the pair gap).
+  Every base coordinate is kept, so the base evaluation f(z) stays shared
+  by the d quotients of a row; a first partner inside the window is
   redrawn from the law of the partner given its base and the separation
   (one uniform, a closed-form inverse CDF), and input i's quotients are
   weighted by ``w_i = P(separated | z_i)``, with each matrix entry
@@ -39,29 +40,28 @@ noise-free models:
   the first draw (:class:`DesignSlopes`); there are no redraw rounds.  The
   weighted matrix need not be PSD; :func:`psd_spectrum` clamps the
   spectrum the scores read.
-* evaluation noise never enters a quotient.  A fresh sample
-  (:func:`slope_vectors`) draws one noise variate per base point and shares
-  it by the point's evaluations, so common-mode noise cancels inside each
-  quotient; a design (:class:`DesignSlopes`) reads the noise-free outputs
-  that a :class:`~sensyn.variance.PickFreeze` evaluates before it adds the
-  noise, so a noisy model's matrix there is its noise-free part's, byte for
-  byte.  This is what keeps the slope matrix stable on stochastic models
-  while derivative measures degrade, and why a noisy differentiable model
-  needs no window either.
+* evaluation noise never enters a quotient: every quotient is one of the
+  model's noise-free part (:func:`~sensyn.variance.noise_free_part`), which
+  a fresh sample (:func:`slope_vectors`) evaluates and a design
+  (:class:`DesignSlopes`) reads off its :class:`~sensyn.variance.PickFreeze`,
+  so a noisy model's slope matrix is its noise-free part's, byte for byte.
+  This keeps the slope matrix stable on stochastic models while derivative
+  measures degrade, and is why a noisy differentiable model needs no window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dgsm import gradient_matrix
+from .dgsm import dgsm_from_gradients, gradient_matrix
 from .errors import EmptySlopeWindowError, InputDomainError
 from .linalg import JACOBI_TOL, SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
 from .randkit import (InputDistribution, Normal, RngStream, Uniform, law_runs,
                       normal_cdf, normal_inv_cdf)
+from .variance import noise_free_part
 
 DEFAULT_SLOPE_WINDOW = 0.35  # the window of a non-differentiable model
 _COINCIDENT_TOL = 1e-12
@@ -71,7 +71,7 @@ _CHUNK = 4096
 # (37 ns a value on a 2-vCPU Xeon, 55-60 ns from 16,384 values up)
 _BLOCK = 4096
 
-_BASE, _FREEZE, _NOISE, _REDRAW = 0, 1, 2, 3
+_BASE, _FREEZE, _REDRAW = 0, 1, 3
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def scores(spec: SpectralDecomposition, m: int) -> np.ndarray:
     return (u * u) @ spec.eigenvalues[:m]
 
 
-def _mean_outer(d_mat: np.ndarray) -> np.ndarray:
-    """(1/n) * sum of row outer products, accumulated in a fixed order.
+def _sum_outer(d_mat: np.ndarray) -> np.ndarray:
+    """Sum of row outer products, accumulated in a fixed order.
 
     Chunked einsum keeps the reduction off multithreaded BLAS paths so the
     result is bitwise reproducible across thread counts.
@@ -112,7 +112,7 @@ def _mean_outer(d_mat: np.ndarray) -> np.ndarray:
     for start in range(0, n, _CHUNK):
         block = d_mat[start:start + _CHUNK]
         acc += np.einsum("ni,nj->ij", block, block)
-    return acc / n
+    return acc
 
 
 def _separated_mass(dist: InputDistribution, a: np.ndarray,
@@ -244,38 +244,37 @@ class _PartnerRedraws:
 
 
 def _quotients(model: Model, z: np.ndarray, i: int, b: np.ndarray,
-               fz: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    """Quotients ``(f(b, z_-i) - f(z)) / (b - z_i)`` at the points ``z`` with
-    outputs ``fz``, in one call; ``noise``: the rows' common-mode noise."""
-    diff = model.evaluate_column(z, i, b, noise=noise) - fz
+               fz: np.ndarray) -> np.ndarray:
+    """Quotients ``(f(b, z_-i) - f(z)) / (b - z_i)`` of a noise-free model
+    at the points ``z`` with outputs ``fz``, in one call."""
+    diff = model.evaluate_column(z, i, b) - fz
     diff /= b - z[:, i]
     return diff
 
 
 class SlopeSample:
-    """Difference quotients ``slopes[r, i]`` at base points ``z[r]``, with the
-    importance weights of their pairs.
+    """Difference quotients ``slopes[r, i]`` at base points ``z[r]``, and the
+    slope matrix they estimate at ``slope_window``.
 
-    Quotient i of row r pairs the base coordinate ``z[r, i]`` with a partner
-    drawn from the law of b given that base and the slope window
-    (:func:`_partners`), so its pair law differs from the separated product
-    law by the factor ``w_i = P(|b - z_i| >= gap_i)``.  The matrix weights
-    input i's quotients by ``w_i`` and self-normalizes entry by entry:
+    At window 0 the matrix is the plain mean of the quotients' outer
+    products (:func:`c_as_from_gradients`) and its diagonal their mean
+    squares (:func:`~sensyn.dgsm.dgsm_from_gradients`): no weight is
+    computed.  Above it, quotient i of row r pairs ``z[r, i]`` with a
+    partner of :func:`_partners`, whose pair law differs from the separated
+    product law by ``w_i = P(|b - z_i| >= gap_i)``; the matrix weights input
+    i's quotients by ``w_i`` and self-normalizes entry by entry,
     ``sum w_i q_i**2 / sum w_i`` on the diagonal and
-    ``sum w_i w_j q_i q_j / sum w_i w_j`` off it (Owen 2013, *Monte Carlo
-    theory, methods and examples*, ch. 9).  Unless ``weights`` holds them,
-    the weights are computed from ``z`` one chunk of about 4,096
-    coordinates at a time (1,024 rows at d = 4), so no (n, d) weight array
-    is held.
+    ``sum w_i w_j q_i q_j / sum w_i w_j`` off it (Owen 2013, ch. 9).  The
+    weights are computed about 4,096 coordinates at a time (1,024 rows at
+    d = 4), so no (n, d) weight array is held.
     """
 
     def __init__(self, model: Model, z: np.ndarray, slopes: np.ndarray,
-                 slope_window: float, weights: np.ndarray | None = None):
+                 slope_window: float):
         self.model, self.z, self.slopes = model, z, slopes
         self.slope_window = slope_window
         self.gaps = _slope_gaps(model, slope_window)
         self.runs = law_runs(model.marginals)
-        self.weights = weights
 
     def _chunks(self, stop: int):
         """``(slopes, weights)`` of the first ``stop`` rows, one chunk of
@@ -283,13 +282,14 @@ class SlopeSample:
         step = max(1, _BLOCK // self.z.shape[1])
         for start in range(0, stop, step):
             end = min(start + step, stop)
-            w = (_pair_weights(self.runs, self.gaps, self.z[start:end])
-                 if self.weights is None else self.weights[start:end])
-            yield self.slopes[start:end], w
+            yield (self.slopes[start:end],
+                   _pair_weights(self.runs, self.gaps, self.z[start:end]))
 
-    def sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(num, den)``: the weighted sums that :meth:`matrix` divides
-        entry by entry."""
+    def sums(self) -> tuple[np.ndarray, np.ndarray | int]:
+        """``(num, den)``: the sums that :meth:`matrix` divides entry by
+        entry; at window 0 the summed outer products and the row count."""
+        if not self.slope_window:
+            return _sum_outer(self.slopes), len(self.slopes)
         d = self.z.shape[1]
         num, den = np.zeros((d, d)), np.zeros((d, d))
         num_ii, den_ii = np.zeros(d), np.zeros(d)
@@ -304,13 +304,17 @@ class SlopeSample:
         return num, den
 
     def matrix(self) -> np.ndarray:
-        """The self-normalized slope matrix."""
+        """The slope matrix: at window 0 the bytes of
+        ``c_as_from_gradients(slopes)``, above it the self-normalized one."""
         return _normalized(*self.sums(), self.slope_window, len(self.z))
 
     def diagonal(self, rows: int | None = None) -> np.ndarray:
         """The diagonal of the matrix of the first ``rows`` rows (default:
-        all), which needs only each input's own weights to be nonzero."""
+        all), which above window 0 needs only each input's own weights to
+        be nonzero."""
         rows = len(self.z) if rows is None else rows
+        if not self.slope_window:
+            return dgsm_from_gradients(self.slopes[:rows])
         d = self.z.shape[1]
         num, den = np.zeros(d), np.zeros(d)
         for q, w in self._chunks(rows):
@@ -319,8 +323,8 @@ class SlopeSample:
         return _normalized(num, den, self.slope_window, rows)
 
 
-def _normalized(num: np.ndarray, den: np.ndarray, slope_window: float, n: int) -> np.ndarray:
-    if not den.all():
+def _normalized(num: np.ndarray, den: np.ndarray | int, slope_window: float, n: int) -> np.ndarray:
+    if not np.all(den):
         raise EmptySlopeWindowError(
             f"none of {n} base points has an admissible slope partner for "
             f"some input (or pair of inputs) at slope window {slope_window:g}: "
@@ -339,30 +343,20 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
     d+1 calls and m1 * (d+1) rows, whatever the window, because the
     partners inside the window are redrawn, a group of inputs at a time
     (:class:`_PartnerRedraws`), before their columns are evaluated (a base
-    with no admissible partner is left out of its column).  With ``m2 > 1``
-    the samples share one array of the base points' weights.  Stochastic
-    models draw one noise variate per base point, shared by all of its
-    evaluations.  Substreams of ``rng``: 0 the base, 1 the freeze vectors
-    (child j), 2 the noise and 3 the redraws (child j, then child i).
-    ``slope_window`` defaults to the model's (:func:`_slope_window`).
+    with no admissible partner is left out of its column).  Every row
+    evaluates the model's noise-free part.  Substreams of ``rng``: 0 the
+    base, 1 the freeze vectors (child j) and 3 the redraws (child j, then
+    child i).  ``slope_window`` defaults to the model's
+    (:func:`_slope_window`).
     """
     if m1 < 1 or m2 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
     slope_window = _slope_window(model, slope_window)
+    model = noise_free_part(model)
     gaps = _slope_gaps(model, slope_window)
-    runs = law_runs(model.marginals)
 
     z = sample_inputs(model, m1, rng.substream(_BASE))
-    eps = None
-    if model.noise_scale > 0.0:
-        eps = rng.substream(_NOISE).standard_normals(m1)
-    fz = model.evaluate(z, noise=eps)
-    weights = None
-    if m2 > 1:
-        step = max(1, _BLOCK // model.d)
-        weights = np.concatenate([_pair_weights(runs, gaps, z[s:s + step])
-                                  for s in range(0, m1, step)])
-
+    fz = model.evaluate(z)
     freeze_root = rng.substream(_FREEZE)
     redraw_root = rng.substream(_REDRAW)
     for j in range(m2):
@@ -378,19 +372,18 @@ def slope_vectors(model: Model, m1: int, m2: int, rng: RngStream,
                     live = np.ones(m1, dtype=bool)
                     live[rows[mass == 0.0]] = False
                     slopes[:, k] = 0.0
-                slopes[live, k] = _quotients(model, z[live], k, v[live, k], fz[live],
-                                             None if eps is None else eps[live])
-        yield SlopeSample(model, z, slopes, slope_window, weights)
+                slopes[live, k] = _quotients(model, z[live], k, v[live, k], fz[live])
+        yield SlopeSample(model, z, slopes, slope_window)
 
 
 def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
                    slope_window: float | None = None) -> np.ndarray:
     """Monte Carlo estimate of the finite-slope sensitivity matrix.
 
-    Weighs the quotients of ``m1`` base points, each paired with ``m2``
+    Reduces the quotients of ``m1`` base points, each paired with ``m2``
     fresh freeze vectors (:func:`slope_vectors`, which states the cost), as
-    :class:`SlopeSample` does; the weights depend on the base points only,
-    so every freeze vector has the same weight sums.  ``slope_window``
+    :class:`SlopeSample` does, the freeze vectors' mean sums over the
+    denominators they share (of the base points only).  ``slope_window``
     defaults to the model's (:func:`_slope_window`).
     """
     slope_window = _slope_window(model, slope_window)
@@ -413,19 +406,16 @@ class DesignSlopes(SlopeSample):
     each input's redrawn rows are evaluated in one call of f0: a redrawn
     pair costs one row, and a base with no admissible partner none (its
     quotient is 0); at a differentiable model's default window of 0 no
-    pair is redrawn.  The matrix is weighted as in :class:`SlopeSample`.
-    ``fz`` is f0(z), so a stochastic model's matrix is that of its
-    noise-free part, whose quotients the shared noise draw of
-    :func:`slope_vectors` gives up to rounding.  A noise-free multilinear
-    model needs none of this: its every quotient is the exact partial
-    derivative, so the estimators read its slope matrix off the design's
-    gradients (:class:`~sensyn.dgsm.DesignGradients`) and draw no partner.
+    pair is redrawn.  The matrix is reduced as in :class:`SlopeSample`,
+    and ``fz`` is f0(z).  A noise-free multilinear model needs none of
+    this: its every quotient is the exact partial derivative, so the
+    estimators read its slope matrix off the design's gradients
+    (:class:`~sensyn.dgsm.DesignGradients`) and draw no partner.
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,
                  rng: RngStream, slope_window: float | None = None):
-        if model.noise_scale > 0.0:
-            model = replace(model, noise_scale=0.0)
+        model = noise_free_part(model)
         super().__init__(model, z, np.empty(z.shape), _slope_window(model, slope_window))
         self.fz = fz
         self.redraws = _PartnerRedraws(model, z, self.gaps, rng.substream(_REDRAW))
@@ -441,24 +431,24 @@ class DesignSlopes(SlopeSample):
             if live.any():
                 rows = rows[live]
                 x = self.z.take(rows, axis=0)
-                self.slopes[rows, k] = _quotients(self.model, x, k, b[live], self.fz[rows], None)
+                self.slopes[rows, k] = _quotients(self.model, x, k, b[live], self.fz[rows])
 
 
 def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition | list[SpectralDecomposition]:
     """Eigendecomposition of a slope matrix with every eigenvalue below
     :func:`~sensyn.linalg.sym_eig`'s resolution set to 0.
 
-    The self-normalized entries of :class:`SlopeSample` are divided by
-    different weight sums, so the matrix need not be PSD.  Where the true
-    matrix is singular (the linear inputs of example1 and example4) its
-    smallest eigenvalue comes out slightly negative, about 1e-6 to 1e-4 of
-    the largest at n = 50,000 to 1,000, and a rank-one linear map's second
-    eigenvalue is round-off.  Eigenvalues below the solver's stopping
-    tolerance, ``JACOBI_TOL * ||C||_F``, are therefore set to 0: for the
-    negative ones this is the spectrum of the nearest PSD matrix in the
-    Frobenius norm.  Scores then stay nondecreasing in m, and at m = d they
-    read that matrix's diagonal, which exceeds the estimated one by at most
-    the clamped mass.
+    Above window 0 the entries of :class:`SlopeSample` have different
+    weight sums, so the matrix need not be PSD: a singular one's (example4's)
+    smallest eigenvalue comes out 1e-6 to 1e-4 of the largest below 0 at
+    n = 50,000 to 1,000; at window 0 it is round-off, as a rank-one map's
+    second one always is.
+    Eigenvalues below the solver's stopping tolerance,
+    ``JACOBI_TOL * ||C||_F``, are therefore set to 0: for the negative ones
+    this is the spectrum of the nearest PSD matrix in the Frobenius norm.
+    Scores then stay nondecreasing in m, and at m = d they read that
+    matrix's diagonal, which exceeds the estimated one by at most the
+    clamped mass.
 
     A ``(k, d, d)`` stack gives a list of k spectra, as it does for
     :func:`~sensyn.linalg.sym_eig`.
@@ -477,7 +467,8 @@ def _clamped(spec: SpectralDecomposition) -> SpectralDecomposition:
 
 def c_as_from_gradients(g: np.ndarray) -> np.ndarray:
     """Gradient outer-product matrix from precomputed gradient samples."""
-    return _mean_outer(np.asarray(g, dtype=np.float64))
+    g = np.asarray(g, dtype=np.float64)
+    return _sum_outer(g) / len(g)
 
 
 def estimate_c_as(model: Model, n: int, h: float, rng: RngStream) -> np.ndarray:

@@ -48,6 +48,12 @@ class SobolEstimate:
     seed: int
 
 
+def noise_free_part(model: Model) -> Model:
+    """``model`` without its evaluation noise (itself when noise-free): what
+    every slope quotient evaluates, so that no noise enters one."""
+    return replace(model, noise_scale=0.0) if model.noise_scale > 0.0 else model
+
+
 def estimate_variance(model: Model, n: int, rng: RngStream) -> float:
     """Unbiased sample variance of ``n`` i.i.d. model evaluations.
 
@@ -67,8 +73,8 @@ class PickFreeze:
     :meth:`columns` evaluates when it is reached.
 
     Every row is evaluated once, through the model's noise-free part f0
-    (``clean``, the model itself when it is noise-free), and a stochastic
-    model's noise ``noise_scale * eps`` is then added here, from the draws
+    (``clean``, :func:`noise_free_part`), and a stochastic model's noise
+    ``noise_scale * eps`` is then added here, from the draws
     :meth:`~sensyn.models.Model.evaluate` would take on the same
     substreams, so ``fz`` and each f(v_i, z_-i) have the bytes of evaluating
     the model itself.  ``clean_fz`` = f0(z) and the noise-free column
@@ -90,7 +96,7 @@ class PickFreeze:
         if n < 2:
             raise InputDomainError("pick-freeze estimation needs n >= 2")
         self.model, self.n, self.rng = model, n, rng
-        self.clean = replace(model, noise_scale=0.0) if model.noise_scale > 0.0 else model
+        self.clean = noise_free_part(model)
         self.z = sample_inputs(model, n, rng.substream(_BASE))
         self.noise = rng.substream(_NOISE)
         self.clean_fz = self.clean.evaluate(self.z)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensyn import Model, Uniform, _front, cli
+from sensyn import Model, Uniform, _front, cli, subspace
 from sensyn import bounds as bounds_mod
 from sensyn import report as report_mod
 from sensyn.cli import main
@@ -536,6 +536,21 @@ class TestBoundsCommand:
         data = json.loads(out.read_text())
         names = [c["name"] for c in data["bounds"]]
         assert "quadratic_identity" in names
+
+    @pytest.mark.parametrize("extra, weighted", [([], False), (["--slope-window", "0.35"], True)],
+                             ids=["default", "window-0.35"])
+    def test_window_0_computes_no_pair_weight(self, extra, weighted, tmp_path, monkeypatch):
+        # at the quadratic's default window of 0 the slope matrix is a plain
+        # mean, so no pair weight P(|b - a| >= gap) and no normal CDF is
+        # computed; a window above 0 weights its normal inputs' quotients
+        calls = []
+        cdf = subspace.normal_cdf
+        monkeypatch.setattr(subspace, "normal_cdf", lambda x: calls.append(1) or cdf(x))
+        out = tmp_path / "q.json"
+        assert main(["bounds", "--model", "quadratic", "--A=2,0.5,0;0.5,1,0.3;0,0.3,0.5",
+                     "--b=0.2,-0.4,0.1", "--n", "5000", "--seed", "2", *extra,
+                     "--out", str(out)]) == 0
+        assert bool(calls) == weighted
 
     @pytest.mark.parametrize("argv, window", [
         (["--model", "example2", "--n", "2000"], 0.35),

@@ -1,6 +1,7 @@
 """Normalization, rankings, report assembly, and convergence studies."""
 
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
@@ -122,6 +123,8 @@ class TestBuildReport:
         ("example4", {"threshold": 1.5}, r"threshold must lie in \[0, 1\)"),
         ("example4", {"threshold": -0.1}, r"threshold must lie in \[0, 1\)"),
         ("example4", {"slope_window": 0.95}, r"slope_window must lie in \[0, 0\.9\)"),
+        ("example4", {"m1": 0}, r"m1 and m2 must be at least 1"),
+        ("example4", {"m2": 0}, r"m1 and m2 must be at least 1"),
         # the design path of a multilinear model reads no window, but checks it
         ("example1", {"slope_window": 0.95}, r"slope_window must lie in \[0, 0\.9\)")])
     def test_bad_setting_fails_before_any_row(self, name, bad, match, monkeypatch):
@@ -205,13 +208,12 @@ def former_gradient_matrix(model, n, h, rng):
 
 def former_estimate_c_gas(model, m1, m2, rng, slope_window=0.35):
     """The fresh slope path with boolean masks and one whole-column call per
-    (freeze vector, input), weighted by :class:`SlopeSample`."""
+    (freeze vector, input), reduced by :class:`SlopeSample`.  Every row is
+    an evaluation of the model's noise-free part."""
     d = model.d
+    clean = dataclasses.replace(model, noise_scale=0.0)
     z = sample_inputs(model, m1, rng.substream(0))
-    eps = None
-    if model.noise_scale > 0.0:
-        eps = rng.substream(2).standard_normals(m1)
-    fz = model.evaluate(z, noise=eps)
+    fz = clean.evaluate(z)
     gaps = np.array([max(slope_window * dist.scale, 1e-12 * dist.scale)
                      for dist in model.marginals])
     num = np.zeros((d, d))
@@ -231,8 +233,7 @@ def former_estimate_c_gas(model, m1, m2, rng, slope_window=0.35):
                 live[np.flatnonzero(bad)[mass == 0.0]] = False
             z[:, i] = b
             fb = fz.copy()  # a base with no admissible partner: quotient 0
-            fb[live] = model.evaluate(z[live],
-                                      noise=None if eps is None else eps[live])
+            fb[live] = clean.evaluate(z[live])
             z[:, i] = a
             slopes[:, i] = np.where(live, fb - fz, 0.0) / np.where(live, b - a, 1.0)
         part, den = SlopeSample(model, z, slopes, slope_window).sums()

@@ -21,6 +21,7 @@ from sensyn.bounds import batch_statistics
 from sensyn import report, subspace
 from sensyn.models import sample_inputs
 from sensyn.subspace import DesignSlopes, _partners, slope_vectors
+from sensyn.variance import PickFreeze, upper_from_design
 
 
 def _gap(dist, window):
@@ -236,9 +237,10 @@ class TestSlopeMatrix:
         assert uniforms_calls == d + m2 * d + m2 * d
 
 
-def _mask_slope_column(model, z, i, b, fz, gap, rng, *, noise=None, fb=None):
-    """Reference: the slope column of input i gathered with boolean masks
-    and row copies, its partners redrawn on ``rng``."""
+def _mask_slope_column(model, z, i, b, fz, gap, rng, *, fb=None):
+    """Reference: the slope column of input i of a noise-free ``model``,
+    gathered with boolean masks and row copies, its partners redrawn on
+    ``rng``."""
     a = z[:, i].copy()
     bad = np.abs(b - a) < gap
     nb = int(bad.sum())
@@ -249,15 +251,14 @@ def _mask_slope_column(model, z, i, b, fz, gap, rng, *, noise=None, fb=None):
     if fb is None:
         z[:, i] = b
         fb = fz.copy()
-        fb[live] = model.evaluate(z[live],
-                                  noise=None if noise is None else noise[live])
+        fb[live] = model.evaluate(z[live])
         z[:, i] = a
     elif (bad & live).any():
         redo = bad & live
         zb = z[redo]
         zb[:, i] = b[redo]
         fb = fb.copy()
-        fb[redo] = model.evaluate(zb, noise=None if noise is None else noise[redo])
+        fb[redo] = model.evaluate(zb)
     return np.where(live, fb - fz, 0.0) / np.where(live, b - a, 1.0)
 
 
@@ -272,18 +273,17 @@ def _mask_design_slopes(model, z, fz, v, fv, window, rng):
 
 def _mask_slope_vectors(model, m1, m2, rng, window):
     """Reference: the quotients of :func:`slope_vectors`, one input at a
-    time, each column evaluated after its own partners are redrawn."""
+    time, each column evaluated after its own partners are redrawn, all of
+    them of the model's noise-free part."""
+    model = dataclasses.replace(model, noise_scale=0.0)
     z = sample_inputs(model, m1, rng.substream(0))
-    eps = None
-    if model.noise_scale > 0.0:
-        eps = rng.substream(2).standard_normals(m1)
-    fz = model.evaluate(z, noise=eps)
+    fz = model.evaluate(z)
     for j in range(m2):
         v = sample_inputs(model, m1, rng.substream(1).substream(j))
         redraw = rng.substream(3).substream(j)
         yield np.column_stack([
             _mask_slope_column(model, z, i, v[:, i], fz, _gap(dist, window),
-                               redraw.substream(i), noise=eps)
+                               redraw.substream(i))
             for i, dist in enumerate(model.marginals)])
 
 
@@ -527,7 +527,8 @@ class TestSlopeOracle:
     design).  example1 is noise-free and multilinear, so its design-path
     matrix is the outer-product matrix of its design gradients, which reads
     no window: its two window cases there run one estimator, and the CI's
-    ``cmp t0.json p1.json`` pins that the window leaves its bytes alone."""
+    comparison of t0.json with p1.json, the window that meta records aside,
+    pins that the window leaves its bytes alone."""
 
     REPLICATES = 20
     # the former estimator's C01 of the quadratic, 0.523 at window 0.35 and
@@ -583,6 +584,25 @@ class TestDefaultWindow:
         assert subspace._slope_window(make_example2(), None) == DEFAULT_SLOPE_WINDOW == 0.35
         assert subspace._slope_window(make_example2(), 0.0) == 0.0  # an explicit window wins
 
+    def test_window_0_matrix_is_the_plain_mean(self, monkeypatch):
+        # at window 0 no weight is computed: the slope matrix is the AS
+        # reduction of the quotients, and its diagonal the DGSM reduction
+        def unused(*args):
+            raise AssertionError("no pair weight at window 0")
+        monkeypatch.setattr(subspace, "_pair_weights", unused)
+        model, n = make_example4(), 3_000
+        design = PickFreeze(model, n, RngStream(6).substream(1))
+        designed = DesignSlopes(model, design.z, design.clean_fz, RngStream(6).substream(3))
+        upper_from_design(design, on_column=[designed])
+        fresh, = slope_vectors(model, n, 1, RngStream(7))
+        for slopes in (designed, fresh):
+            assert slopes.slope_window == 0.0
+            assert slopes.matrix().tobytes() == c_as_from_gradients(slopes.slopes).tobytes()
+            for k in (10, 100, n):
+                assert (slopes.diagonal(k).tobytes()
+                        == dgsm_from_gradients(slopes.slopes[:k]).tobytes())
+        assert estimate_c_gas(model, n, 1, RngStream(7)).tobytes() == fresh.matrix().tobytes()
+
     def test_example4_report_is_the_window_0_closed_form(self, monkeypatch):
         seen = []
 
@@ -607,8 +627,8 @@ class TestDefaultWindow:
         assert gaps.mean() == pytest.approx(want[1, 1] - want[0, 0], abs=0.05)
 
     def test_noisy_example1_fresh_path_is_its_gradient_matrix(self):
-        # the shared noise draw cancels inside every quotient, so no window
-        # is needed to keep them finite
+        # every quotient is one of the noise-free part, so no window is
+        # needed to keep them finite
         runs = [estimate_c_gas(make_example1(1.0), 2_000, 1, RngStream(43).substream(r))
                 for r in range(self.REPLICATES)]
         assert _within_six_se(runs, example1_c_gas())
