@@ -14,18 +14,20 @@
 All checks of a run are pure functions of one set of ten independent
 replicate batches (:func:`batch_statistics`).  Each batch draws one
 pick-freeze design and reads every statistic the checks need from its rows:
-sigma2 and the upper indices, the slope matrix (its first draws are the
-design's pairs, read on their noise-free outputs), and the gradients (the
-design's quotients for a noise-free multilinear model, else forward
-differences from its base points).  The ten slope matrices are decomposed as one stack, in one
-Jacobi pass, and so are the ten gradient matrices; a noise-free multilinear
-model's slope matrices are its gradient matrices.  A check passes when the
-slack ``rhs - lhs`` is no more negative than five combined batch-means
-standard errors: with ten near-normal batch means the slack over its
-standard error is approximately Student-t with 9 degrees of freedom
-(Schmeiser 1982, "Batch size effects in the analysis of simulation
-output"), a one-sided t-test with false-fail probability about 3.7e-4 per
-input when the bound holds with equality.
+sigma2 and the upper indices, and the design's quotients on its noise-free
+outputs, through one consumer (:class:`~sensyn.subspace.DesignSlopes`).  For
+a noise-free multilinear model those quotients are the gradients
+(:class:`~sensyn.subspace.GradientSlopes`), and their one matrix is both
+its gradient and its slope matrix; any other model's
+consumer redraws the partners of short pairs for its slope matrix, and its
+gradients are forward differences from the design's base points.  The ten
+slope matrices are decomposed as one stack, in one Jacobi pass, and so are
+the ten gradient matrices.  A check passes when the slack ``rhs - lhs`` is
+no more negative than five combined batch-means standard errors: with ten
+near-normal batch means the slack over its standard error is approximately
+Student-t with 9 degrees of freedom (Schmeiser 1982, "Batch size effects in
+the analysis of simulation output"), a one-sided t-test with false-fail
+probability about 3.7e-4 per input when the bound holds with equality.
 
 The combined error ``sqrt(se_lhs**2 + se_rhs**2)`` is exact for independent
 sides.  Here the two sides of a check share a batch's rows, and the error is
@@ -46,13 +48,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dgsm import (DesignGradients, dgsm_from_gradients, gradient_matrix,
-                   noise_free_multilinear)
+from .dgsm import dgsm_from_gradients, gradient_matrix, noise_free_multilinear
 from .errors import InputDomainError, ModelOutputError
 from .linalg import SpectralDecomposition, select_m, sym_eig
 from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
-from .subspace import (DesignSlopes, _slope_window, c_as_from_gradients,
+from .subspace import (DesignSlopes, GradientSlopes, _slope_window, c_as_from_gradients,
                        psd_spectrum, scores)
 from .variance import PickFreeze, upper_from_design
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
@@ -123,25 +124,27 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
 
     Batch b draws one :class:`~sensyn.variance.PickFreeze` design on
     substream 0 of ``rng.substream(100 + b)``; sigma2 is the variance of its
-    f(z) and the upper indices reduce its freeze columns.  A noise-free
-    multilinear model reads its gradients off the design
-    (:class:`~sensyn.dgsm.DesignGradients`) whenever ``gas`` or
-    ``gradients`` is asked for, and their outer-product matrix is both its
-    gradient matrix and its slope matrix; the slope window is not read.  For
-    any other model, ``gas`` keeps the design's pairs that clear the slope
-    window (by default 0 for a differentiable model, so every pair, and
-    ``DEFAULT_SLOPE_WINDOW`` otherwise) and redraws the partners of the
-    others on substream 1, on the design's noise-free outputs, so a
-    stochastic model's slope matrix is that of its noise-free part;
-    ``gradients`` takes forward differences from the design's z and f(z),
-    noise included, on substream 3.  A batch costs n*(d+1) rows, plus on a
-    noise-free multilinear model one per design pair closer than h and the
-    design gradients' probe of its promise, min(n, 8) rows per input, and
-    on any other one per redrawn slope partner with ``gas`` (none at window
-    0) and n*d with ``gradients``, so example4's ten batches of n = 1,000
-    with both cost 90,000 rows.  Only vectors and d x d matrices outlive a
-    batch.  A model with an ``output_range`` has every noise-free design
-    output checked against it, at no row's cost, since
+    f(z) and the upper indices reduce its freeze columns.  One consumer
+    (:class:`~sensyn.subspace.DesignSlopes`) per batch reads the design's
+    quotients on its noise-free outputs whenever they are needed.  A
+    noise-free multilinear model's takes the gradient rule
+    (:class:`~sensyn.subspace.GradientSlopes`) whenever ``gas`` or
+    ``gradients`` is asked for: its quotients are its gradients, and
+    their one outer-product matrix is both its gradient matrix and its slope
+    matrix; the slope window is not read.  Any other model's takes the
+    partner redraw with ``gas``: it keeps the design's pairs that clear the
+    slope window (by default 0 for a differentiable model, so every pair,
+    and ``DEFAULT_SLOPE_WINDOW`` otherwise) and redraws the partners of the
+    others on substream 1, so a stochastic model's slope matrix is that of
+    its noise-free part; ``gradients`` takes forward differences from the
+    design's z and f(z), noise included, on substream 3.  A batch costs
+    n*(d+1) rows, plus on a noise-free multilinear model one per design pair
+    closer than h and the gradient rule's probe of its promise, min(n, 8)
+    rows per input, and on any other one per redrawn slope partner with
+    ``gas`` (none at window 0) and n*d with ``gradients``, so example4's ten
+    batches of n = 1,000 with both cost 90,000 rows.  Only vectors and d x d
+    matrices outlive a batch.  A model with an ``output_range`` has every
+    noise-free design output checked against it, at no row's cost, since
     :func:`gas_bound_general` takes its kappa from that range; an output
     outside it raises :class:`~sensyn.errors.ModelOutputError`.
     """
@@ -156,24 +159,20 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
         batch = rng.substream(100 + b)
         design = PickFreeze(model, n, batch.substream(0))
         _check_range(model, design.clean_fz)
-        slopes = (DesignSlopes(model, design.z, design.clean_fz, batch.substream(1), slope_window)
-                  if gas and not exact else None)
-        grads = (DesignGradients(model, design.z, design.clean_fz, h)
-                 if (gas or gradients) and exact else None)
+        slopes = ((GradientSlopes(model, design.z, design.clean_fz, h) if exact else
+                   DesignSlopes(model, design.z, design.clean_fz, batch.substream(1), slope_window))
+                  if gas or exact and gradients else None)
         up, s2 = upper_from_design(
-            design, on_column=[column_in_range, *(c for c in (slopes, grads) if c is not None)])
+            design, on_column=[column_in_range, *([] if slopes is None else [slopes])])
         upper.append(up)
         sigma2.append(s2)
         if slopes is not None:
-            c_gas.append(slopes.matrix())
-        if grads is not None or gradients:
-            g = (gradient_matrix(model, n, h, batch.substream(3),
-                                 base=(design.z, design.fz))
-                 if grads is None else grads.matrix())
+            c_gas.append(slopes.matrix())  # a multilinear model's: its gradients' AS matrix
+        if gradients:
+            g = (slopes.gradients() if exact else
+                 gradient_matrix(model, n, h, batch.substream(3), base=(design.z, design.fz)))
             v.append(dgsm_from_gradients(g))
-            c_as.append(c_as_from_gradients(g))
-    if exact:
-        c_gas = c_as
+            c_as.append(c_gas[-1] if exact else c_as_from_gradients(g))
     return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,
                            v if gradients else None, c_as if gradients else None,
                            slope_window)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dgsm import (DesignGradients, dgsm_from_gradients, gradient_matrix,
-                   noise_free_multilinear)
+from .dgsm import dgsm_from_gradients, gradient_matrix, noise_free_multilinear
 from .errors import DegenerateSpectrumError, InputDomainError
 from .linalg import normalized_cumsum, select_m, sym_eig
 from .models import Model
 from .output import (METHOD_NAMES, ConvergenceTable, SensitivityReport,
                      SubspaceSummary)
 from .randkit import RngStream
-from .subspace import (SubspaceResult, DesignSlopes, _slope_window,
+from .subspace import (SubspaceResult, DesignSlopes, GradientSlopes, _slope_window,
                        c_as_from_gradients, estimate_c_gas, psd_spectrum,
                        slope_vectors)
 from .variance import (PickFreeze, SobolEstimate, lower_from_gradients,
@@ -64,31 +63,30 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     freeze column f(v_i, z_-i) per input.  sigma2 and the upper indices come
     from the design alone.
 
-    A noise-free multilinear model reads its gradients off the design
-    (:class:`~sensyn.dgsm.DesignGradients`): each quotient is the exact
-    partial derivative, and only a pair closer than ``h`` costs one
+    A noise-free multilinear model's design quotients take the gradient rule
+    (:class:`~sensyn.subspace.GradientSlopes`): each is the exact partial
+    derivative, and only a pair closer than ``h`` costs one
     forward-difference row.  The gradients are read whenever ``sobol`` is
     selected, since its lower indices are their means scaled by each input's
     variance (:func:`~sensyn.variance.lower_from_gradients`), and they serve
-    ``dgsm`` and ``as`` too.  With ``gas``, ``m1 == n`` and ``m2 == 1`` its
-    slope matrix is their outer-product matrix, the AS matrix, and the slope
-    window is not read.  Before any of this, the design gradients probe the
-    multilinear promise on min(n, 8) rows per input.  Such a report costs
-    n*(d+1) rows, plus one per short step and the probe's: example1 at
-    n = 10,000 and seed 0 costs 110,000 + 196 + 80 = 110,276, where Owen's
-    third point took 220,196, redrawn slope partners 278,044 and forward
-    differences 377,848.
+    ``dgsm`` and ``as`` too.  Their outer-product matrix is computed once: it
+    is the AS matrix and, with ``gas``, ``m1 == n`` and ``m2 == 1``, the
+    slope matrix too, and the slope window is not read.  Before any of this,
+    the gradient rule probes the multilinear promise on min(n, 8) rows per
+    input.  Such a report costs n*(d+1) rows, plus one per short step and
+    the probe's: example1 at n = 10,000 and seed 0 costs 110,000 + 196 + 80
+    = 110,276, where Owen's third point took 220,196, redrawn slope partners
+    278,044 and forward differences 377,848.
 
     Any other model's lower indices take the design as two of their three
     points and draw the third, and its noise, on the design's own
     substreams 3 and 4 (:func:`~sensyn.variance.sobol_from_design`), and
     its gradients are forward differences from the design's z and f(z),
-    n*d rows.  With ``gas``, ``m1 == n`` and ``m2 == 1``, its slope matrix
-    keeps each design pair (z_i, v_i) that clears the slope window and
-    redraws the partner of the others on substream 3
-    (:class:`~sensyn.subspace.DesignSlopes`); at a differentiable model's
-    default window of 0 no partner is redrawn.  It reads the design's
-    noise-free outputs, so a stochastic model's slope matrix is that of its
+    n*d rows.  With ``gas``, ``m1 == n`` and ``m2 == 1``, its consumer
+    takes the partner redraw: it keeps each design pair (z_i, v_i) that
+    clears the slope window and redraws the partner of the others on
+    substream 3; at a differentiable model's default window of 0 no partner
+    is redrawn.  A stochastic model's slope matrix is so that of its
     noise-free part, while every other estimate reads the noisy outputs.
     This takes example4 at n = 10,000 from 283,023 model rows, when each
     method drew its own points, to 140,000, and example1 with noise 1 from
@@ -116,12 +114,12 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     fields: dict = {}
     subspaces: dict = {}
     gradients = "dgsm" in methods or "as" in methods
-    base = c_gas = g = None
+    base = g = c_as = c_gas = None
 
     if "sobol" in methods:
         share_gas = "gas" in methods and m1 == n and m2 == 1
-        est, base, c_gas, g = _shared_design(model, n, h, root, share_gas,
-                                             slope_window)
+        est, base, g, c_as, c_gas = _shared_design(model, n, h, root, share_gas,
+                                                   "as" in methods, slope_window)
         fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
                       sobol_upper=est.upper)
 
@@ -132,8 +130,8 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
             v = dgsm_from_gradients(g)
             fields.update(dgsm_raw=v, dgsm_normalized=normalize(v))
         if "as" in methods:
-            subspaces["as"] = _decompose("AS", c_as_from_gradients(g), model, n,
-                                         threshold, m_override)
+            subspaces["as"] = _decompose("AS", c_as_from_gradients(g) if c_as is None else c_as,
+                                         model, n, threshold, m_override)
     base = g = None  # the design's arrays go before the slope matrix draws its own
 
     if "gas" in methods:
@@ -154,24 +152,25 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 
 
 def _shared_design(model: Model, n: int, h: float, root: RngStream,
-                   share_gas: bool, slope_window: float | None):
+                   share_gas: bool, want_as: bool, slope_window: float | None):
     """Sobol' estimates from one design, its base points and outputs, the
-    slope matrix read off its noise-free outputs when ``share_gas`` (else
-    None), and the gradients of a noise-free multilinear model (else
-    None)."""
+    gradients of a noise-free multilinear model, their AS matrix when
+    ``want_as`` and the slope matrix when ``share_gas`` (each None where not
+    read; that model's two matrices are one array)."""
     design = PickFreeze(model, n, root.substream(1))
     base = design.z, design.fz
     if noise_free_multilinear(model):  # every quotient is the exact derivative
-        grads = DesignGradients(model, design.z, design.clean_fz, h)
+        grads = GradientSlopes(model, design.z, design.clean_fz, h)
         upper, sigma2 = upper_from_design(design, on_column=[grads])
-        g = grads.matrix()
+        g = grads.gradients()
         est = SobolEstimate(lower=lower_from_gradients(g, model.marginals, sigma2),
                             upper=upper, sigma2_hat=sigma2, n=n, seed=design.rng.seed)
-        return est, base, c_as_from_gradients(g) if share_gas else None, g
+        c = grads.matrix() if want_as or share_gas else None
+        return est, base, g, c, c if share_gas else None
     slopes = (DesignSlopes(model, design.z, design.clean_fz, root.substream(3), slope_window)
               if share_gas else None)
     est = sobol_from_design(design, on_column=[] if slopes is None else [slopes])
-    return est, base, None if slopes is None else slopes.matrix(), None
+    return est, base, None, None, None if slopes is None else slopes.matrix()
 
 
 def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,
@@ -217,10 +216,11 @@ def convergence_study(model: Model, method, sizes, n_seeds: int,
     ``upper_sobol`` that design is a :class:`PickFreeze`, and each size's
     scores are those of ``upper_sobol(model, size, stream)`` on the same
     stream (:func:`prefix_upper`).  With ``gas_scores`` too, the slope
-    scores are read off the same design (:class:`DesignSlopes`, on the
-    noise-free outputs, its partner redraws on substream 5 of the seed's
-    stream): n_max*(d+1) rows per seed for both tables, plus one per
-    redrawn partner.  Alone, ``gas_scores`` draws the slope sample of
+    scores are read off the same design by its quotient consumer
+    (:class:`DesignSlopes`, on the noise-free outputs, under the partner
+    redraw on substream 5 of the seed's stream, since no gradient is read):
+    n_max*(d+1) rows per seed for both tables, plus one per redrawn
+    partner.  Alone, ``gas_scores`` draws the slope sample of
     :func:`slope_vectors`, which redraws a partner at no row's cost.
     Either way each size's scores are the diagonal of the slope matrix of
     its prefix's rows (:meth:`~sensyn.subspace.SlopeSample.diagonal`), at

@@ -47,6 +47,10 @@ The slope matrix keeps one rule per concern:
   so a noisy model's slope matrix is its noise-free part's, byte for byte.
   This keeps the slope matrix stable on stochastic models while derivative
   measures degrade, and is why a noisy differentiable model needs no window.
+
+A design's quotients have one consumer, :class:`DesignSlopes`; only its
+repair of a short pair differs: the partner redraw above, or for a
+noise-free multilinear model the gradient rule (:class:`GradientSlopes`).
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgsm import dgsm_from_gradients, gradient_matrix
-from .errors import EmptySlopeWindowError, InputDomainError
+from .dgsm import _finite, dgsm_from_gradients, gradient_matrix, noise_free_multilinear
+from .errors import EmptySlopeWindowError, InputDomainError, ModelOutputError
 from .linalg import JACOBI_TOL, SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
 from .randkit import (InputDistribution, Normal, RngStream, Uniform, law_runs,
@@ -65,6 +69,7 @@ from .variance import noise_free_part
 
 DEFAULT_SLOPE_WINDOW = 0.35  # the window of a non-differentiable model
 _COINCIDENT_TOL = 1e-12
+PROBE_ROWS = 8  # design rows per input on which the multilinear promise is probed
 _CHUNK = 4096
 # coordinates per weight chunk and pairs per partner-redraw group: a normal
 # block's two tails, 8,192 values, keep normal_cdf's temporaries in cache
@@ -394,23 +399,19 @@ def estimate_c_gas(model: Model, m1: int, m2: int, rng: RngStream,
 
 
 class DesignSlopes(SlopeSample):
-    """The slope matrix of a pick-freeze design, gathered one freeze column
-    at a time.
+    """The quotients of a pick-freeze design, one freeze column at a time,
+    and their slope matrix (reduced as in :class:`SlopeSample`).
 
-    Called with ``(i, v_i, f0(v_i, z_-i))`` for each input in turn, where
-    f0 is the model's noise-free part (the outputs a
+    Called with ``(i, v_i, f0(v_i, z_-i))`` for each input in turn, f0 the
+    model's noise-free part (the outputs a
     :class:`~sensyn.variance.PickFreeze` hands its column consumers), it
-    keeps the quotient of every first-draw pair ``(z_i, v_i)`` that clears
-    the separation floor and notes the others.  Their partners are redrawn
-    a group of inputs at a time (:class:`_PartnerRedraws`, on ``rng``), and
-    each input's redrawn rows are evaluated in one call of f0: a redrawn
-    pair costs one row, and a base with no admissible partner none (its
-    quotient is 0); at a differentiable model's default window of 0 no
-    pair is redrawn.  The matrix is reduced as in :class:`SlopeSample`,
-    and ``fz`` is f0(z).  A noise-free multilinear model needs none of
-    this: its every quotient is the exact partial derivative, so the
-    estimators read its slope matrix off the design's gradients
-    (:class:`~sensyn.dgsm.DesignGradients`) and draw no partner.
+    writes ``slopes[:, i] = (f0(v_i, z_-i) - f0(z)) / (v_i - z_i)``, with
+    ``fz`` = f0(z), and repairs each pair closer than ``gaps[i]`` by
+    redrawing its partner, a group of inputs at a time
+    (:class:`_PartnerRedraws`, on ``rng``): one call of f0 per input, one
+    row per redrawn pair, none for a base with no admissible partner (its
+    quotient is 0), and none at a differentiable model's default window of
+    0.  :class:`GradientSlopes` repairs by the gradient rule instead.
     """
 
     def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray,
@@ -423,8 +424,12 @@ class DesignSlopes(SlopeSample):
     def __call__(self, i: int, v: np.ndarray, fv: np.ndarray) -> None:
         step = v - self.z[:, i]
         near = np.flatnonzero(np.abs(step) < self.gaps[i])
-        step[near] = 1.0  # their quotients are set once redrawn
+        step[near] = 1.0  # their quotients are set by the repair
         np.divide(fv - self.fz, step, out=self.slopes[:, i])
+        self._repair(i, v, fv, near)
+
+    def _repair(self, i: int, v: np.ndarray, fv: np.ndarray, near: np.ndarray) -> None:
+        """Set the quotients of the ``near`` rows of column i."""
         for k, rows, b, mass in self.redraws.add(i, near):
             live = mass > 0.0
             self.slopes[rows[~live], k] = 0.0
@@ -432,6 +437,57 @@ class DesignSlopes(SlopeSample):
                 rows = rows[live]
                 x = self.z.take(rows, axis=0)
                 self.slopes[rows, k] = _quotients(self.model, x, k, b[live], self.fz[rows])
+
+
+class GradientSlopes(DesignSlopes):
+    """The design quotients of a noise-free multilinear model, repaired by
+    the gradient rule: its gradients at the base points.
+
+    A quotient is the exact partial derivative, rounded to about
+    ``eps |f| / |v_i - z_i|``, so a pair closer than ``h`` takes a forward
+    difference at step h, one row each in one call per input.  First, one
+    call of min(n, ``PROBE_ROWS``) rows per input probes the promise: an
+    affine f takes at ((z_i + v_i)/2, z_-i) the mean of f(z) and
+    f(v_i, z_-i), and a defect above 64 eps times their largest |f| raises
+    :class:`~sensyn.errors.ModelOutputError` naming the input.  The matrix
+    is the gradients' AS matrix.
+    """
+
+    def __init__(self, model: Model, z: np.ndarray, fz: np.ndarray, h: float):
+        if not noise_free_multilinear(model):
+            raise InputDomainError("a design's gradients need a noise-free multilinear model")
+        if h <= 0.0:
+            raise InputDomainError("finite-difference increment must be positive")
+        SlopeSample.__init__(self, model, z, np.empty(z.shape), 0.0)  # the plain mean
+        self.fz, self.h = fz, h
+        self.gaps = np.full(model.d, h)  # the gradient rule's separation floor
+
+    def _repair(self, i: int, v: np.ndarray, fv: np.ndarray, near: np.ndarray) -> None:
+        self._probe(i, v, fv)
+        if near.size:
+            x = self.z.take(near, axis=0)
+            x[:, i] += self.h
+            self.slopes[near, i] = (self.model.evaluate(x) - self.fz[near]) / self.h
+
+    def _probe(self, i: int, v: np.ndarray, fv: np.ndarray) -> None:
+        k = min(PROBE_ROWS, len(v))
+        x = self.z[:k].copy()
+        x[:, i] = 0.5 * (x[:, i] + v[:k])
+        mid, fz, fv = self.model.evaluate(x), self.fz[:k], fv[:k]
+        defect = float(np.max(np.abs(mid - (0.5 * fz + 0.5 * fv))))
+        if defect > 64.0 * np.finfo(np.float64).eps * np.max(np.abs([mid, fz, fv])):
+            raise ModelOutputError(
+                f"model {self.model.label!r} declares itself multilinear, but is not "
+                f"affine in input {i + 1}: at the midpoint of a design pair its output "
+                f"differs from the mean of the pair's outputs by {defect:.3g}")
+
+    def gradients(self) -> np.ndarray:
+        """The (n, d) gradients, checked finite."""
+        return _finite(self.slopes)
+
+    def matrix(self) -> np.ndarray:
+        """The model's AS and slope matrix on this design, in one array."""
+        return c_as_from_gradients(self.gradients())
 
 
 def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition | list[SpectralDecomposition]:

@@ -12,7 +12,8 @@ replicate of both estimators so costs n*(2*d+2) evaluations, in
 and multilinear.  A report on a noise-free multilinear model draws no third
 point: its main-effect variances follow from the means of its gradients
 (:func:`lower_from_gradients`), which its design gives at one row per short
-step after a probe of min(n, 8) rows per input, so both estimators cost it
+step after a probe of min(n, 8) rows per input
+(:class:`~sensyn.subspace.GradientSlopes`), so both estimators cost it
 n*(d+1) evaluations and those rows.
 
 For the evaluations of input i the estimators overwrite column i of a base
@@ -127,10 +128,12 @@ def _with_noise(model: Model, clean: np.ndarray, eps: np.ndarray | None) -> np.n
     return clean if eps is None else clean + model.noise_scale * eps
 
 
-def _checked_variance(fz: np.ndarray, what: str) -> float:
+def _checked_variance(fz: np.ndarray, option: str = "--n") -> float:
     sigma2 = float(np.var(fz, ddof=1))
     if sigma2 <= 0.0:
-        raise ZeroVarianceError(f"{what} undefined for a constant model")
+        raise ZeroVarianceError(
+            f"Sobol' indices are undefined: all {len(fz)} base outputs are equal, so the "
+            f"model is constant or the sample is too small; use a larger sample ({option})")
     return sigma2
 
 
@@ -145,7 +148,7 @@ def upper_from_design(design: PickFreeze,
     ``(i, v_i, f0(v_i, z_-i))``, f0 the model's noise-free part
     (:class:`PickFreeze`), with every freeze column after its index is
     reduced; the callables share ``v_i``, so none may overwrite it."""
-    sigma2 = _checked_variance(design.fz, "upper Sobol' indices")
+    sigma2 = _checked_variance(design.fz)
     out = np.empty(design.model.d)
     for i, v, fv, clean in design.columns():
         out[i] = _upper(design.fz, fv, sigma2)
@@ -175,8 +178,7 @@ def prefix_upper(design: PickFreeze, sizes, on_column=()) -> np.ndarray:
     depends on the batch length (a BLAS matrix-vector product's does).
     ``on_column`` sees every whole freeze column, as in
     :func:`upper_from_design`."""
-    sigma2 = [_checked_variance(design.fz[:s], "upper Sobol' indices")
-              for s in sizes]
+    sigma2 = [_checked_variance(design.fz[:s], "--sizes") for s in sizes]
     out = np.empty((len(sizes), design.model.d))
     for i, v, fv, clean in design.columns():
         for k, s in enumerate(sizes):
@@ -208,7 +210,7 @@ def sobol_from_design(design: PickFreeze, on_column=()) -> SobolEstimate:
     :func:`estimate_sobol` take it for every model.
     """
     model, n, x, fx = design.model, design.n, design.z, design.fz
-    sigma2 = _checked_variance(fx, "Sobol' indices")
+    sigma2 = _checked_variance(fx)
     w = sample_inputs(model, n, design.rng.substream(_THIRD))
     noise = design.rng.substream(_THIRD_NOISE)
     fw = model.evaluate(w, rng=noise.substream(0))
@@ -235,7 +237,7 @@ def lower_from_gradients(g: np.ndarray, marginals, sigma2: float) -> np.ndarray:
     E[d_i f] and the law's own variance for Var(x_i): scale**2/12 for a
     ``Uniform`` law, sigma**2 for a ``Normal`` one.  It draws no row of its
     own; a report reads ``g`` off its design
-    (:class:`~sensyn.dgsm.DesignGradients`).
+    (:class:`~sensyn.subspace.GradientSlopes`).
     """
     var_x = np.array([m.scale**2 / 12.0 if isinstance(m, Uniform) else m.sigma**2
                       for m in marginals])

@@ -15,7 +15,8 @@ from sensyn import (InputDomainError, Model, ModelOutputError, RngStream,
 from sensyn.bounds import (N_BATCHES, BatchStatistics, applicable_checks,
                            batch_statistics, dgsm_bounds, gas_bound_general,
                            gas_bound_uniform, quadratic_identity)
-from sensyn.dgsm import PROBE_ROWS, DesignGradients, dgsm_from_gradients
+from sensyn.dgsm import dgsm_from_gradients
+from sensyn.subspace import PROBE_ROWS, GradientSlopes
 
 
 def scaled(model, factor):
@@ -356,11 +357,11 @@ class TestBatchEngine:
     def test_example1_reads_its_gradients_off_each_design(self, tmp_path, monkeypatch):
         short = [0]  # design pairs closer than h: one forward-difference row each
 
-        class Counted(DesignGradients):
+        class Counted(GradientSlopes):
             def __call__(self, i, v, fv):
                 short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
                 super().__call__(i, v, fv)
-        monkeypatch.setattr(bounds, "DesignGradients", Counted)
+        monkeypatch.setattr(bounds, "GradientSlopes", Counted)
         calls, rows, replaced, _ = run_bounds(
             ["--model", "example1", "--n", "10000", "--seed", "0"], tmp_path, monkeypatch)
         assert calls == engine_calls(N_BATCHES, 0, 0)
@@ -375,11 +376,11 @@ class TestBatchEngine:
     def test_linear_reads_its_slope_matrix_off_each_design(self, tmp_path, monkeypatch):
         short = [0]  # design pairs closer than h: one forward-difference row each
 
-        class Counted(DesignGradients):
+        class Counted(GradientSlopes):
             def __call__(self, i, v, fv):
                 short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
                 super().__call__(i, v, fv)
-        monkeypatch.setattr(bounds, "DesignGradients", Counted)
+        monkeypatch.setattr(bounds, "GradientSlopes", Counted)
         calls, rows, replaced, _ = run_bounds(
             ["--model", "linear", "--c", "1,-2,0.5,3", "--n", "2000", "--seed", "0"],
             tmp_path, monkeypatch)

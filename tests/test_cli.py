@@ -164,6 +164,22 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["analyze", "--model", "example2", "--methods", "sobol", "--n", "2"], "--n"),
+        (["bounds", "--model", "example2", "--n", "20"], "--n"),
+        (["convergence", "--model", "example2", "--methods", "sobol", "--sizes", "2,10",
+          "--seeds", "2"], "--sizes")], ids=["analyze", "bounds", "convergence"])
+    def test_equal_base_outputs_name_the_sample(self, argv, option, tmp_path, capsys):
+        # example2 is not constant, but two base points can share its output;
+        # the remedy names the option the command takes
+        out = tmp_path / "x.json"
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "all 2 base outputs are equal" in err
+        assert "constant or the sample is too small" in err
+        assert err.rstrip().endswith(f"use a larger sample ({option})")
+        assert not out.exists()
+
     @pytest.mark.parametrize("eval_fn, message", [
         (lambda x: np.where(x[:, 0] < 0.01, np.nan, x.sum(axis=1)),
          "non-finite value"),
@@ -851,7 +867,7 @@ class TestReproducibility:
                                                            monkeypatch):
         # a noisy or non-multilinear model, or gradients without a design,
         # never reads gradients off a design, and writes what the forward
-        # differences alone write
+        # differences alone write: no caller takes the gradient rule
         def unused(*args, **kwargs):
             raise AssertionError("these gradients are forward differences")
         blobs = []
@@ -861,7 +877,7 @@ class TestReproducibility:
                     if forced:
                         patch.setattr(module, "noise_free_multilinear", lambda model: False)
                     else:
-                        patch.setattr(module, "DesignGradients", unused)
+                        patch.setattr(module, "GradientSlopes", unused)
                 out = tmp_path / f"forced-{forced}.json"
                 assert main([*argv, "--n", "2000", "--seed", "6", "--out", str(out)]) == 0
                 blobs.append(out.read_bytes())

@@ -12,7 +12,7 @@ from sensyn import (InputDomainError, Model, ModelOutputError, Normal,
                     make_quadratic_normal, upper_sobol)
 from sensyn import cli as cli_mod
 from sensyn.bounds import batch_statistics
-from sensyn.dgsm import PROBE_ROWS, DesignGradients
+from sensyn.subspace import PROBE_ROWS, GradientSlopes
 from sensyn.variance import PickFreeze, upper_from_design
 
 
@@ -63,12 +63,12 @@ def example1_gradients(z: np.ndarray) -> np.ndarray:
     return g
 
 
-class TestDesignGradients:
+class TestGradientRule:
     @pytest.mark.parametrize("h", [1e-3, 0.2])
     def test_example1_exact_at_the_base_points(self, h, monkeypatch):
         model, n = make_example1(), 4_000
         design = PickFreeze(model, n, RngStream(3))
-        grads = DesignGradients(model, design.z, design.fz, h)
+        grads = GradientSlopes(model, design.z, design.fz, h)
         steps = []
         rows = []
 
@@ -78,7 +78,7 @@ class TestDesignGradients:
         monkeypatch.setattr(Model, "evaluate", counted)
         upper_from_design(design, on_column=[
             grads, lambda i, v, fv: steps.append(v - design.z[:, i])])
-        np.testing.assert_allclose(grads.matrix(), example1_gradients(design.z),
+        np.testing.assert_allclose(grads.gradients(), example1_gradients(design.z),
                                    rtol=0.0, atol=1e-9)
         # each freeze column, the probe of its first PROBE_ROWS rows, then, if
         # any of its pairs is closer than h, one call holding one row per
@@ -94,10 +94,10 @@ class TestDesignGradients:
     def test_coincident_pair_takes_the_forward_difference(self):
         model = make_linear([3.0, -1.0])
         z = np.array([[0.2, 0.7], [0.5, 0.1]])
-        grads = DesignGradients(model, z, model.evaluate(z), 1e-3)
+        grads = GradientSlopes(model, z, model.evaluate(z), 1e-3)
         for i in range(2):
             grads(i, z[:, i].copy(), model.evaluate(z))
-        np.testing.assert_allclose(grads.matrix(), [[3.0, -1.0]] * 2, rtol=1e-9)
+        np.testing.assert_allclose(grads.gradients(), [[3.0, -1.0]] * 2, rtol=1e-9)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_quotient_names_the_input(self):
@@ -105,19 +105,19 @@ class TestDesignGradients:
                       marginals=(Uniform(0.0, 1.0),) * 2,
                       eval_fn=lambda z: 1.7e308 * (2.0 * z[:, 1] - 1.0))
         z = np.array([[0.5, 0.0], [0.5, 0.1]])
-        grads = DesignGradients(model, z, model.evaluate(z), 1e-3)
+        grads = GradientSlopes(model, z, model.evaluate(z), 1e-3)
         for i in range(2):
             v = 1.0 - z[:, i]
             grads(i, v, model.evaluate_column(z, i, v))
         with pytest.raises(InputDomainError, match="input 2"):
-            grads.matrix()
+            grads.gradients()
 
     @pytest.mark.parametrize("model", [make_example1(noise_scale=1.0), make_example4()],
                              ids=["noisy", "not-multilinear"])
     def test_needs_a_noise_free_multilinear_model(self, model):
         z = np.full((2, model.d), 0.5)
         with pytest.raises(InputDomainError, match="multilinear"):
-            DesignGradients(model, z, np.zeros(2), 1e-3)
+            GradientSlopes(model, z, np.zeros(2), 1e-3)
 
 
 def falsely_multilinear(name: str) -> Model:
@@ -154,14 +154,14 @@ class TestMultilinearProbe:
     def test_models_that_keep_the_promise_pass(self, model):
         for seed in range(50):
             design = PickFreeze(model, 100, RngStream(seed))
-            grads = DesignGradients(model, design.z, design.fz, 1e-3)
+            grads = GradientSlopes(model, design.z, design.fz, 1e-3)
             upper_from_design(design, on_column=[grads])
 
     @pytest.mark.parametrize("n", [3, 100])
     def test_probe_reads_at_most_eight_rows_per_input(self, n, monkeypatch):
         model = make_linear([1.0, 2.0, 3.0])
         design = PickFreeze(model, n, RngStream(1))
-        grads = DesignGradients(model, design.z, design.fz, 1e-300)  # no short step
+        grads = GradientSlopes(model, design.z, design.fz, 1e-300)  # no short step
         rows = []
 
         def counted(self, z, rng=None, noise=None, _fn=Model.evaluate):

@@ -16,9 +16,8 @@ from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
                     indicator_upper_sobol, lower_sobol, make_example1,
                     make_example2, make_example4, make_linear, normalize,
                     rank, report, sample_inputs, subspace, upper_sobol)
-from sensyn.dgsm import PROBE_ROWS, DesignGradients
-from sensyn.output import convergence_to_dict
-from sensyn.subspace import DesignSlopes, SlopeSample
+from sensyn.output import METHOD_NAMES, convergence_to_dict
+from sensyn.subspace import PROBE_ROWS, DesignSlopes, GradientSlopes, SlopeSample
 from sensyn.variance import (PickFreeze, lower_from_gradients, sobol_from_design,
                              upper_from_design)
 
@@ -275,16 +274,16 @@ def counting_partners(monkeypatch) -> list:
 
 
 def counting_short_steps(monkeypatch) -> list:
-    """Count the design pairs closer than h, which the design's gradients
-    take as forward differences."""
+    """Count the design pairs closer than h, which the gradient rule takes
+    as forward differences."""
     short = [0]
 
-    class Counted(DesignGradients):
+    class Counted(GradientSlopes):
         def __call__(self, i, v, fv):
             short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
             super().__call__(i, v, fv)
 
-    monkeypatch.setattr(report, "DesignGradients", Counted)
+    monkeypatch.setattr(report, "GradientSlopes", Counted)
     return short
 
 
@@ -349,6 +348,30 @@ class TestSharedDesign:
         # P(|v - z| < h) = 2h - h**2 for two unit-width uniforms
         assert short[0] / (n * d) == pytest.approx(2e-3, abs=1e-3)
 
+    @pytest.mark.parametrize("model, short", [
+        (make_example1(), 196), (make_linear([1.0, 2.0, 3.0, 4.0]), 87)],
+        ids=["example1", "linear"])
+    def test_two_repair_rules_differ_only_in_short_steps(self, model, short):
+        # one consumer fills every design's quotients; the gradient rule
+        # takes a forward difference for a pair closer than h, and the
+        # partner redraw at window 0 keeps every pair
+        design = PickFreeze(model, 10_000, RngStream(0).substream(1))
+        gradient = GradientSlopes(model, design.z, design.clean_fz, 1e-3)
+        redraw = DesignSlopes(model, design.z, design.clean_fz, RngStream(0).substream(3))
+        steps = []
+        upper_from_design(design, on_column=[
+            gradient, redraw, lambda i, v, fv: steps.append(np.abs(v - design.z[:, i]))])
+        differs = gradient.slopes != redraw.slopes
+        np.testing.assert_array_equal(differs, np.column_stack(steps) < 1e-3)
+        assert int(differs.sum()) == short
+        for rule in (gradient, redraw):
+            assert rule.matrix().tobytes() == c_as_from_gradients(rule.slopes).tobytes()
+
+    def test_multilinear_as_and_gas_are_one_array(self, monkeypatch):
+        seen = recorded_matrices(monkeypatch)
+        build_report(make_example1(), seed=0, n=10_000, methods=METHOD_NAMES)
+        assert seen["AS"] is seen["GAS"]
+
     def test_example1_gradients_match_the_forward_differences(self, monkeypatch):
         model = make_example1()
         seen = recorded_matrices(monkeypatch)
@@ -371,9 +394,9 @@ class TestSharedDesign:
         # design's stream
         root = RngStream(11)
         design = PickFreeze(model, 20_000, root.substream(1))
-        grads = DesignGradients(model, design.z, design.fz, 1e-3)
+        grads = GradientSlopes(model, design.z, design.fz, 1e-3)
         _, sigma2 = upper_from_design(design, on_column=[grads])
-        lower = lower_from_gradients(grads.matrix(), model.marginals, sigma2)
+        lower = lower_from_gradients(grads.gradients(), model.marginals, sigma2)
         assert read.sobol_lower.tobytes() == lower.tobytes()
         owen = sobol_from_design(PickFreeze(model, 20_000, root.substream(1)))
         assert fd.sobol_lower.tobytes() == owen.lower.tobytes()

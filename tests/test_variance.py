@@ -9,7 +9,7 @@ from sensyn import (InputDomainError, Model, Normal, RngStream, Uniform,
                     ZeroVarianceError, analytic_anova, build_report,
                     estimate_sobol, estimate_variance, lower_sobol,
                     make_example1, make_example4, make_linear, upper_sobol)
-from sensyn.dgsm import DesignGradients
+from sensyn.subspace import GradientSlopes
 from sensyn.variance import PickFreeze, lower_from_gradients, sobol_from_design
 
 
@@ -160,9 +160,9 @@ def paired_lower(name: str):
     new, owen = [], []
     for seed in range(N_SEEDS):
         design = PickFreeze(model, 2_000, RngStream(seed))
-        grads = DesignGradients(model, design.z, design.fz, 1e-3)
+        grads = GradientSlopes(model, design.z, design.fz, 1e-3)
         est = sobol_from_design(design, on_column=[grads])
-        new.append(lower_from_gradients(grads.matrix(), model.marginals, est.sigma2_hat))
+        new.append(lower_from_gradients(grads.gradients(), model.marginals, est.sigma2_hat))
         owen.append(est.lower)
     return analytic_anova(model).lower, np.array(new), np.array(owen)
 
