@@ -50,7 +50,8 @@ import numpy as np
 
 from .dgsm import dgsm_from_gradients, gradient_matrix, noise_free_multilinear
 from .errors import InputDomainError, ModelOutputError
-from .linalg import SpectralDecomposition, select_m, sym_eig
+from .linalg import SpectralDecomposition, select_m
+from .linalg import sym_eig  # noqa: F401  (bench/test_counts.py looks it up here)
 from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
 from .subspace import (DesignSlopes, GradientSlopes, _slope_window, c_as_from_gradients,
@@ -97,7 +98,10 @@ class BoundCheck:
 class BatchStatistics:
     """Per-batch estimates, one list entry per batch (``None``: not requested),
     and the slope window of ``c_gas``; the spectra of each kind are
-    decomposed on first use, as one stack, and shared by every check."""
+    decomposed on first use, as one stack by the one rule of both kinds
+    (:func:`~sensyn.subspace.psd_spectrum`), and shared by every check.  A
+    check that reads a statistic not requested raises
+    :class:`~sensyn.errors.InputDomainError` naming it."""
 
     model: Model
     n: int
@@ -108,13 +112,24 @@ class BatchStatistics:
     c_as: list[np.ndarray] | None = None
     slope_window: float | None = None
 
+    def _read(self, name: str) -> list[np.ndarray]:
+        """The per-batch ``name`` (``c_gas``, ``c_as`` or ``dgsm``), or an
+        error naming the keyword of :func:`batch_statistics` that asks for it."""
+        value = getattr(self, name)
+        if value is None:
+            keyword = "gas=True" if name == "c_gas" else "gradients=True"
+            raise InputDomainError(
+                f"these batch statistics of model {self.model.label!r} hold no {name}: "
+                f"batch_statistics computes it with {keyword}")
+        return value
+
     @cached_property
     def gas_spectra(self) -> list[SpectralDecomposition]:
-        return psd_spectrum(np.stack(self.c_gas))
+        return psd_spectrum(np.stack(self._read("c_gas")))
 
     @cached_property
     def as_spectra(self) -> list[SpectralDecomposition]:
-        return sym_eig(np.stack(self.c_as))
+        return psd_spectrum(np.stack(self._read("c_as")))
 
 
 def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
@@ -288,9 +303,9 @@ def quadratic_identity(stats: BatchStatistics) -> BoundCheck:
     """
     sides = _inequality("quadratic_identity",
                         [s2 * up for s2, up in zip(stats.sigma2, stats.upper)],
-                        [np.diag(c) for c in stats.c_gas])
-    as_slack, as_se = _batch_stats(
-        [np.diag(c) / s2 - up for c, s2, up in zip(stats.c_as, stats.sigma2, stats.upper)])
+                        [np.diag(c) for c in stats._read("c_gas")])
+    as_slack, as_se = _batch_stats([np.diag(c) / s2 - up for c, s2, up
+                                    in zip(stats._read("c_as"), stats.sigma2, stats.upper)])
     return _residual(sides, {"n": stats.n, "sigma2_times_upper": sides.lhs,
                              "gas_scores_full": sides.rhs,
                              "as_bound_slack": as_slack, "as_bound_slack_se": as_se})
@@ -313,7 +328,7 @@ def dgsm_bounds(stats: BatchStatistics, threshold: float = 0.9) -> list[BoundChe
     unit_width = all(isinstance(mar, Uniform) and mar.scale == 1.0
                      for mar in model.marginals)
 
-    v_rows = [v / s2 for v, s2 in zip(stats.dgsm, stats.sigma2)]
+    v_rows = [v / s2 for v, s2 in zip(stats._read("dgsm"), stats.sigma2)]
     alpha_rows = [_spilled_scores(spec, select_m(spec, threshold)) / s2
                   for spec, s2 in zip(stats.as_spectra, stats.sigma2)]
     dconst = np.array([cheeger_constant(mar) for mar in model.marginals])

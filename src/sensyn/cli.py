@@ -163,8 +163,12 @@ def _check_analyze(args, model) -> None:
     if args.n is None and args.m1 is not None:
         args.n = args.m1 * args.m2
     _check_sampling(args, model)
-    _require(args.m1 is None or args.n == args.m1 * args.m2,
-             "when m1 and m2 are given, n must equal m1*m2")
+    if args.m1 is None:  # an omitted --m1 is n / m2
+        _require(args.n % args.m2 == 0,
+                 f"--n {args.n} must equal --m1 times --m2, and --m2 {args.m2} does not divide it")
+        args.m1 = args.n // args.m2
+    _require(args.n == args.m1 * args.m2,
+             f"--n {args.n} must equal --m1 {args.m1} times --m2 {args.m2}")
     _require("sobol" not in args.methods or args.n >= 2,
              f"--n must be at least 2 for the sobol method, got {args.n}")
 

@@ -87,9 +87,17 @@ def noise_free_multilinear(model: Model) -> bool:
     return model.multilinear and model.noise_scale == 0.0
 
 
+def _gradient_rows(g) -> np.ndarray:
+    """``g`` as an (n, d) float array, refused at n = 0, where its means are NaN."""
+    g = np.asarray(g, dtype=np.float64)
+    if len(g) == 0:
+        raise InputDomainError("no gradient samples: a mean over zero rows is undefined")
+    return g
+
+
 def dgsm_from_gradients(g: np.ndarray) -> np.ndarray:
     """Mean squared partial derivatives, one value per input."""
-    return np.mean(np.asarray(g, dtype=np.float64) ** 2, axis=0)
+    return np.mean(_gradient_rows(g) ** 2, axis=0)
 
 
 def dgsm(model: Model, n: int, h: float, rng: RngStream) -> np.ndarray:

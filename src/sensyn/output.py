@@ -38,10 +38,13 @@ _SCHEMA_VERSION = 2
 Vector = Sequence[float]
 
 
-def _in(section: str, default=MISSING, key: str | None = None):
+def _in(section: str, default=MISSING, key: str | None = None,
+        filled_by: str | None = None):
     """A report field written to JSON ``section`` under ``key`` (default:
-    the field's own name)."""
-    return field(default=default, metadata={"section": section, "key": key})
+    the field's own name); a nullable field ``filled_by`` a method is
+    non-null when ``meta.methods`` lists it."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "filled_by": filled_by})
 
 
 @dataclass(frozen=True)
@@ -86,19 +89,14 @@ class SensitivityReport:
     threshold: float = _in("meta")
     methods: tuple[str, ...] = _in("meta")
     slope_window: float | None = _in("meta", None)
-    sigma2_hat: float | None = _in("scores", None)
-    sobol_lower: Vector | None = _in("scores", None)
-    sobol_upper: Vector | None = _in("scores", None)
-    dgsm_raw: Vector | None = _in("scores", None)
+    sigma2_hat: float | None = _in("scores", None, filled_by="sobol")
+    sobol_lower: Vector | None = _in("scores", None, filled_by="sobol")
+    sobol_upper: Vector | None = _in("scores", None, filled_by="sobol")
+    dgsm_raw: Vector | None = _in("scores", None, filled_by="dgsm")
     dgsm_normalized: Vector | None = _in("scores", None)
     subspaces: dict[str, SubspaceSummary] = field(default_factory=dict)
     u1_alignment: float | None = _in("spectra", None)
     reference_direction: Vector | None = _in("spectra", None)
-
-
-# the nullable report fields that are non-null when meta.methods lists their method
-_FILLED_BY = {"sigma2_hat": "sobol", "sobol_lower": "sobol", "sobol_upper": "sobol",
-              "dgsm_raw": "dgsm"}
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def _report_schema() -> tuple:
         if f.name != "subspaces":
             slots.append((f.metadata["section"], f.metadata["key"] or f.name,
                           None, f.name, f.type,
-                          _FILLED_BY.get(f.name) if f.type.endswith("| None") else ""))
+                          f.metadata["filled_by"] if f.type.endswith("| None") else ""))
             continue
         for section in ("scores", "spectra"):
             slots.extend((section, f"m_{method}" if g.name == "m"

@@ -12,14 +12,14 @@ import numpy as np
 
 from .dgsm import dgsm_from_gradients, gradient_matrix, noise_free_multilinear
 from .errors import DegenerateSpectrumError, InputDomainError
-from .linalg import normalized_cumsum, select_m, sym_eig
+from .linalg import normalized_cumsum, select_m
+from .linalg import sym_eig  # noqa: F401  (bench/test_counts.py looks it up here)
 from .models import Model
 from .output import (METHOD_NAMES, ConvergenceTable, SensitivityReport,
                      SubspaceSummary)
 from .randkit import RngStream
-from .subspace import (SubspaceResult, DesignSlopes, GradientSlopes, _slope_window,
-                       c_as_from_gradients, estimate_c_gas, psd_spectrum,
-                       slope_vectors)
+from .subspace import (DesignSlopes, GradientSlopes, _slope_window, c_as_from_gradients,
+                       estimate_c_gas, psd_spectrum, scores, slope_vectors)
 from .variance import (PickFreeze, SobolEstimate, lower_from_gradients,
                        prefix_upper, sobol_from_design, upper_from_design)
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
@@ -52,7 +52,8 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     """Run the selected methods with a fixed stream layout and assemble the
     report; identical arguments give identical reports.  ``m_override``,
     ``threshold``, ``m1``, ``m2`` and, with ``gas``, ``slope_window`` are
-    checked before any row is drawn.  ``slope_window`` defaults to the
+    checked before any row is drawn; ``m1`` defaults to n / m2, refused
+    when m2 does not divide n.  ``slope_window`` defaults to the
     model's: 0 for a differentiable model, ``DEFAULT_SLOPE_WINDOW``
     otherwise; the report records the window used with ``gas``, and None
     without it.
@@ -105,10 +106,13 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         raise InputDomainError(f"m must lie in 1..{model.d}")
     if not 0.0 <= threshold < 1.0:
         raise InputDomainError("threshold must lie in [0, 1)")
-    if m1 is None:
-        m1 = n
-    if m1 < 1 or m2 < 1:
+    if m2 < 1 or m1 is not None and m1 < 1:
         raise InputDomainError("sample sizes m1 and m2 must be at least 1")
+    if m1 is None:
+        if n % m2:
+            raise InputDomainError(f"m1 defaults to n / m2, but m2 = {m2} does not "
+                                   f"divide n = {n}; give m1")
+        m1 = n // m2
     slope_window = _slope_window(model, slope_window) if "gas" in methods else None
     root = RngStream(seed)
     fields: dict = {}
@@ -175,24 +179,18 @@ def _shared_design(model: Model, n: int, h: float, root: RngStream,
 
 def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,
                threshold: float, m_override: int | None) -> SubspaceSummary:
+    """The report's summary of an AS or GAS matrix, by the one spectrum rule
+    of both kinds (:func:`~sensyn.subspace.psd_spectrum`)."""
     if not np.any(matrix):
         raise DegenerateSpectrumError(
             f"{kind} matrix of model {model.label!r} is all zero at n={n}: "
             f"every sampled {'gradient' if kind == 'AS' else 'slope'} vanished; "
             f"use a larger n (--n) or drop the {kind.lower()!r} method")
-    spec = sym_eig(matrix) if kind == "AS" else psd_spectrum(matrix)
+    spec = psd_spectrum(matrix)
     m_sel = select_m(spec, threshold) if m_override is None else m_override
-    return _summary(SubspaceResult(kind=kind, matrix=matrix, spectrum=spec,
-                                   m_selected=m_sel))
-
-
-def _summary(result: SubspaceResult) -> SubspaceSummary:
-    """The report's summary of one AS or GAS result."""
-    spec = result.spectrum
-    sel = result.scores()
-    full = result.scores(result.d)
+    sel, full = scores(spec, m_sel), scores(spec, spec.dim)
     return SubspaceSummary(spec.eigenvalues, normalized_cumsum(spec),
-                           spec.eigenvectors[:, 0], result.m_selected, sel, full,
+                           spec.eigenvectors[:, 0], m_sel, sel, full,
                            normalize(sel), normalize(full))
 
 

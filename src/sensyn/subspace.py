@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgsm import _finite, dgsm_from_gradients, gradient_matrix, noise_free_multilinear
+from .dgsm import (_finite, _gradient_rows, dgsm_from_gradients, gradient_matrix,
+                   noise_free_multilinear)
 from .errors import EmptySlopeWindowError, InputDomainError, ModelOutputError
 from .linalg import JACOBI_TOL, SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
@@ -491,14 +492,16 @@ class GradientSlopes(DesignSlopes):
 
 
 def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition | list[SpectralDecomposition]:
-    """Eigendecomposition of a slope matrix with every eigenvalue below
-    :func:`~sensyn.linalg.sym_eig`'s resolution set to 0.
+    """Eigendecomposition of an AS or GAS matrix, both means of outer
+    products, with every eigenvalue below :func:`~sensyn.linalg.sym_eig`'s
+    resolution set to 0.
 
-    Above window 0 the entries of :class:`SlopeSample` have different
-    weight sums, so the matrix need not be PSD: a singular one's (example4's)
-    smallest eigenvalue comes out 1e-6 to 1e-4 of the largest below 0 at
-    n = 50,000 to 1,000; at window 0 it is round-off, as a rank-one map's
-    second one always is.
+    A plain mean (an AS matrix, a slope matrix at window 0) is PSD in exact
+    arithmetic, so there only round-off is set to 0, as a rank-one map's
+    second eigenvalue always is.  Above window 0 the entries of
+    :class:`SlopeSample` have different weight sums, so the matrix need not
+    be PSD: a singular one's (example4's) smallest eigenvalue comes out
+    1e-6 to 1e-4 of the largest below 0 at n = 50,000 to 1,000.
     Eigenvalues below the solver's stopping tolerance,
     ``JACOBI_TOL * ||C||_F``, are therefore set to 0: for the negative ones
     this is the spectrum of the nearest PSD matrix in the Frobenius norm.
@@ -523,7 +526,7 @@ def _clamped(spec: SpectralDecomposition) -> SpectralDecomposition:
 
 def c_as_from_gradients(g: np.ndarray) -> np.ndarray:
     """Gradient outer-product matrix from precomputed gradient samples."""
-    g = np.asarray(g, dtype=np.float64)
+    g = _gradient_rows(g)
     return _sum_outer(g) / len(g)
 
 
@@ -536,9 +539,10 @@ def subspace_analysis(model: Model, kind: str, rng: RngStream, *,
                       n: int = 10_000, m2: int = 1, h: float = 1e-3,
                       threshold: float = 0.9,
                       slope_window: float | None = None) -> SubspaceResult:
-    """Estimate one sensitivity matrix, decompose it, and pick its rank by
-    the cumulative-eigenvalue rule; ``slope_window`` defaults to the
-    model's (:func:`_slope_window`)."""
+    """Estimate one sensitivity matrix, decompose it by the one spectrum
+    rule of both kinds (:func:`psd_spectrum`), and pick its rank by the
+    cumulative-eigenvalue rule; ``slope_window`` defaults to the model's
+    (:func:`_slope_window`)."""
     kind = kind.upper()
     if kind == "AS":
         matrix = estimate_c_as(model, n, h, rng)
@@ -546,6 +550,6 @@ def subspace_analysis(model: Model, kind: str, rng: RngStream, *,
         matrix = estimate_c_gas(model, n, m2, rng, slope_window=slope_window)
     else:
         raise InputDomainError("kind must be 'AS' or 'GAS'")
-    spectrum = sym_eig(matrix) if kind == "AS" else psd_spectrum(matrix)
+    spectrum = psd_spectrum(matrix)
     return SubspaceResult(kind=kind, matrix=matrix, spectrum=spectrum,
                           m_selected=select_m(spectrum, threshold))

@@ -469,9 +469,8 @@ class TestBatchEngine:
 
     def test_uniform_checks_read_the_same_spectra(self, tmp_path, monkeypatch):
         counted = []  # matrices decomposed, per call
-        for name in ("sym_eig", "psd_spectrum"):  # gradient, slope matrices
-            monkeypatch.setattr(bounds, name, lambda c, _fn=getattr(bounds, name):
-                                counted.append(len(c)) or _fn(c))
+        monkeypatch.setattr(bounds, "psd_spectrum", lambda c, _fn=bounds.psd_spectrum:
+                            counted.append(len(c)) or _fn(c))
         _, _, _, read = run_bounds(["--model", "example4", "--n", "2000"],
                                    tmp_path, monkeypatch)
         # m = 1 then m = d read the slope spectra; the derivative checks follow
@@ -482,6 +481,35 @@ class TestBatchEngine:
         # one stack of the batches' slope matrices, then one of their
         # gradient matrices: one decomposition of each per batch
         assert counted == [N_BATCHES, N_BATCHES]
+
+    def test_gradient_spectra_take_the_slope_rule(self):
+        stats = batch_statistics(make_example1(), 200, RngStream(0), gas=True,
+                                 gradients=True)
+
+        def spectra_bytes(spectra):
+            return [(s.eigenvalues.tobytes(), s.eigenvectors.tobytes()) for s in spectra]
+        assert (spectra_bytes(stats.as_spectra)
+                == spectra_bytes(subspace.psd_spectrum(np.stack(stats.c_as))))
+
+
+class TestMissingStatistics:
+    """A check that reads a statistic its batches lack names the keyword."""
+
+    @pytest.mark.parametrize("model, asked, read, match", [
+        (make_example4(), {}, lambda s: applicable_checks(
+            s, m=None, epsilon=0.01, threshold=0.9), r"no c_gas: .* gas=True"),
+        (make_quadratic_normal([[2.0, 0.0], [0.0, 1.0]], [0.0, 1.0]), {"gradients": True},
+         quadratic_identity, r"no c_gas: .* gas=True"),
+        (make_quadratic_normal([[2.0, 0.0], [0.0, 1.0]], [0.0, 1.0]), {"gas": True},
+         quadratic_identity, r"no c_as: .* gradients=True"),
+        (make_example4(), {"gas": True}, dgsm_bounds, r"no dgsm: .* gradients=True"),
+        (make_example4(), {"gas": True}, lambda s: s.as_spectra,
+         r"no c_as: .* gradients=True")],
+        ids=["gas_spectra", "c_gas", "c_as", "dgsm", "as_spectra"])
+    def test_names_the_keyword_that_asks_for_it(self, model, asked, read, match):
+        stats = batch_statistics(model, 10, RngStream(0), **asked)
+        with pytest.raises(InputDomainError, match=match):
+            read(stats)
 
 
 class TestSharedDesign:

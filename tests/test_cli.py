@@ -152,9 +152,27 @@ class TestExitCodes:
         assert main(["analyze", "--model", "example4", "--methods", "bogus",
                      "--out", "x.json"]) == 2
 
-    def test_inconsistent_budget_is_usage_error(self):
-        assert main(["analyze", "--model", "example4", "--n", "100",
-                     "--m1", "60", "--m2", "2", "--out", "x.json"]) == 2
+    @pytest.mark.parametrize("budget, message", [
+        (["--n", "100", "--m1", "60", "--m2", "2"], "--n 100 must equal --m1 60 times --m2 2"),
+        (["--n", "100", "--m1", "50"], "--n 100 must equal --m1 50 times --m2 1"),
+        (["--n", "1000", "--m2", "3"],
+         "--n 1000 must equal --m1 times --m2, and --m2 3 does not divide it")],
+        ids=["m1-and-m2", "m1-alone", "m2-alone"])
+    def test_inconsistent_budget_is_usage_error(self, budget, message, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["analyze", "--model", "example4", *budget, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omitted_m1_is_n_over_m2(self, tmp_path):
+        # the slope matrix reads m1*m2 = n quotients, and the report says so
+        outs = [tmp_path / "n.json", tmp_path / "m1.json"]
+        for budget, out in zip((["--n", "1000"], ["--m1", "250"]), outs):
+            assert main(["analyze", "--model", "example4", "--methods", "gas", *budget,
+                         "--m2", "4", "--out", str(out)]) == 0
+        meta = json.loads(outs[0].read_text())["meta"]
+        assert (meta["n"], meta["m1"], meta["m2"]) == (1000, 250, 4)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         # constant model: zero variance kills the Sobol' ratio

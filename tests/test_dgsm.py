@@ -1,12 +1,14 @@
 """Finite-difference gradients and derivative-based measures."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from sensyn import (InputDomainError, Model, ModelOutputError, Normal,
-                    RngStream, Uniform, build_report, cheeger_constant, dgsm,
+                    RngStream, Uniform, build_report, c_as_from_gradients,
+                    cheeger_constant, dgsm, dgsm_from_gradients,
                     estimate_variance, gradient_matrix, make_example1,
                     make_example2, make_example4, make_linear,
                     make_quadratic_normal, upper_sobol)
@@ -51,6 +53,14 @@ class TestGradientMatrix:
         for h in (0.0, -1e-3):
             with pytest.raises(InputDomainError):
                 gradient_matrix(make_linear([1.0]), 10, h, RngStream(0))
+
+    @pytest.mark.parametrize("reduce", [dgsm_from_gradients, c_as_from_gradients])
+    def test_no_gradient_rows_is_refused(self, reduce):
+        # a mean over zero rows would be NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputDomainError, match="no gradient samples"):
+                reduce(np.empty((0, 3)))
 
 
 def example1_gradients(z: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 
 import numpy as np
@@ -15,7 +16,8 @@ from sensyn import (DegenerateSpectrumError, InputDomainError, Model,
                     dgsm_from_gradients, estimate_c_gas, gradient_matrix,
                     indicator_upper_sobol, lower_sobol, make_example1,
                     make_example2, make_example4, make_linear, normalize,
-                    rank, report, sample_inputs, subspace, upper_sobol)
+                    output, rank, report, sample_inputs, subspace, upper_sobol)
+from sensyn.linalg import JACOBI_TOL
 from sensyn.output import METHOD_NAMES, convergence_to_dict
 from sensyn.subspace import PROBE_ROWS, DesignSlopes, GradientSlopes, SlopeSample
 from sensyn.variance import (PickFreeze, lower_from_gradients, sobol_from_design,
@@ -124,6 +126,8 @@ class TestBuildReport:
         ("example4", {"slope_window": 0.95}, r"slope_window must lie in \[0, 0\.9\)"),
         ("example4", {"m1": 0}, r"m1 and m2 must be at least 1"),
         ("example4", {"m2": 0}, r"m1 and m2 must be at least 1"),
+        # an omitted m1 is n / m2
+        ("example4", {"m2": 3}, r"m2 = 3 does not divide n = 2000; give m1"),
         # the design path of a multilinear model reads no window, but checks it
         ("example1", {"slope_window": 0.95}, r"slope_window must lie in \[0, 0\.9\)")])
     def test_bad_setting_fails_before_any_row(self, name, bad, match, monkeypatch):
@@ -620,6 +624,33 @@ class TestDegenerateSpectrum:
         constant = make_linear([0.0, 0.0])
         with pytest.raises(DegenerateSpectrumError, match=r"drop the 'gas' method"):
             build_report(constant, seed=1, n=50, methods=("gas",))
+
+
+@functools.cache
+def all_methods_report(name: str) -> dict:
+    """The JSON layout of model ``name``'s all-method report, built once."""
+    return output.report_to_dict(build_report(MODELS[name](), seed=0, n=10_000))
+
+
+class TestOneSpectrumRule:
+    """AS and GAS matrices are both decomposed by ``psd_spectrum``."""
+
+    @pytest.mark.parametrize("name", ["example1", "linear"])
+    def test_multilinear_as_and_gas_entries_are_equal(self, name):
+        data = all_methods_report(name)
+        for section in ("scores", "spectra"):
+            keys = [key for key in data[section] if key.startswith("as_")]
+            assert len(keys) == (4 if section == "scores" else 3)
+            for key in keys:
+                assert data[section][key] == data[section]["g" + key], key
+        assert data["spectra"]["m_as"] == data["spectra"]["m_gas"]
+
+    @pytest.mark.parametrize("name", ["example1", "linear", "example4", "example2"])
+    def test_eigenvalues_below_the_floor_read_zero(self, name):
+        for kind in ("as", "gas"):
+            lam = np.array(all_methods_report(name)["spectra"][f"{kind}_eigenvalues"])
+            floor = JACOBI_TOL * np.sqrt(np.sum(lam * lam))
+            assert np.all((lam == 0.0) | (lam >= floor)), (kind, lam)
 
 
 class TestConvergenceStudy:
