@@ -13,16 +13,11 @@
 :func:`applicable_checks` picks the checks whose hypotheses a model meets.
 All checks of a run are pure functions of one set of ten independent
 replicate batches (:func:`batch_statistics`).  Each batch draws one
-pick-freeze design and reads every statistic the checks need from its rows:
-sigma2 and the upper indices, and the design's quotients on its noise-free
-outputs, through one consumer (:class:`~sensyn.subspace.DesignSlopes`).  For
-a noise-free multilinear model those quotients are the gradients
-(:class:`~sensyn.subspace.GradientSlopes`), and their one matrix is both
-its gradient and its slope matrix; any other model's
-consumer redraws the partners of short pairs for its slope matrix, and its
-gradients are forward differences from the design's base points.  The ten
-slope matrices are decomposed as one stack, in one Jacobi pass, and so are
-the ten gradient matrices.  A check passes when the slack ``rhs - lhs`` is
+pick-freeze design and reads every statistic the checks need from its rows,
+by the rule of :class:`~sensyn.subspace.DesignReading`: sigma2, the upper
+indices, and the slope matrix and gradients the model's consumer gives.  The
+ten slope matrices are decomposed as one stack, in one Jacobi pass, and so
+are the ten gradient matrices.  A check passes when the slack ``rhs - lhs`` is
 no more negative than five combined batch-means standard errors: with ten
 near-normal batch means the slack over its standard error is approximately
 Student-t with 9 degrees of freedom (Schmeiser 1982, "Batch size effects in
@@ -48,15 +43,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .dgsm import dgsm_from_gradients, gradient_matrix, noise_free_multilinear
+from .dgsm import dgsm_from_gradients, noise_free_multilinear
 from .errors import InputDomainError, ModelOutputError
 from .linalg import SpectralDecomposition, select_m
 from .linalg import sym_eig  # noqa: F401  (bench/test_counts.py looks it up here)
 from .models import Model
 from .randkit import Normal, RngStream, Uniform, cheeger_constant
-from .subspace import (DesignSlopes, GradientSlopes, _slope_window, c_as_from_gradients,
-                       psd_spectrum, scores)
-from .variance import PickFreeze, upper_from_design
+from .subspace import DesignReading, _slope_window, psd_spectrum, scores
+from .variance import PickFreeze
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
 N_BATCHES = 10
@@ -139,32 +133,25 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
 
     Batch b draws one :class:`~sensyn.variance.PickFreeze` design on
     substream 0 of ``rng.substream(100 + b)``; sigma2 is the variance of its
-    f(z) and the upper indices reduce its freeze columns.  One consumer
-    (:class:`~sensyn.subspace.DesignSlopes`) per batch reads the design's
-    quotients on its noise-free outputs whenever they are needed.  A
-    noise-free multilinear model's takes the gradient rule
-    (:class:`~sensyn.subspace.GradientSlopes`) whenever ``gas`` or
-    ``gradients`` is asked for: its quotients are its gradients, and
-    their one outer-product matrix is both its gradient matrix and its slope
-    matrix; the slope window is not read.  Any other model's takes the
-    partner redraw with ``gas``: it keeps the design's pairs that clear the
-    slope window (by default 0 for a differentiable model, so every pair,
-    and ``DEFAULT_SLOPE_WINDOW`` otherwise) and redraws the partners of the
-    others on substream 1, so a stochastic model's slope matrix is that of
-    its noise-free part; ``gradients`` takes forward differences from the
-    design's z and f(z), noise included, on substream 3.  A batch costs
-    n*(d+1) rows, plus on a noise-free multilinear model one per design pair
-    closer than h and the gradient rule's probe of its promise, min(n, 8)
-    rows per input, and on any other one per redrawn slope partner with
-    ``gas`` (none at window 0) and n*d with ``gradients``, so example4's ten
-    batches of n = 1,000 with both cost 90,000 rows.  Only vectors and d x d
-    matrices outlive a batch.  A model with an ``output_range`` has every
-    noise-free design output checked against it, at no row's cost, since
-    :func:`gas_bound_general` takes its kappa from that range; an output
-    outside it raises :class:`~sensyn.errors.ModelOutputError`.
+    f(z) and the upper indices reduce its freeze columns.  With ``gas`` the
+    batch reads the slope matrix, and with ``gradients`` the gradients, off
+    the design, by the one rule of :class:`~sensyn.subspace.DesignReading`:
+    slope partners are redrawn on substream 1 of the batch's stream and
+    forward differences take its substream 3.  ``slope_window`` defaults to
+    the model's (0 for a differentiable model, ``DEFAULT_SLOPE_WINDOW``
+    otherwise), and a noise-free multilinear model does not read it.  A
+    batch costs n*(d+1) rows, plus on a noise-free multilinear model one
+    per design pair closer than h and the gradient rule's probe of its
+    promise, min(n, 8) rows per input, and on any other one per redrawn
+    slope partner with ``gas`` (none at window 0) and n*d with
+    ``gradients``, so example4's ten batches of n = 1,000 with both cost
+    90,000 rows.  Only vectors and d x d matrices outlive a batch.  A model
+    with an ``output_range`` has every noise-free design output checked
+    against it, at no row's cost, since :func:`gas_bound_general` takes its
+    kappa from that range; an output outside it raises
+    :class:`~sensyn.errors.ModelOutputError`.
     """
     slope_window = _slope_window(model, slope_window) if gas else None
-    exact = noise_free_multilinear(model)
 
     def column_in_range(i, column, fv):
         _check_range(model, fv)
@@ -174,20 +161,16 @@ def batch_statistics(model: Model, n: int, rng: RngStream, *, gas: bool = False,
         batch = rng.substream(100 + b)
         design = PickFreeze(model, n, batch.substream(0))
         _check_range(model, design.clean_fz)
-        slopes = ((GradientSlopes(model, design.z, design.clean_fz, h) if exact else
-                   DesignSlopes(model, design.z, design.clean_fz, batch.substream(1), slope_window))
-                  if gas or exact and gradients else None)
-        up, s2 = upper_from_design(
-            design, on_column=[column_in_range, *([] if slopes is None else [slopes])])
-        upper.append(up)
-        sigma2.append(s2)
-        if slopes is not None:
-            c_gas.append(slopes.matrix())  # a multilinear model's: its gradients' AS matrix
+        reading = DesignReading(model, n, design, h=h, slope_rng=batch.substream(1),
+                                gradient_rng=batch.substream(3), gas=gas,
+                                gradients=gradients, slope_window=slope_window,
+                                on_column=[column_in_range])
+        upper.append(reading.upper)
+        sigma2.append(reading.sigma2)
+        c_gas.append(reading.c_gas)
         if gradients:
-            g = (slopes.gradients() if exact else
-                 gradient_matrix(model, n, h, batch.substream(3), base=(design.z, design.fz)))
-            v.append(dgsm_from_gradients(g))
-            c_as.append(c_gas[-1] if exact else c_as_from_gradients(g))
+            v.append(dgsm_from_gradients(reading.gradients))
+            c_as.append(reading.c_as)
     return BatchStatistics(model, n, upper, sigma2, c_gas if gas else None,
                            v if gradients else None, c_as if gradients else None,
                            slope_window)

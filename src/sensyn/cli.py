@@ -12,8 +12,11 @@ is an argparse usage error that prints the command's own usage.
 Exit codes: 0 on success, 1 on a runtime/estimation failure, 2 on a usage
 error; a usage error names the flag at fault, also when its value does not
 parse.  A warning raised while the model is built (a ridge direction that
-was not unit length) prints as one ``note:`` line on stderr.  The seed defaults to the ``SENSYN_SEED`` environment variable, then
-to 0; with a fixed seed every command writes byte-identical output files.
+was not unit length) prints as one ``note:`` line on stderr.  The seed
+defaults to the ``SENSYN_SEED`` environment variable, then to 0; a seed
+that is not an integer, or does not fit in an unsigned 64-bit word, is a
+usage error that names ``--seed`` or ``SENSYN_SEED``, whichever gave it.
+With a fixed seed every command writes byte-identical output files.
 
 The parser and ``plot`` live in :mod:`sensyn._front`, which loads no numpy;
 the console script runs it directly, so ``plot`` never imports this module.
@@ -90,11 +93,6 @@ def _parse_matrix(spec: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("SENSYN_SEED")
-    return int(env) if env else 0
-
-
 # the model flags (argparse dest and spelling) and the built-ins that take them
 _MODEL_FLAGS = {
     "noise": ("--noise", ("example1",)),
@@ -136,8 +134,12 @@ def _model_from_args(args):
 # Each _check_* turns one command's flags into the values its cmd_* reads and
 # rejects, before any sampling, a value no estimator or check could use.
 def _check_shared(args) -> None:
+    source = "--seed"
+    if args.seed is None:  # SENSYN_SEED, then 0
+        source, env = "SENSYN_SEED", os.environ.get("SENSYN_SEED")
+        args.seed = _convert(source, int, env) if env else 0
     _require(0 <= args.seed < 2**64,
-             f"--seed must fit in an unsigned 64-bit word, got {args.seed}")
+             f"{source} must fit in an unsigned 64-bit word, got {args.seed}")
     if args.slope_window is not None:  # None: the model's default window
         _require(0.0 <= args.slope_window < 0.9,
                  f"--slope-window must lie in [0, 0.9), got {args.slope_window:g}")
@@ -268,8 +270,6 @@ def run(args) -> int:
 
     # configuration / model construction problems are usage errors
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         _check_shared(args)
         # a model's warning (a ridge direction it normalized) is a one-line note
         with warnings.catch_warnings(record=True) as caught:

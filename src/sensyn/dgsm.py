@@ -10,12 +10,9 @@ deliberately left intact.
 
 A noise-free multilinear model needs none of those rows where a pick-freeze
 design is at hand: it is affine in each input with the others fixed, so the
-quotient of a design pair is the exact partial derivative at the base point,
-and the design's quotient consumer reads its gradients under the gradient
-rule (:class:`~sensyn.subspace.GradientSlopes`).  Every finite slope of such
-a model is that derivative too, so the one outer-product matrix of these
-quotients is both its AS and its GAS matrix, and its main-effect variances
-follow from their means (:func:`~sensyn.variance.lower_from_gradients`).
+quotient of a design pair is the exact partial derivative at the base point.
+What a design's reader takes from that is stated once, in
+:class:`~sensyn.subspace.DesignReading`.
 """
 
 from __future__ import annotations
@@ -70,19 +67,15 @@ def noise_free_multilinear(model: Model) -> bool:
     ``Model.multilinear`` promises that the output is affine in each input
     when the others are fixed (linear maps, products of distinct inputs).
     Every difference quotient along one input is then the exact partial
-    derivative, so where a pick-freeze design is drawn such a model reads
-    its gradients off it (the gradient rule,
-    :class:`~sensyn.subspace.GradientSlopes`) instead of spending
-    forward-difference rows, takes their outer-product matrix as both its
-    AS and its slope matrix instead of redrawing and weighting slope
-    partners, takes its lower Sobol' indices from their means instead of a
-    third point (:func:`~sensyn.variance.lower_from_gradients`), and
-    ``bounds`` checks its DGSM equality.  A false promise biases all four,
-    so the gradient rule probes it on a few design rows per input before
-    any of them is formed.  The slope matrix so read does not depend on the
-    slope window, and has the windowed one's expectation: on the symmetric
-    marginal laws the window tilts each base coordinate symmetrically about
-    its mean, and the other inputs' derivatives are affine in it.
+    derivative, so a pick-freeze design of such a model is read by the
+    gradient rule (:class:`~sensyn.subspace.DesignReading` says what it
+    reads), and ``bounds`` checks its DGSM equality.  A false promise biases
+    them all, so the gradient rule probes it on a few design rows per input
+    before any of them is formed.  The slope matrix so read does not depend
+    on the slope window, and has the windowed one's expectation: on the
+    symmetric marginal laws the window tilts each base coordinate
+    symmetrically about its mean, and the other inputs' derivatives are
+    affine in it.
     """
     return model.multilinear and model.noise_scale == 0.0
 

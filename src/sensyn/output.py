@@ -331,9 +331,10 @@ def _csv_column(key: str) -> str:
 
 def report_to_csv(report: SensitivityReport, sigma2_share=None) -> str:
     """Fixed-layout CSV of per-input scores: one row per input; first the
-    index and the analytic variance share when available, then the per-input
-    vectors of the ``scores`` section in JSON order, raw ones first and
-    normalized ones second."""
+    index and ``sigma2_share[i]`` (``sensyn analyze`` passes the closed-form
+    upper indices of ``analytic_anova``; empty when None), then the
+    per-input vectors of the ``scores`` section in JSON order, raw ones
+    first and normalized ones second."""
     vectors = [(key, value) for section, key, annotation, value in _walk(report)
                if section == "scores" and annotation.startswith("Vector")
                and value is not None]

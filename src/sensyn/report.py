@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dgsm import dgsm_from_gradients, gradient_matrix, noise_free_multilinear
+from .dgsm import dgsm_from_gradients
 from .errors import DegenerateSpectrumError, InputDomainError
 from .linalg import normalized_cumsum, select_m
 from .linalg import sym_eig  # noqa: F401  (bench/test_counts.py looks it up here)
@@ -18,10 +18,9 @@ from .models import Model
 from .output import (METHOD_NAMES, ConvergenceTable, SensitivityReport,
                      SubspaceSummary)
 from .randkit import RngStream
-from .subspace import (DesignSlopes, GradientSlopes, _slope_window, c_as_from_gradients,
-                       estimate_c_gas, psd_spectrum, scores, slope_vectors)
-from .variance import (PickFreeze, SobolEstimate, lower_from_gradients,
-                       prefix_upper, sobol_from_design, upper_from_design)
+from .subspace import (DesignReading, DesignSlopes, _slope_window, estimate_c_gas,
+                       psd_spectrum, scores, slope_vectors)
+from .variance import PickFreeze, prefix_upper
 from .variance import upper_sobol  # noqa: F401  (bench/test_counts.py looks it up here)
 
 
@@ -60,41 +59,27 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
 
     With ``sobol`` selected, the methods share one pick-freeze design on
     substream 1 of the seed's stream, in the layout of every other design
-    (:class:`~sensyn.variance.PickFreeze`): base points z with f(z) and one
-    freeze column f(v_i, z_-i) per input.  sigma2 and the upper indices come
-    from the design alone.
+    (:class:`~sensyn.variance.PickFreeze`), and read it by the one rule of
+    :class:`~sensyn.subspace.DesignReading`, which picks the model's
+    quotient consumer, gradients and lower estimator: sigma2 and both
+    Sobol' indices, the gradients of ``dgsm`` and ``as`` and, with ``gas``,
+    ``m1 == n`` and ``m2 == 1``, the slope matrix.  Owen's third point and
+    its noise take the design's own substreams 3 and 4, redrawn slope
+    partners substream 3 of the seed's stream and forward differences its
+    substream 2.  Without ``sobol``, or with another m1 or m2, the slope
+    matrix draws its own samples on substream 3
+    (:func:`~sensyn.subspace.estimate_c_gas`), and without ``sobol`` the
+    gradients draw theirs on substream 2.
 
-    A noise-free multilinear model's design quotients take the gradient rule
-    (:class:`~sensyn.subspace.GradientSlopes`): each is the exact partial
-    derivative, and only a pair closer than ``h`` costs one
-    forward-difference row.  The gradients are read whenever ``sobol`` is
-    selected, since its lower indices are their means scaled by each input's
-    variance (:func:`~sensyn.variance.lower_from_gradients`), and they serve
-    ``dgsm`` and ``as`` too.  Their outer-product matrix is computed once: it
-    is the AS matrix and, with ``gas``, ``m1 == n`` and ``m2 == 1``, the
-    slope matrix too, and the slope window is not read.  Before any of this,
-    the gradient rule probes the multilinear promise on min(n, 8) rows per
-    input.  Such a report costs n*(d+1) rows, plus one per short step and
-    the probe's: example1 at n = 10,000 and seed 0 costs 110,000 + 196 + 80
-    = 110,276, where Owen's third point took 220,196, redrawn slope partners
-    278,044 and forward differences 377,848.
-
-    Any other model's lower indices take the design as two of their three
-    points and draw the third, and its noise, on the design's own
-    substreams 3 and 4 (:func:`~sensyn.variance.sobol_from_design`), and
-    its gradients are forward differences from the design's z and f(z),
-    n*d rows.  With ``gas``, ``m1 == n`` and ``m2 == 1``, its consumer
-    takes the partner redraw: it keeps each design pair (z_i, v_i) that
-    clears the slope window and redraws the partner of the others on
-    substream 3; at a differentiable model's default window of 0 no partner
-    is redrawn.  A stochastic model's slope matrix is so that of its
-    noise-free part, while every other estimate reads the noisy outputs.
-    This takes example4 at n = 10,000 from 283,023 model rows, when each
-    method drew its own points, to 140,000, and example1 with noise 1 from
-    430,000 to 320,000.  Without ``sobol``, or with another m1 or m2, the
-    slope matrix draws its own samples on substream 3
-    (:func:`~sensyn.subspace.estimate_c_gas`) and the gradients theirs on
-    substream 2.
+    A noise-free multilinear model's report costs n*(d+1) rows, plus one
+    per short step and the probe's: example1 at n = 10,000 and seed 0 costs
+    110,000 + 196 + 80 = 110,276, where Owen's third point took 220,196,
+    redrawn slope partners 278,044 and forward differences 377,848.  Any
+    other model's costs 2n*(d+1) + n*d, plus one row per redrawn slope
+    partner (none at a differentiable model's default window of 0): this
+    takes example4 at n = 10,000 from 283,023 model rows, when each method
+    drew its own points, to 140,000, and example1 with noise 1 from 430,000
+    to 320,000.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHOD_NAMES)
@@ -117,26 +102,22 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
     root = RngStream(seed)
     fields: dict = {}
     subspaces: dict = {}
-    gradients = "dgsm" in methods or "as" in methods
-    base = g = c_as = c_gas = None
-
-    if "sobol" in methods:
-        share_gas = "gas" in methods and m1 == n and m2 == 1
-        est, base, g, c_as, c_gas = _shared_design(model, n, h, root, share_gas,
-                                                   "as" in methods, slope_window)
-        fields.update(sigma2_hat=est.sigma2_hat, sobol_lower=est.lower,
-                      sobol_upper=est.upper)
-
-    if gradients:
-        if g is None:
-            g = gradient_matrix(model, n, h, root.substream(2), base=base)
-        if "dgsm" in methods:
-            v = dgsm_from_gradients(g)
-            fields.update(dgsm_raw=v, dgsm_normalized=normalize(v))
-        if "as" in methods:
-            subspaces["as"] = _decompose("AS", c_as_from_gradients(g) if c_as is None else c_as,
-                                         model, n, threshold, m_override)
-    base = g = None  # the design's arrays go before the slope matrix draws its own
+    sobol = "sobol" in methods
+    reading = DesignReading(model, n, PickFreeze(model, n, root.substream(1)) if sobol else None,
+                            h=h, slope_rng=root.substream(3), gradient_rng=root.substream(2),
+                            gas=sobol and "gas" in methods and m1 == n and m2 == 1,
+                            gradients="dgsm" in methods or "as" in methods,
+                            lower=True, slope_window=slope_window)
+    if sobol:
+        fields.update(sigma2_hat=reading.sigma2, sobol_lower=reading.lower,
+                      sobol_upper=reading.upper)
+    if "dgsm" in methods:
+        v = dgsm_from_gradients(reading.gradients)
+        fields.update(dgsm_raw=v, dgsm_normalized=normalize(v))
+    if "as" in methods:
+        subspaces["as"] = _decompose("AS", reading.c_as, model, n, threshold, m_override)
+    c_gas = reading.c_gas
+    reading = None  # the design's arrays go before the slope matrix draws its own
 
     if "gas" in methods:
         if c_gas is None:
@@ -153,28 +134,6 @@ def build_report(model: Model, *, seed: int, methods=METHOD_NAMES,
         noise_scale=model.noise_scale, threshold=threshold, methods=methods,
         slope_window=slope_window, subspaces=subspaces,
         reference_direction=model.reference_direction, **fields)
-
-
-def _shared_design(model: Model, n: int, h: float, root: RngStream,
-                   share_gas: bool, want_as: bool, slope_window: float | None):
-    """Sobol' estimates from one design, its base points and outputs, the
-    gradients of a noise-free multilinear model, their AS matrix when
-    ``want_as`` and the slope matrix when ``share_gas`` (each None where not
-    read; that model's two matrices are one array)."""
-    design = PickFreeze(model, n, root.substream(1))
-    base = design.z, design.fz
-    if noise_free_multilinear(model):  # every quotient is the exact derivative
-        grads = GradientSlopes(model, design.z, design.clean_fz, h)
-        upper, sigma2 = upper_from_design(design, on_column=[grads])
-        g = grads.gradients()
-        est = SobolEstimate(lower=lower_from_gradients(g, model.marginals, sigma2),
-                            upper=upper, sigma2_hat=sigma2, n=n, seed=design.rng.seed)
-        c = grads.matrix() if want_as or share_gas else None
-        return est, base, g, c, c if share_gas else None
-    slopes = (DesignSlopes(model, design.z, design.clean_fz, root.substream(3), slope_window)
-              if share_gas else None)
-    est = sobol_from_design(design, on_column=[] if slopes is None else [slopes])
-    return est, base, None, None, None if slopes is None else slopes.matrix()
 
 
 def _decompose(kind: str, matrix: np.ndarray, model: Model, n: int,

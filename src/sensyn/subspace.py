@@ -51,11 +51,14 @@ The slope matrix keeps one rule per concern:
 A design's quotients have one consumer, :class:`DesignSlopes`; only its
 repair of a short pair differs: the partner redraw above, or for a
 noise-free multilinear model the gradient rule (:class:`GradientSlopes`).
+:class:`DesignReading` picks the repair, the gradients and the lower
+estimator of a design, for ``analyze`` and ``bounds`` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +69,8 @@ from .linalg import JACOBI_TOL, SpectralDecomposition, select_m, sym_eig
 from .models import Model, sample_inputs
 from .randkit import (InputDistribution, Normal, RngStream, Uniform, law_runs,
                       normal_cdf, normal_inv_cdf)
-from .variance import noise_free_part
+from .variance import (lower_from_gradients, noise_free_part, sobol_from_design,
+                       upper_from_design)
 
 DEFAULT_SLOPE_WINDOW = 0.35  # the window of a non-differentiable model
 _COINCIDENT_TOL = 1e-12
@@ -291,15 +295,17 @@ class SlopeSample:
             yield (self.slopes[start:end],
                    _pair_weights(self.runs, self.gaps, self.z[start:end]))
 
-    def sums(self) -> tuple[np.ndarray, np.ndarray | int]:
-        """``(num, den)``: the sums that :meth:`matrix` divides entry by
-        entry; at window 0 the summed outer products and the row count."""
+    def sums(self, rows: int | None = None) -> tuple[np.ndarray, np.ndarray | int]:
+        """``(num, den)`` of the first ``rows`` rows (default: all): the sums
+        that :meth:`matrix` divides entry by entry; at window 0 the summed
+        outer products and the row count."""
+        rows = len(self.z) if rows is None else rows
         if not self.slope_window:
-            return _sum_outer(self.slopes), len(self.slopes)
+            return _sum_outer(self.slopes[:rows]), rows
         d = self.z.shape[1]
         num, den = np.zeros((d, d)), np.zeros((d, d))
         num_ii, den_ii = np.zeros(d), np.zeros(d)
-        for q, w in self._chunks(len(self.z)):
+        for q, w in self._chunks(rows):
             wq = w * q
             num += np.einsum("ni,nj->ij", wq, wq)
             num_ii += np.einsum("ni,ni->i", wq, q)
@@ -321,12 +327,8 @@ class SlopeSample:
         rows = len(self.z) if rows is None else rows
         if not self.slope_window:
             return dgsm_from_gradients(self.slopes[:rows])
-        d = self.z.shape[1]
-        num, den = np.zeros(d), np.zeros(d)
-        for q, w in self._chunks(rows):
-            num += np.einsum("ni,ni->i", w * q, q)
-            den += np.einsum("ni->i", w)
-        return _normalized(num, den, self.slope_window, rows)
+        num, den = self.sums(rows)
+        return _normalized(np.diag(num), np.diag(den), self.slope_window, rows)
 
 
 def _normalized(num: np.ndarray, den: np.ndarray | int, slope_window: float, n: int) -> np.ndarray:
@@ -486,9 +488,68 @@ class GradientSlopes(DesignSlopes):
         """The (n, d) gradients, checked finite."""
         return _finite(self.slopes)
 
-    def matrix(self) -> np.ndarray:
-        """The model's AS and slope matrix on this design, in one array."""
-        return c_as_from_gradients(self.gradients())
+
+class DesignReading:
+    """What ``analyze`` and ``bounds`` read off one pick-freeze design, by one
+    rule.  One pass over its freeze columns gives ``sigma2``, the variance
+    of f(z), and the ``upper`` indices, and hands each column to
+    ``on_column`` and then to the design's quotient consumer, which reads
+    the noise-free outputs.  The model picks the consumer, the gradients and
+    the lower estimator:
+
+    * a noise-free multilinear model (:func:`~sensyn.dgsm.noise_free_multilinear`)
+      takes the gradient rule (:class:`GradientSlopes`) whenever ``gas``,
+      ``gradients`` or ``lower`` is asked for: its quotients are its
+      ``gradients``, at one row per pair closer than ``h`` and min(n, 8)
+      probe rows per input; their one outer-product matrix is both ``c_as``
+      and ``c_gas`` (the slope window is not read), and its ``lower``
+      indices are their means scaled by each input's variance
+      (:func:`~sensyn.variance.lower_from_gradients`), with no third point;
+    * any other model takes the partner redraw (:class:`DesignSlopes`, one
+      row per partner it redraws on ``slope_rng``) with ``gas``, n*d forward
+      differences from the design's z and f(z), noise included, on
+      ``gradient_rng`` for its ``gradients``
+      (:func:`~sensyn.dgsm.gradient_matrix`), and Owen's third point,
+      n*(d+1) rows in the same pass, for its ``lower`` indices
+      (:func:`~sensyn.variance.sobol_from_design`).
+
+    ``design`` None reads only ``gradients``, at n fresh points.  ``c_gas``
+    is reduced with the pass, so no quotient outlives it, and ``c_as`` on
+    first use.  What is not asked for is None.
+    """
+
+    def __init__(self, model: Model, n: int, design, *, h: float, slope_rng=None,
+                 gradient_rng=None, gas=False, gradients=False, lower=False,
+                 slope_window=None, on_column=()):
+        self.sigma2 = self.upper = self.lower = self.gradients = self.c_gas = None
+        if design is None:
+            if gradients:
+                self.gradients = gradient_matrix(model, n, h, gradient_rng)
+            return
+        exact = noise_free_multilinear(model) and (gas or gradients or lower)
+        consumer = (GradientSlopes(model, design.z, design.clean_fz, h) if exact else
+                    DesignSlopes(model, design.z, design.clean_fz, slope_rng, slope_window)
+                    if gas else None)
+        on_column = [*on_column, *([] if consumer is None else [consumer])]
+        if lower and not exact:
+            est = sobol_from_design(design, on_column=on_column)
+            self.upper, self.sigma2, self.lower = est.upper, est.sigma2_hat, est.lower
+        else:
+            self.upper, self.sigma2 = upper_from_design(design, on_column=on_column)
+        if exact:
+            self.gradients = consumer.gradients()
+            if lower:
+                self.lower = lower_from_gradients(self.gradients, model.marginals, self.sigma2)
+        if gas:
+            self.c_gas = self.c_as if exact else consumer.matrix()
+        if gradients and not exact:
+            self.gradients = gradient_matrix(model, n, h, gradient_rng,
+                                             base=(design.z, design.fz))
+
+    @cached_property
+    def c_as(self) -> np.ndarray:
+        """The gradients' outer-product (AS) matrix."""
+        return c_as_from_gradients(self.gradients)
 
 
 def psd_spectrum(matrix: np.ndarray) -> SpectralDecomposition | list[SpectralDecomposition]:

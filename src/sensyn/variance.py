@@ -7,14 +7,11 @@ variance come from these alone.  The lower indices use a product-of-
 differences correlation estimator over three independent points, which keeps
 the variance of small indices low; two of the three points are the design's
 z and v, so only a fresh third point and its d swapped columns are new.  A
-replicate of both estimators so costs n*(2*d+2) evaluations, in
-:func:`estimate_sobol` and in a report on a model that is not noise-free
-and multilinear.  A report on a noise-free multilinear model draws no third
-point: its main-effect variances follow from the means of its gradients
-(:func:`lower_from_gradients`), which its design gives at one row per short
-step after a probe of min(n, 8) rows per input
-(:class:`~sensyn.subspace.GradientSlopes`), so both estimators cost it
-n*(d+1) evaluations and those rows.
+replicate of both estimators so costs n*(2*d+2) evaluations
+(:func:`estimate_sobol`).  A report reads its design by the rule of
+:class:`~sensyn.subspace.DesignReading`, which draws no third point for a
+noise-free multilinear model: its main-effect variances follow from the
+means of its design gradients (:func:`lower_from_gradients`).
 
 For the evaluations of input i the estimators overwrite column i of a base
 design in place (:meth:`~sensyn.models.Model.evaluate_column`, which
@@ -203,11 +200,10 @@ def sobol_from_design(design: PickFreeze, on_column=()) -> SobolEstimate:
     on substream 4 (child 0 for f(w), child i + 1 for f(x_i, w_-i)).  Small
     negative estimates are Monte Carlo noise and are reported as-is.
     ``on_column`` holds callables that see every freeze column after its
-    indices are reduced, as in :func:`upper_from_design`.  A report takes
-    this estimator for every model but a noise-free multilinear one, whose
-    lower indices come from its design gradients instead
-    (:func:`lower_from_gradients`); the standalone :func:`lower_sobol` and
-    :func:`estimate_sobol` take it for every model.
+    indices are reduced, as in :func:`upper_from_design`.  The standalone
+    :func:`lower_sobol` and :func:`estimate_sobol` take this estimator for
+    every model, a report's design for the models that
+    :class:`~sensyn.subspace.DesignReading` names.
     """
     model, n, x, fx = design.model, design.n, design.z, design.fz
     sigma2 = _checked_variance(fx)
@@ -237,7 +233,7 @@ def lower_from_gradients(g: np.ndarray, marginals, sigma2: float) -> np.ndarray:
     E[d_i f] and the law's own variance for Var(x_i): scale**2/12 for a
     ``Uniform`` law, sigma**2 for a ``Normal`` one.  It draws no row of its
     own; a report reads ``g`` off its design
-    (:class:`~sensyn.subspace.GradientSlopes`).
+    (:class:`~sensyn.subspace.DesignReading`).
     """
     var_x = np.array([m.scale**2 / 12.0 if isinstance(m, Uniform) else m.sigma**2
                       for m in marginals])

@@ -242,7 +242,7 @@ def count_engine_calls(monkeypatch):
             return fn(*args, **kwargs)
         return counted
     for name in COUNTED:
-        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+        monkeypatch.setattr(subspace, name, counting(name, getattr(subspace, name)))
     for name, module in STANDALONE.items():
         wrapper = counting(name, getattr(module, name))
         monkeypatch.setattr(module, name, wrapper)
@@ -361,7 +361,7 @@ class TestBatchEngine:
             def __call__(self, i, v, fv):
                 short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
                 super().__call__(i, v, fv)
-        monkeypatch.setattr(bounds, "GradientSlopes", Counted)
+        monkeypatch.setattr(subspace, "GradientSlopes", Counted)
         calls, rows, replaced, _ = run_bounds(
             ["--model", "example1", "--n", "10000", "--seed", "0"], tmp_path, monkeypatch)
         assert calls == engine_calls(N_BATCHES, 0, 0)
@@ -380,7 +380,7 @@ class TestBatchEngine:
             def __call__(self, i, v, fv):
                 short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
                 super().__call__(i, v, fv)
-        monkeypatch.setattr(bounds, "GradientSlopes", Counted)
+        monkeypatch.setattr(subspace, "GradientSlopes", Counted)
         calls, rows, replaced, _ = run_bounds(
             ["--model", "linear", "--c", "1,-2,0.5,3", "--n", "2000", "--seed", "0"],
             tmp_path, monkeypatch)
@@ -410,7 +410,7 @@ class TestBatchEngine:
                                     gas=bounds.needs_slope_matrix(model), gradients=True)
         read = run()
         with monkeypatch.context() as patch:  # the batches of forward differences
-            patch.setattr(bounds, "noise_free_multilinear", lambda model: False)
+            patch.setattr(subspace, "noise_free_multilinear", lambda model: False)
             fd = run()
         np.testing.assert_allclose(read.dgsm, fd.dgsm, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(read.c_as, fd.c_as, rtol=0.0,
@@ -454,7 +454,7 @@ class TestBatchEngine:
         # the slope matrices are those of the noise-free model's design path,
         # byte for byte: the common-mode noise is left out, not cancelled
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "noise_free_multilinear", lambda model: False)
+            patch.setattr(subspace, "noise_free_multilinear", lambda model: False)
             clean = batch_statistics(make_example1(), n, RngStream(4), gas=True)
         assert [c.tobytes() for c in stats.c_gas] == [c.tobytes() for c in clean.c_gas]
         # sigma2, the upper indices and the gradient statistics read the noisy

@@ -19,8 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensyn import Model, Uniform, _front, cli, subspace
-from sensyn import bounds as bounds_mod
-from sensyn import report as report_mod
 from sensyn.cli import main
 from sensyn.models import indicator_upper_sobol, make_builtin
 from sensyn.report import build_report, rank
@@ -367,6 +365,22 @@ class TestExitCodes:
             self, argv, message, tmp_path, model_rows, capsys):
         assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
         assert f"usage error: {message}" in capsys.readouterr().err
+        assert model_rows == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "SENSYN_SEED: 'abc' is not an integer"),
+        ("1e3", "SENSYN_SEED: '1e3' is not an integer"),
+        ("-1", "SENSYN_SEED must fit in an unsigned 64-bit word, got -1"),
+        (str(2**64), f"SENSYN_SEED must fit in an unsigned 64-bit word, got {2**64}"),
+    ], ids=["text", "float", "negative", "too-large"])
+    def test_bad_env_seed_names_the_variable(self, value, message, tmp_path, model_rows,
+                                             capsys, monkeypatch):
+        # without --seed the seed comes from SENSYN_SEED, and a bad one says so
+        monkeypatch.setenv("SENSYN_SEED", value)
+        assert main(["analyze", "--model", "example4", "--n", "100",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert model_rows == []
         assert list(tmp_path.iterdir()) == []
 
@@ -891,11 +905,10 @@ class TestReproducibility:
         blobs = []
         for forced in (False, True):
             with monkeypatch.context() as patch:
-                for module in (report_mod, bounds_mod):
-                    if forced:
-                        patch.setattr(module, "noise_free_multilinear", lambda model: False)
-                    else:
-                        patch.setattr(module, "GradientSlopes", unused)
+                if forced:
+                    patch.setattr(subspace, "noise_free_multilinear", lambda model: False)
+                else:
+                    patch.setattr(subspace, "GradientSlopes", unused)
                 out = tmp_path / f"forced-{forced}.json"
                 assert main([*argv, "--n", "2000", "--seed", "6", "--out", str(out)]) == 0
                 blobs.append(out.read_bytes())

@@ -287,7 +287,7 @@ def counting_short_steps(monkeypatch) -> list:
             short[0] += int(np.count_nonzero(np.abs(v - self.z[:, i]) < self.h))
             super().__call__(i, v, fv)
 
-    monkeypatch.setattr(report, "GradientSlopes", Counted)
+    monkeypatch.setattr(subspace, "GradientSlopes", Counted)
     return short
 
 
@@ -382,8 +382,9 @@ class TestSharedDesign:
         read = build_report(model, seed=11, n=20_000)
         # on the design path the slope matrix is the gradient matrix
         assert seen["GAS"].tobytes() == seen["AS"].tobytes()
-        monkeypatch.setattr(report, "noise_free_multilinear", lambda model: False)
-        fd = build_report(model, seed=11, n=20_000, slope_window=0.35)
+        with monkeypatch.context() as patch:  # GradientSlopes below reads it too
+            patch.setattr(subspace, "noise_free_multilinear", lambda model: False)
+            fd = build_report(model, seed=11, n=20_000, slope_window=0.35)
         np.testing.assert_allclose(read.dgsm_raw, fd.dgsm_raw, rtol=1e-12, atol=0.0)
         a, b = read.subspaces["as"], fd.subspaces["as"]
         np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=0.0,
@@ -410,6 +411,24 @@ class TestSharedDesign:
         slopes = DesignSlopes(model, design.z, design.fz, root.substream(3), 0.35)
         upper_from_design(design, on_column=[slopes])
         assert seen["GAS"].tobytes() == slopes.matrix().tobytes()
+
+    @pytest.mark.parametrize("name", ["example1", "example1_noisy", "example4"])
+    def test_sobol_with_gas_at_m2_above_1_keeps_the_fresh_slope_sample(self, name):
+        # with m2 > 1 the design is read for sobol, dgsm and AS, and the slope
+        # matrix is the fresh sample on substream 3, as without sobol
+        model, sizes = MODELS[name](), dict(seed=3, n=2_000, m2=4)
+        full = build_report(model, methods=METHOD_NAMES, **sizes)
+        design = build_report(model, methods=("sobol", "dgsm", "as"), **sizes)
+        fresh = build_report(model, methods=("gas",), **sizes)
+        for field in ("sigma2_hat", "sobol_lower", "sobol_upper", "dgsm_raw",
+                      "dgsm_normalized"):
+            assert (np.asarray(getattr(full, field)).tobytes()
+                    == np.asarray(getattr(design, field)).tobytes()), field
+        for kind, alone in (("as", design), ("gas", fresh)):
+            for field in dataclasses.fields(full.subspaces[kind]):
+                got = getattr(full.subspaces[kind], field.name)
+                assert (np.asarray(got).tobytes()
+                        == np.asarray(getattr(alone.subspaces[kind], field.name)).tobytes())
 
     @pytest.mark.parametrize("model", [make_example1(noise_scale=1.0), make_example4()],
                              ids=["example1-noisy", "example4"])
@@ -452,7 +471,7 @@ class TestSharedDesign:
         # the slope matrix is the noise-free model's on its design path, byte
         # for byte: the common-mode noise is left out, not cancelled
         with monkeypatch.context() as patch:
-            patch.setattr(report, "noise_free_multilinear", lambda model: False)
+            patch.setattr(subspace, "noise_free_multilinear", lambda model: False)
             build_report(make_example1(), seed=seed, n=n)
         assert noisy["GAS"].tobytes() == seen["GAS"].tobytes()
         # every other field reads the noisy outputs, with the bytes of the

@@ -21,7 +21,8 @@ from sensyn.bounds import batch_statistics
 from sensyn import report, subspace
 from sensyn.models import sample_inputs
 from sensyn.subspace import DesignSlopes, _partners, slope_vectors
-from sensyn.variance import PickFreeze, upper_from_design
+from sensyn.variance import (PickFreeze, lower_from_gradients, sobol_from_design,
+                             upper_from_design)
 
 
 def _gap(dist, window):
@@ -787,3 +788,98 @@ class TestSubspaceAnalysis:
     def test_unknown_kind(self):
         with pytest.raises(InputDomainError):
             subspace_analysis(make_example1(), "QAS", RngStream(0), n=16)
+
+
+READER_MODELS = {"example1": (make_example1, None),
+                 "linear": (lambda: make_linear([1.0, -2.0, 0.5]), None),
+                 "example4": (make_example4, None),
+                 "example1-noisy": (lambda: make_example1(noise_scale=1.0), None),
+                 "example2": (make_example2, 0.35)}
+# (gas, gradients, lower): a report's design always reads its lower indices,
+# a bound batch's never
+READER_FLAGS = [(False, False, True), (True, False, True), (False, True, True),
+                (True, True, True), (True, False, False), (False, True, False),
+                (True, True, False)]
+
+
+def hand_assembly(model, design, root, h, gas, gradients, lower, window):
+    """What a design gives when its consumer, lower estimator and gradients
+    are chosen and called by hand: ``(sigma2, upper, lower, gradients,
+    c_gas, c_as)``, None where not asked for."""
+    if subspace.noise_free_multilinear(model):
+        grads = subspace.GradientSlopes(model, design.z, design.clean_fz, h)
+        upper, sigma2 = upper_from_design(design, on_column=[grads])
+        g = grads.gradients()
+        low = lower_from_gradients(g, model.marginals, sigma2) if lower else None
+        return sigma2, upper, low, g, grads.matrix() if gas else None, grads.matrix()
+    slopes = DesignSlopes(model, design.z, design.clean_fz, root.substream(3), window)
+    consumers = [slopes] if gas else []
+    if lower:
+        est = sobol_from_design(design, on_column=consumers)
+        upper, sigma2, low = est.upper, est.sigma2_hat, est.lower
+    else:
+        (upper, sigma2), low = upper_from_design(design, on_column=consumers), None
+    g = (gradient_matrix(model, design.n, h, root.substream(2), base=(design.z, design.fz))
+         if gradients else None)
+    return (sigma2, upper, low, g, slopes.matrix() if gas else None,
+            None if g is None else c_as_from_gradients(g))
+
+
+class TestDesignReading:
+    @pytest.mark.parametrize("flags", READER_FLAGS,
+                             ids=["lower", "lower-gas", "lower-gradients", "lower-gas-gradients",
+                                  "gas", "gradients", "gas-gradients"])
+    @pytest.mark.parametrize("name", sorted(READER_MODELS))
+    def test_reads_what_the_hand_assembly_reads(self, name, flags, monkeypatch):
+        make, window = READER_MODELS[name]
+        model, n, h = make(), 600, 1e-3
+        gas, gradients, lower = flags
+        exact = subspace.noise_free_multilinear(model)
+        want = hand_assembly(model, PickFreeze(model, n, RngStream(2).substream(1)),
+                             RngStream(2), h, gas, gradients, lower, window)
+        rows, replaced, short = [0], [0], [0]
+        evaluate, partners = Model.evaluate, subspace._partners
+
+        def counted_evaluate(self, z, *args, **kwargs):
+            rows[0] += len(np.atleast_2d(z))
+            return evaluate(self, z, *args, **kwargs)
+
+        def counted_partners(dist, a, gap, u):
+            replaced[0] += len(a)
+            return partners(dist, a, gap, u)
+
+        def short_steps(i, v, fv):
+            short[0] += int(np.count_nonzero(np.abs(v - design.z[:, i]) < h))
+        monkeypatch.setattr(Model, "evaluate", counted_evaluate)
+        monkeypatch.setattr(subspace, "_partners", counted_partners)
+        root = RngStream(2)
+        design = PickFreeze(model, n, root.substream(1))
+        read = subspace.DesignReading(model, n, design, h=h, slope_rng=root.substream(3),
+                                      gradient_rng=root.substream(2), gas=gas,
+                                      gradients=gradients, lower=lower, slope_window=window,
+                                      on_column=[short_steps])
+        got = (read.sigma2, read.upper, read.lower, read.gradients, read.c_gas,
+               read.c_as if exact or gradients else None)
+        for field, a, b in zip(("sigma2", "upper", "lower", "gradients", "c_gas", "c_as"),
+                               got, want):
+            assert (a is None) == (b is None), field
+            assert a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
+        d = model.d
+        if exact:  # the gradient rule: the design, the probe and one row per short step
+            assert read.c_gas is (read.c_as if gas else None)
+            assert rows[0] == n * (d + 1) + subspace.PROBE_ROWS * d + short[0]
+            assert replaced[0] == 0
+        else:  # the design, Owen's third point, forward differences, redrawn partners
+            assert rows[0] == (n * (d + 1) + lower * n * (d + 1) + gradients * n * d
+                               + replaced[0])
+            assert (replaced[0] > 0) == (gas and window is not None)
+
+    @pytest.mark.parametrize("name", sorted(READER_MODELS))
+    def test_without_a_design_reads_fresh_gradients(self, name):
+        model = READER_MODELS[name][0]()
+        read = subspace.DesignReading(model, 300, None, h=1e-3, gradient_rng=RngStream(4),
+                                      gas=True, gradients=True, lower=True)
+        assert (read.sigma2, read.upper, read.lower, read.c_gas) == (None,) * 4
+        g = gradient_matrix(model, 300, 1e-3, RngStream(4))
+        assert read.gradients.tobytes() == g.tobytes()
+        assert read.c_as.tobytes() == c_as_from_gradients(g).tobytes()
